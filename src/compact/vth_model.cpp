@@ -41,11 +41,10 @@ VthComponents threshold_components(const DeviceSpec& spec,
   const double wdep = depletion_width_at_threshold(neff, temperature);
   c.lt = std::sqrt(physics::kEpsSi * tox * wdep / physics::kEpsSiO2);
 
-  const double leff = spec.geometry.leff();
-  c.dvth_sce = calib.k_dibl * (2.0 * (c.vbi - two_phi_b) + vds) *
-               std::exp(-leff / (2.0 * c.lt));
-
-  c.vth = c.vth_body - c.dvth_sce + calib.delta_vth;
+  c.sce_barrier = c.vbi - two_phi_b;
+  c.sce_attenuation = std::exp(-spec.geometry.leff() / (2.0 * c.lt));
+  c.dvth_sce = sce_rolloff(c, calib, vds);
+  c.vth = threshold_at(c, calib, vds);
   return c;
 }
 

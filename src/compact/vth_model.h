@@ -29,8 +29,25 @@ struct VthComponents {
   double dvth_sce = 0.0;   ///< roll-off incl. DIBL at the given V_ds [V]
   double vbi = 0.0;        ///< source/drain-to-channel built-in potential [V]
   double lt = 0.0;         ///< quasi-2-D characteristic length [m]
+  double sce_barrier = 0.0;      ///< V_bi - 2 phi_B [V]
+  double sce_attenuation = 0.0;  ///< exp(-L_eff / 2 l_t)
   double vth = 0.0;        ///< net threshold (+ calibration delta) [V]
 };
+
+/// dV_th,SCE at drain bias `vds` from a decomposition's bias-invariant
+/// pieces. This and threshold_at are the one home of the roll-off
+/// formula: threshold_components evaluates them, and the compact model
+/// calls them per bias point on a decomposition it built once.
+inline double sce_rolloff(const VthComponents& c, const Calibration& calib,
+                          double vds) {
+  return calib.k_dibl * (2.0 * c.sce_barrier + vds) * c.sce_attenuation;
+}
+
+/// Net threshold at drain bias `vds` from a decomposition's pieces [V].
+inline double threshold_at(const VthComponents& c, const Calibration& calib,
+                           double vds) {
+  return c.vth_body - sce_rolloff(c, calib, vds) + calib.delta_vth;
+}
 
 /// Full decomposition at drain bias `vds` (source-referenced magnitude).
 VthComponents threshold_components(const DeviceSpec& spec,
