@@ -36,6 +36,20 @@ int main() {
               -degradation * 100.0);
   rec.metric("snm_250mV_drop_pct", degradation * 100.0);
 
+  // Newton effort per VTC solve: the headline tools/check.sh budgets. A
+  // solver that silently fell back to bisection would need ~43 steps.
+  if (const auto* reg = obs::default_registry(); reg != nullptr) {
+    const auto snap = reg->snapshot();
+    const double solves =
+        static_cast<double>(snap.counter(obs::names::kVtcSolves));
+    const double iterations = static_cast<double>(
+        snap.counter(obs::names::kVtcNewtonIterations));
+    const double per_solve = solves > 0.0 ? iterations / solves : 0.0;
+    std::printf("VTC solves: %.0f, Newton iterations per solve: %.2f\n",
+                solves, per_solve);
+    rec.metric("vtc_newton_per_solve", per_solve);
+  }
+
   return degradation > 0.08 && degradation < 0.35;
       });
 }

@@ -166,6 +166,16 @@ void BM_CompactDrainCurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactDrainCurrent);
 
+void BM_CompactEvaluate(benchmark::State& state) {
+  const compact::CompactMosfet fet(spec_90());
+  double v = 0.0;
+  for (auto _ : state) {
+    v += 1e-7;
+    benchmark::DoNotOptimize(fet.evaluate(0.3 + v, 0.25));
+  }
+}
+BENCHMARK(BM_CompactEvaluate);
+
 void BM_VtcOutput(benchmark::State& state) {
   const auto inv = circuits::make_inverter(spec_90()).at_vdd(0.25);
   for (auto _ : state) {

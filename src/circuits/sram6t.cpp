@@ -35,32 +35,33 @@ Sram6tCell make_sram_cell(const compact::DeviceSpec& nfet_spec,
 
 namespace {
 
-/// Solve the storage-node voltage for a given opposite-node voltage.
-/// `with_access` includes the access NFET pulling toward the bitline (at
-/// V_dd) with the wordline on.
+/// Solve the storage-node voltage for a given opposite-node voltage,
+/// Newton from `guess`. `with_access` includes the access NFET pulling
+/// toward the bitline (at V_dd) with the wordline on.
 double storage_node_voltage(const Sram6tCell& cell, double v_other,
-                            bool with_access) {
+                            bool with_access, double guess) {
   const double vdd = cell.vdd;
   const auto balance = [&](double vq) {
     // Pull-down NFET: gate at v_other, drain at vq.
-    const double i_down = cell.pull_down->drain_current(v_other, vq);
+    const compact::DeviceEval down = cell.pull_down->evaluate(v_other, vq);
     // Pull-up PFET: gate at v_other, source at vdd, drain at vq.
-    const double i_up =
-        cell.pull_up->drain_current(vdd - v_other, vdd - vq);
-    double f = i_down - i_up;
+    const compact::DeviceEval up =
+        cell.pull_up->evaluate(vdd - v_other, vdd - vq);
+    opt::ValueSlope f{down.id - up.id, down.gds + up.gds};
     if (with_access) {
       // Access NFET: drain at bitline (vdd), source at the storage node,
-      // gate at wordline (vdd). Current flows INTO the node.
-      const double i_acc = cell.access->drain_current(vdd - vq, vdd - vq);
-      f -= i_acc;
+      // gate at wordline (vdd). Current flows INTO the node; both its
+      // V_gs and V_ds fall as vq rises.
+      const compact::DeviceEval acc = cell.access->evaluate(vdd - vq, vdd - vq);
+      f.value -= acc.id;
+      f.slope += acc.gm + acc.gds;
     }
     return f;
   };
   // The balance is monotone increasing in vq. With the access device on,
   // the node can be pulled above the inverter's natural low level, but it
   // stays within [0, vdd].
-  const auto root = opt::bisect(balance, 0.0, vdd, 1e-12 * vdd, 400);
-  return root.x;
+  return opt::safeguarded_newton(balance, 0.0, vdd, 1e-12 * vdd, guess).x;
 }
 
 VtcCurve sample_vtc(const Sram6tCell& cell, bool with_access,
@@ -71,11 +72,13 @@ VtcCurve sample_vtc(const Sram6tCell& cell, bool with_access,
   VtcCurve curve;
   curve.vin.resize(points);
   curve.vout.resize(points);
+  double guess = 0.5 * cell.vdd;
   for (std::size_t i = 0; i < points; ++i) {
     const double v =
         cell.vdd * static_cast<double>(i) / static_cast<double>(points - 1);
     curve.vin[i] = v;
-    curve.vout[i] = storage_node_voltage(cell, v, with_access);
+    curve.vout[i] = storage_node_voltage(cell, v, with_access, guess);
+    guess = curve.vout[i];  // warm start along the sweep
   }
   return curve;
 }

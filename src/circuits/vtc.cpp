@@ -2,23 +2,76 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "opt/bisection.h"
 
 namespace subscale::circuits {
 
+namespace {
+
+/// The output-node solves of one public VTC call. Solves are Newton on
+/// the balance f(vout) = I_n(vin, vout) - I_p(vdd - vin, vdd - vout),
+/// which is strictly increasing with slope g_ds,n + g_ds,p. Effort is
+/// tallied here and added to the default registry's counters (looked up
+/// once, up front) when the call returns, so no counter is touched per
+/// device evaluation.
+class VtcSolver {
+ public:
+  explicit VtcSolver(const InverterDevices& inv) : inv_(inv) {
+    if (obs::MetricsRegistry* reg = obs::default_registry(); reg != nullptr) {
+      solves_counter_ = &reg->counter(obs::names::kVtcSolves);
+      iterations_counter_ = &reg->counter(obs::names::kVtcNewtonIterations);
+    }
+  }
+  VtcSolver(const VtcSolver&) = delete;
+  VtcSolver& operator=(const VtcSolver&) = delete;
+  ~VtcSolver() {
+    if (solves_counter_ != nullptr) {
+      solves_counter_->add(solves_);
+      iterations_counter_->add(iterations_);
+    }
+  }
+
+  /// V_out at `vin`, Newton from `guess` inside the [0, V_dd] bracket.
+  double output(double vin, double guess) {
+    const double vdd = inv_.vdd;
+    const auto balance = [&](double vout) {
+      const compact::DeviceEval n = inv_.nfet->evaluate(vin, vout);
+      const compact::DeviceEval p = inv_.pfet->evaluate(vdd - vin, vdd - vout);
+      return opt::ValueSlope{n.id - p.id, n.gds + p.gds};
+    };
+    const opt::RootResult root =
+        opt::safeguarded_newton(balance, 0.0, vdd, 1e-13 * vdd, guess);
+    ++solves_;
+    iterations_ += root.iterations;
+    return root.x;
+  }
+
+  /// Implicit-function gain dV_out/dV_in = -(g_m,n + g_m,p) /
+  /// (g_ds,n + g_ds,p) at the solved point (vin, vout).
+  double gain(double vin, double vout) const {
+    const double vdd = inv_.vdd;
+    const compact::DeviceEval n = inv_.nfet->evaluate(vin, vout);
+    const compact::DeviceEval p = inv_.pfet->evaluate(vdd - vin, vdd - vout);
+    return -(n.gm + p.gm) / (n.gds + p.gds);
+  }
+
+ private:
+  const InverterDevices& inv_;
+  obs::Counter* solves_counter_ = nullptr;
+  obs::Counter* iterations_counter_ = nullptr;
+  std::uint64_t solves_ = 0;
+  std::uint64_t iterations_ = 0;
+};
+
+}  // namespace
+
 double vtc_output(const InverterDevices& inv, double vin) {
-  const double vdd = inv.vdd;
-  // Balance f(vout) = I_n(vin, vout) - I_p(vdd - vin, vdd - vout).
-  // I_n grows and I_p falls with vout, so f is strictly increasing.
-  const auto balance = [&](double vout) {
-    const double i_n = inv.nfet->drain_current(vin, vout);
-    const double i_p = inv.pfet->drain_current(vdd - vin, vdd - vout);
-    return i_n - i_p;
-  };
-  const auto root = opt::bisect(balance, 0.0, vdd, 1e-13 * vdd, 400);
-  return root.x;
+  return VtcSolver(inv).output(vin, 0.5 * inv.vdd);
 }
 
 VtcCurve compute_vtc(const InverterDevices& inv, std::size_t points) {
@@ -28,31 +81,40 @@ VtcCurve compute_vtc(const InverterDevices& inv, std::size_t points) {
   VtcCurve curve;
   curve.vin.resize(points);
   curve.vout.resize(points);
+  VtcSolver solver(inv);
+  double guess = 0.5 * inv.vdd;
   for (std::size_t i = 0; i < points; ++i) {
     const double vin =
         inv.vdd * static_cast<double>(i) / static_cast<double>(points - 1);
     curve.vin[i] = vin;
-    curve.vout[i] = vtc_output(inv, vin);
+    curve.vout[i] = solver.output(vin, guess);
+    guess = curve.vout[i];  // warm start along the sweep
   }
   return curve;
 }
 
 double vtc_gain(const InverterDevices& inv, double vin) {
-  const double h = 1e-5 * inv.vdd;
-  const double lo = std::max(0.0, vin - h);
-  const double hi = std::min(inv.vdd, vin + h);
-  return (vtc_output(inv, hi) - vtc_output(inv, lo)) / (hi - lo);
+  VtcSolver solver(inv);
+  return solver.gain(vin, solver.output(vin, 0.5 * inv.vdd));
 }
 
 NoiseMargins noise_margins(const InverterDevices& inv) {
   const double vdd = inv.vdd;
+  VtcSolver solver(inv);
+  // Every solve warm-starts from the previous one's V_out.
+  double vout = 0.5 * vdd;
+  const auto gain_at = [&](double vin) {
+    vout = solver.output(vin, vout);
+    return solver.gain(vin, vout);
+  };
+
   // Locate the switching point (most negative gain) with a coarse scan.
   const std::size_t scan = 160;
   double best_gain = 0.0;
   double v_switch = 0.5 * vdd;
   for (std::size_t i = 1; i + 1 < scan; ++i) {
     const double v = vdd * static_cast<double>(i) / static_cast<double>(scan);
-    const double g = vtc_gain(inv, v);
+    const double g = gain_at(v);
     if (g < best_gain) {
       best_gain = g;
       v_switch = v;
@@ -65,17 +127,16 @@ NoiseMargins noise_margins(const InverterDevices& inv) {
   }
 
   // gain(v) + 1 changes sign once on each side of the switching point.
-  const auto gain_plus_one = [&](double v) { return vtc_gain(inv, v) + 1.0; };
+  const auto gain_plus_one = [&](double v) { return gain_at(v) + 1.0; };
   const auto lo_root = opt::bisect(gain_plus_one, 1e-6 * vdd, v_switch,
                                    1e-9 * vdd, 200);
-  const auto hi_root = opt::bisect(gain_plus_one, v_switch, vdd * (1 - 1e-6),
-                                   1e-9 * vdd, 200);
-
   NoiseMargins nm;
   nm.vil = lo_root.x;
+  nm.voh = solver.output(nm.vil, vout);
+  const auto hi_root = opt::bisect(gain_plus_one, v_switch, vdd * (1 - 1e-6),
+                                   1e-9 * vdd, 200);
   nm.vih = hi_root.x;
-  nm.voh = vtc_output(inv, nm.vil);
-  nm.vol = vtc_output(inv, nm.vih);
+  nm.vol = solver.output(nm.vih, vout);
   nm.nml = nm.vil - nm.vol;
   nm.nmh = nm.voh - nm.vih;
   nm.snm = std::min(nm.nml, nm.nmh);

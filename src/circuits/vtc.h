@@ -8,6 +8,13 @@
 /// the simplified closed form of Eq. 3(c)). SNM is defined at the
 /// unity-gain points, matching the paper: "We define SNM at the points
 /// where the gain in the voltage transfer characteristic equals -1."
+///
+/// Every output-node solve is a safeguarded Newton (opt::
+/// safeguarded_newton) on the balance, whose slope g_ds,n + g_ds,p comes
+/// from DeviceModel::evaluate; sweeps warm-start each solve from the
+/// previous one. Each public call adds its solves and Newton iterations
+/// to the default registry's circuits.vtc.* counters once. See DESIGN.md
+/// §18.
 
 #include <vector>
 
@@ -15,9 +22,9 @@
 
 namespace subscale::circuits {
 
-/// Output voltage of the inverter for a given input (current balance at
-/// the output node, solved by bisection — the balance is monotone in
-/// V_out).
+/// Output voltage of the inverter for a given input: the root of the
+/// output-node current balance, which is strictly increasing in V_out,
+/// to 1e-13 V_dd inside the [0, V_dd] bracket.
 double vtc_output(const InverterDevices& inv, double vin);
 
 /// Sampled VTC on a uniform input grid.
@@ -27,10 +34,14 @@ struct VtcCurve {
 };
 VtcCurve compute_vtc(const InverterDevices& inv, std::size_t points = 201);
 
-/// Small-signal gain dVout/dVin at the given input (central difference).
+/// Small-signal gain dVout/dVin at the given input, by the implicit
+/// function theorem at the solved point:
+/// -(g_m,n + g_m,p) / (g_ds,n + g_ds,p).
 double vtc_gain(const InverterDevices& inv, double vin);
 
-/// Noise-margin summary from the two unity-|gain| points.
+/// Noise-margin summary from the two unity-|gain| points: a 160-point
+/// gain scan finds the switching point, then a bisection on gain + 1
+/// (to 1e-9 V_dd) on each side of it.
 struct NoiseMargins {
   double vil = 0.0;  ///< lower unity-gain input
   double vih = 0.0;  ///< upper unity-gain input

@@ -13,7 +13,8 @@
 ///     nanowire FET, subthreshold-accurate; backend #2.
 ///
 /// The virtual surface is the minimal query set the consumers actually
-/// use (drain current, S_S, slope factor, V_th, gate capacitance) plus
+/// use (drain current and its conductances, S_S, slope factor, V_th,
+/// gate capacitance) plus
 /// `with_calibration` so variability's V_th-shift resampling works on
 /// any backend. Derived figures (I_off, I_on, intrinsic delay, the
 /// constant-current extracted V_th) are non-virtual conveniences defined
@@ -26,6 +27,14 @@
 #include "compact/device_spec.h"
 
 namespace subscale::compact {
+
+/// One bias point of a device: the drain current and its small-signal
+/// conductances from a single analytic evaluation (DESIGN.md §18.2).
+struct DeviceEval {
+  double id = 0.0;   ///< drain current, bitwise drain_current(vgs, vds) [A]
+  double gm = 0.0;   ///< transconductance dI_d/dV_gs [S]
+  double gds = 0.0;  ///< output conductance dI_d/dV_ds [S]
+};
 
 class DeviceModel {
  public:
@@ -44,6 +53,10 @@ class DeviceModel {
   /// Drain current magnitude at (vgs, vds) [A]. Valid in all regions;
   /// antisymmetric in vds for small reverse bias.
   virtual double drain_current(double vgs, double vds) const = 0;
+  /// Drain current plus its analytic gate and drain derivatives at
+  /// (vgs, vds). `id` is bitwise drain_current(vgs, vds); at vds = 0 the
+  /// derivatives are the (equal) one-sided limits.
+  virtual DeviceEval evaluate(double vgs, double vds) const = 0;
   /// Inverse subthreshold slope S_S [V/dec].
   virtual double subthreshold_swing() const = 0;
   /// Subthreshold slope factor m = S_S/(vT ln 10).

@@ -86,6 +86,10 @@ void TaskPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
+    // Count the task before running it: a task may publish its result
+    // from inside (a serve reply), and whoever observes that result must
+    // already see the task counted.
+    if (tasks_run_counter_ != nullptr) tasks_run_counter_->add(1);
     const auto start = std::chrono::steady_clock::now();
     task();
     if (metrics_ != nullptr) {
@@ -95,7 +99,6 @@ void TaskPool::worker_loop() {
                   std::chrono::steady_clock::now() - start)
                   .count()),
           std::memory_order_relaxed);
-      tasks_run_counter_->add(1);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -106,6 +106,9 @@ enum class GatePolicy { kGated, kExempt };
   X(kOrchReassigned, "orch.reassigned", kCounter, kExempt)                    \
   X(kOrchPoisoned, "orch.poisoned", kCounter, kExempt)                        \
   X(kOrchWorkerRestarts, "orch.worker_restarts", kCounter, kExempt)           \
+  /* circuits layer — inverter VTC Newton effort */                           \
+  X(kVtcSolves, "circuits.vtc.solves", kCounter, kGated)                      \
+  X(kVtcNewtonIterations, "circuits.vtc.newton_iterations", kCounter, kGated) \
   /* cards layer — technology-deck traffic */                                 \
   X(kCardsLoads, "cards.loads", kCounter, kGated)                             \
   X(kCardsBackendDispatches, "cards.backend_dispatches", kCounter, kGated)    \

@@ -39,6 +39,53 @@ RootResult bisect(const std::function<double(double)>& f, double lo, double hi,
   return result;
 }
 
+RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
+                              double lo, double hi, double x_tolerance,
+                              double guess) {
+  // Only caps a loop that cannot reach its tolerance: the circuit solves
+  // take about 7 steps, a pure bisection to 1e-13 of the bracket 43.
+  constexpr std::size_t kMaxIterations = 200;
+  if (hi <= lo) throw std::invalid_argument("safeguarded_newton: hi <= lo");
+  const double flo = f(lo).value;
+  if (flo == 0.0) return {.x = lo, .f_at_x = 0.0, .converged = true};
+  const double fhi = f(hi).value;
+  if (fhi == 0.0) return {.x = hi, .f_at_x = 0.0, .converged = true};
+  if (flo * fhi > 0.0) {
+    throw std::invalid_argument(
+        "safeguarded_newton: no sign change on [lo, hi]");
+  }
+  const double orientation = flo < 0.0 ? 1.0 : -1.0;  // sign of f's slope
+  double x = guess > lo && guess < hi ? guess : 0.5 * (lo + hi);
+  RootResult result;
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
+    const ValueSlope fx = f(x);
+    result = {.x = x, .f_at_x = fx.value, .iterations = it + 1};
+    if (fx.value == 0.0) {
+      result.converged = true;
+      return result;
+    }
+    if (orientation * fx.value < 0.0) {
+      lo = x;
+    } else {
+      hi = x;
+    }
+    double next = 0.5 * (lo + hi);
+    bool newton_step = false;
+    if (orientation * fx.slope > 0.0) {
+      const double newton = x - fx.value / fx.slope;
+      newton_step = newton > lo && newton < hi;
+      if (newton_step) next = newton;
+    }
+    if (hi - lo < x_tolerance ||
+        (newton_step && std::abs(next - x) < x_tolerance)) {
+      result.converged = true;
+      return result;
+    }
+    x = next;
+  }
+  return result;
+}
+
 RootResult solve_monotone_log(const std::function<double(double)>& f,
                               double target, double seed, double lo_limit,
                               double hi_limit, double rel_tolerance,

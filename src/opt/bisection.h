@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file bisection.h
-/// Root bracketing and bisection for monotone constraint equations
-/// (leakage targets, V_th targets, V_min brackets).
+/// Root bracketing, bisection and safeguarded Newton for monotone
+/// equations (leakage targets, V_th targets, V_min brackets, circuit
+/// node balances).
 
 #include <functional>
 
@@ -19,6 +20,26 @@ struct RootResult {
 /// f(lo)*f(hi) <= 0 (throws std::invalid_argument otherwise).
 RootResult bisect(const std::function<double(double)>& f, double lo, double hi,
                   double x_tolerance, std::size_t max_iterations = 200);
+
+/// A function value and its derivative at one point.
+struct ValueSlope {
+  double value = 0.0;
+  double slope = 0.0;
+};
+
+/// Find x in [lo, hi] with f(x) = 0 for f monotone on the bracket:
+/// Newton steps from `guess` (the midpoint when outside the bracket),
+/// safeguarded by bisection. Requires a sign change like bisect (throws
+/// std::invalid_argument otherwise) and returns an endpoint where f is
+/// exactly zero. Each iterate shrinks the bracket; a Newton step that
+/// would leave it, or a slope whose sign disagrees with the bracket's
+/// orientation (zero included), is replaced by a bisection step. Stops
+/// when the bracket is narrower than `x_tolerance` or the next Newton
+/// step is shorter; `x` is the last evaluated iterate and `iterations`
+/// counts those interior evaluations (not the two endpoint ones).
+RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
+                              double lo, double hi, double x_tolerance,
+                              double guess);
 
 /// Solve f(x) = target for monotonically increasing or decreasing f on a
 /// log-spaced positive domain (useful for doping searches spanning

@@ -55,6 +55,73 @@ TEST(Bisect, RequiresSignChange) {
   EXPECT_THROW(so::bisect(f, -1.0, 1.0, 1e-9), std::invalid_argument);
 }
 
+// ---- safeguarded Newton ---------------------------------------------------------
+
+TEST(SafeguardedNewton, ConvergesQuadraticallyOnSmoothRoot) {
+  std::size_t calls = 0;
+  const auto f = [&](double x) {
+    ++calls;
+    return so::ValueSlope{x * x - 2.0, 2.0 * x};
+  };
+  const auto r = so::safeguarded_newton(f, 0.0, 2.0, 1e-13, 1.0);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-13);
+  EXPECT_EQ(r.f_at_x, r.x * r.x - 2.0);
+  EXPECT_LE(r.iterations, 6u);  // bisection would need ~44
+  EXPECT_EQ(calls, r.iterations + 2);  // plus the two endpoint checks
+}
+
+TEST(SafeguardedNewton, StepLeavingTheBracketBisectsInstead) {
+  // atan's Newton step from x = 3 lands near -9.5, far outside [-1, 4];
+  // unguarded Newton diverges from there.
+  const auto f = [](double x) {
+    return so::ValueSlope{std::atan(x), 1.0 / (1.0 + x * x)};
+  };
+  const auto r = so::safeguarded_newton(f, -1.0, 4.0, 1e-12, 3.0);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.x, 0.0, 1e-12);
+}
+
+TEST(SafeguardedNewton, NonPositiveSlopeFallsBackToBisection) {
+  // The function is increasing but reports a zero, then a negative,
+  // slope: every step must be a bisection step, which still converges.
+  for (const double bad_slope : {0.0, -1.0}) {
+    const auto f = [&](double x) {
+      return so::ValueSlope{x - 0.3, bad_slope};
+    };
+    const auto r = so::safeguarded_newton(f, 0.0, 1.0, 1e-10, 0.9);
+    ASSERT_TRUE(r.converged);
+    EXPECT_NEAR(r.x, 0.3, 1e-10);
+    EXPECT_GE(r.iterations, 30u);  // log2(1 / 1e-10) halvings
+  }
+}
+
+TEST(SafeguardedNewton, DecreasingFunctionUsesItsOrientation) {
+  const auto f = [](double x) { return so::ValueSlope{1.0 - x * x, -2.0 * x}; };
+  const auto r = so::safeguarded_newton(f, 0.0, 3.0, 1e-13, 2.5);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.x, 1.0, 1e-13);
+}
+
+TEST(SafeguardedNewton, RootAtBracketEndReturnsTheEnd) {
+  const auto f = [](double x) { return so::ValueSlope{x - 1.0, 1.0}; };
+  const auto lo = so::safeguarded_newton(f, 1.0, 2.0, 1e-12, 1.5);
+  EXPECT_TRUE(lo.converged);
+  EXPECT_EQ(lo.x, 1.0);
+  EXPECT_EQ(lo.iterations, 0u);
+  const auto hi = so::safeguarded_newton(f, 0.0, 1.0, 1e-12, 0.5);
+  EXPECT_TRUE(hi.converged);
+  EXPECT_EQ(hi.x, 1.0);
+}
+
+TEST(SafeguardedNewton, RequiresSignChangeLikeBisect) {
+  const auto f = [](double x) { return so::ValueSlope{x * x + 1.0, 2.0 * x}; };
+  EXPECT_THROW(so::safeguarded_newton(f, -1.0, 1.0, 1e-9, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(so::safeguarded_newton(f, 1.0, -1.0, 1e-9, 0.0),
+               std::invalid_argument);
+}
+
 TEST(SolveMonotoneLog, ExponentialTarget) {
   // f(x) = log10(x): solve f = 18 -> x = 1e18, across many decades.
   const auto f = [](double x) { return std::log10(x); };

@@ -143,6 +143,23 @@ if [[ -z "$sanitize" ]]; then
     exit 1
   fi
   echo "obs_trend: cold-solve budget gate enforced"
+
+  # VTC Newton budget. bench_fig04 records the Newton iterations per
+  # inverter output-node solve (circuits.vtc.* counters, deterministic).
+  # The ceiling sits ~1.25x above the measured 7.29, far below the ~43
+  # steps of a pure-bisection fallback, so a Newton that quietly stops
+  # converging fails here; an impossible budget must trip the same gate.
+  (cd "$bench_tmp" && SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
+      "$build_dir/bench/bench_fig04_snm" > /dev/null)
+  "$repo_root/tools/bench_schema.sh" "$bench_tmp"/BENCH_fig04_snm.json
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench fig04_snm --metric-max vtc_newton_per_solve=9.1
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench fig04_snm --metric-max vtc_newton_per_solve=1 > /dev/null; then
+    echo "check.sh: VTC Newton budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: VTC Newton budget gate enforced"
   rm -rf "$bench_tmp"
 
   # Cache round-trip smoke: bench_ext_cache gates itself (warm replay
