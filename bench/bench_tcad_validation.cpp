@@ -74,12 +74,12 @@ int main() {
   rec.metric("sweep_decades", decades);
   rec.metric("gummel_outer_iterations", static_cast<double>(gummel_iters));
 
-  // Cold-solve acceleration: plain Gummel ramp vs hybrid Newton +
-  // mesh continuation on the hard high-bias corners (full vdd on gate
-  // and drain — the stiffest ramps the sweep machinery faces). Fresh
+  // Cold-solve acceleration: plain Gummel ramp vs two-level mesh
+  // continuation on the hard high-bias corners (full vdd on gate and
+  // drain — the stiffest ramps the sweep machinery faces). Fresh
   // device + no_cache per measurement so every run pays the true cold
   // path; the equivalence tier (test_solver_equivalence) pins the two
-  // strategies to identical states, so this compares cost, not answers.
+  // configs to identical states, so this compares cost, not answers.
   const std::vector<std::pair<double, double>> hard_points = {
       {spec.vdd, spec.vdd}, {spec.vdd * 0.75, spec.vdd}};
   const auto cold_time = [&](const tcad::GummelOptions& options,
@@ -109,12 +109,11 @@ int main() {
   accel_ctx.metrics = &accel_reg;
 
   // Same enlarged iteration budget on both sides (the default 60-outer
-  // cap stalls at the full-vdd corner regardless of strategy); only the
-  // strategy knobs differ, so the ratio isolates the acceleration.
+  // cap stalls at the full-vdd corner with or without continuation);
+  // only the continuation levels differ, so the ratio isolates them.
   tcad::GummelOptions baseline;  // plain Gummel, no continuation
   baseline.max_iterations = 400;
   tcad::GummelOptions accel = baseline;
-  accel.strategy = tcad::SolverStrategy::kHybrid;
   accel.mesh_continuation_levels = 2;
 
   // Warm-up pass absorbs one-time costs (allocator, code paging), then
@@ -136,17 +135,11 @@ int main() {
   const double cold_speedup = t_base > 0.0 ? t_base / t_accel : 0.0;
   std::printf(
       "cold-solve (hard high-bias, %zu points): gummel %.0f ms, "
-      "hybrid+meshcont2 %.0f ms -> %.2fx\n",
+      "meshcont2 %.0f ms -> %.2fx\n",
       hard_points.size(), t_base * 1e3, t_accel * 1e3, cold_speedup);
   std::printf(
-      "  accel counters: newton solves=%llu iters=%llu fallbacks=%llu | "
-      "meshcont levels=%llu prolongations=%llu fallbacks=%llu\n",
-      static_cast<unsigned long long>(
-          accel_reg.counter(obs::names::kNewtonSolves).value()),
-      static_cast<unsigned long long>(
-          accel_reg.counter(obs::names::kNewtonIterations).value()),
-      static_cast<unsigned long long>(
-          accel_reg.counter(obs::names::kNewtonFallbacks).value()),
+      "  accel counters: meshcont levels=%llu prolongations=%llu "
+      "fallbacks=%llu\n",
       static_cast<unsigned long long>(
           accel_reg.counter(obs::names::kMeshContLevels).value()),
       static_cast<unsigned long long>(

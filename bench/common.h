@@ -14,7 +14,7 @@
 /// obs::set_default_registry) before the body runs, preregisters the
 /// standard metric schema, and writes the snapshot into the record's
 /// "obs" block — so every BENCH json carries the full counter set
-/// (gummel/bicgstab iterations, retries, pool utilization, ...) and
+/// (gummel/poisson iterations, retries, pool utilization, ...) and
 /// tools/bench_schema.sh can validate it. Set SUBSCALE_METRICS=0 (or
 /// "off") to benchmark the disabled-registry fast path.
 ///

@@ -7,19 +7,11 @@ namespace subscale::cache {
 
 namespace {
 
-// FNV-1a 64-bit. Stream A uses the standard offset basis; stream B a
+// Stream A uses the standard FNV-1a-64 offset basis; stream B a
 // distinct one (the standard basis XOR a splitmix64 constant) so the two
 // halves decorrelate from the first byte.
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-constexpr std::uint64_t kOffsetA = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kOffsetB = 0xcbf29ce484222325ull ^ 0x9e3779b97f4a7c15ull;
-
-inline void mix(std::uint64_t& h, const unsigned char* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
+constexpr std::uint64_t kOffsetA = kFnv1a64Offset;
+constexpr std::uint64_t kOffsetB = kFnv1a64Offset ^ 0x9e3779b97f4a7c15ull;
 
 // Final avalanche (splitmix64 finalizer) so short inputs still spread
 // across the whole word; stream B gets an extra rotation so the halves
@@ -34,6 +26,15 @@ inline std::uint64_t finish(std::uint64_t h) {
 }
 
 }  // namespace
+
+std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 std::uint64_t canonical_f64_bits(double v) {
   if (v == 0.0) v = 0.0;  // collapses -0.0 onto +0.0
@@ -62,9 +63,8 @@ KeyHasher::KeyHasher(const HashKey& seed)
     : a_(kOffsetA ^ seed.hi), b_(kOffsetB ^ seed.lo) {}
 
 KeyHasher& KeyHasher::bytes(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  mix(a_, p, size);
-  mix(b_, p, size);
+  a_ = fnv1a64(data, size, a_);
+  b_ = fnv1a64(data, size, b_);
   return *this;
 }
 

@@ -21,6 +21,7 @@
 /// both halves to agree, which at the cache sizes this library sees
 /// (thousands of records) is out of reach.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -81,5 +82,14 @@ class KeyHasher {
 /// The canonical bit pattern f64() hashes for `v` (exposed for the
 /// property tests: -0.0 -> bits of +0.0, NaN -> one quiet-NaN pattern).
 std::uint64_t canonical_f64_bits(double v);
+
+/// The standard FNV-1a-64 offset basis (the state of an empty stream).
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+
+/// FNV-1a-64 over `size` bytes, continuing from stream state `h`. The
+/// one implementation: KeyHasher's two streams, the solve cache's
+/// payload checksum and the perf-history line checksum all run on it.
+std::uint64_t fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t h = kFnv1a64Offset);
 
 }  // namespace subscale::cache

@@ -23,15 +23,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x43425553u;  // "SUBC" little-endian
 
-std::uint64_t payload_fnv(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// Consume one unit of a fault budget; returns true while any remains.
 bool consume(std::atomic<long>& budget) {
   long cur = budget.load(std::memory_order_relaxed);
@@ -195,7 +186,7 @@ std::shared_ptr<const Payload> SolveCache::read_disk(const HashKey& key,
   std::uint8_t extra = 0;
   if (std::fread(&extra, 1, 1, f) != 0) return reject();
   std::fclose(f);
-  if (payload_fnv(payload->bytes) != checksum) {
+  if (fnv1a64(payload->bytes.data(), payload->bytes.size()) != checksum) {
     corrupt_.fetch_add(1, std::memory_order_relaxed);
     if (ins_.corrupt != nullptr) ins_.corrupt->add(1);
     return nullptr;
@@ -214,7 +205,7 @@ bool SolveCache::write_disk(const HashKey& key, const Payload& payload) {
   header.u32(kFormatVersion);
   header.u32(static_cast<std::uint32_t>(payload.kind));
   header.u64(payload.bytes.size());
-  header.u64(payload_fnv(payload.bytes));
+  header.u64(fnv1a64(payload.bytes.data(), payload.bytes.size()));
 
   const std::uint64_t seq =
       temp_seq_.fetch_add(1, std::memory_order_relaxed);

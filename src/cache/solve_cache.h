@@ -24,7 +24,7 @@
 ///
 /// On-disk record format (little-endian):
 ///   magic "SUBC" | format_version u32 | kind u32 | payload_size u64 |
-///   payload_fnv u64 | payload bytes
+///   payload FNV-1a-64 u64 | payload bytes
 /// A reader rejects — and reports as a plain miss — anything that does
 /// not parse bit-for-bit: wrong magic, unknown (version-bumped) format,
 /// kind mismatch, truncated payload, checksum mismatch. Corrupt records

@@ -31,12 +31,14 @@ namespace subscale::cache {
 /// version, which SolveCache owns).
 /// v2: DeviceSpec grew a backend kind and nanowire radius (a cached
 /// bulk solve must never be addressable from a nanowire query).
-/// v3: GummelOptions grew the cold-path accelerators (solver strategy,
-/// coupled-Newton knobs, mesh-continuation levels) and state payloads
-/// a provenance trailer; although all strategies converge to the same
-/// physics within tolerance, cached states are bitwise replays and the
-/// bitwise result is strategy-dependent.
-inline constexpr std::uint64_t kTcadKeySchema = 3;
+/// v3: GummelOptions grew the cold-path accelerators and state
+/// payloads a provenance trailer; although every accelerator converges
+/// to the same physics within tolerance, cached states are bitwise
+/// replays and the bitwise result is accelerator-dependent.
+/// v4: the coupled-Newton strategy and the density stop were removed;
+/// mesh-continuation levels are the one accelerator hashed, and the
+/// payload trailer records them alone.
+inline constexpr std::uint64_t kTcadKeySchema = 4;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")
@@ -101,15 +103,7 @@ inline void hash_append(KeyHasher& h, const tcad::GummelOptions& o) {
       .f64(o.continuity.tau_srh)
       .boolean(o.continuity.velocity_saturation)
       .boolean(o.continuity.slotboom);
-  h.tag("strategy")
-      .u64(static_cast<std::uint64_t>(o.strategy))
-      .u64(o.mesh_continuation_levels)
-      .f64(o.density_tolerance);
-  h.tag("newton")
-      .u64(o.newton.max_iterations)
-      .f64(o.newton.update_tolerance)
-      .f64(o.newton.divergence_threshold)
-      .u64(o.newton.max_line_search);
+  h.tag("meshcont").u64(o.mesh_continuation_levels);
   // GummelOptions::fault intentionally absent — see the file comment.
 }
 

@@ -56,11 +56,6 @@ enum class GatePolicy { kGated, kExempt };
   X(kPoolTasksRun, "exec.pool.tasks_run", kCounter, kExempt)                  \
   X(kPoolQueueDepthMax, "exec.pool.queue_depth_max", kGauge, kExempt)         \
   X(kPoolUtilizationPct, "exec.pool.utilization_pct", kGauge, kExempt)        \
-  /* linalg layer */                                                          \
-  X(kBicgstabSolves, "linalg.bicgstab.solves", kCounter, kGated)              \
-  X(kBicgstabIterations, "linalg.bicgstab.iterations", kCounter, kGated)      \
-  X(kBicgstabBreakdowns, "linalg.bicgstab.breakdowns", kCounter, kGated)      \
-  X(kBicgstabFailures, "linalg.bicgstab.failures", kCounter, kGated)          \
   /* tcad layer — Gummel outer loop and its stages */                         \
   X(kGummelSolves, "tcad.gummel.solves", kCounter, kGated)                    \
   X(kGummelOuterIterations, "tcad.gummel.outer_iterations", kCounter, kGated) \
@@ -75,10 +70,7 @@ enum class GatePolicy { kGated, kExempt };
   X(kGummelIterationsPerSolve, "tcad.gummel.iterations_per_solve", kIterationHistogram, kGated) \
   X(kPoissonNewtonIterations, "tcad.poisson.newton_iterations", kCounter, kGated) \
   X(kContinuitySolves, "tcad.continuity.solves", kCounter, kGated)            \
-  /* tcad layer — coupled Newton solver and mesh continuation */              \
-  X(kNewtonSolves, "tcad.newton.solves", kCounter, kGated)                    \
-  X(kNewtonIterations, "tcad.newton.iterations", kCounter, kGated)            \
-  X(kNewtonFallbacks, "tcad.newton.fallbacks", kCounter, kGated)              \
+  /* tcad layer — mesh continuation */                                        \
   X(kMeshContLevels, "tcad.meshcont.levels", kCounter, kGated)                \
   X(kMeshContProlongations, "tcad.meshcont.prolongations", kCounter, kGated)  \
   X(kMeshContFallbacks, "tcad.meshcont.fallbacks", kCounter, kGated)          \
@@ -243,11 +235,9 @@ inline constexpr const char* kGummelBiasRamp = "tcad.gummel.bias_ramp";
 inline constexpr const char* kGummelSolve = "tcad.gummel.solve";
 inline constexpr const char* kGummelPoisson = "tcad.gummel.poisson";
 inline constexpr const char* kGummelContinuity = "tcad.gummel.continuity";
-inline constexpr const char* kNewtonSolve = "tcad.newton.solve";
 inline constexpr const char* kMeshContCoarse = "tcad.meshcont.coarse_solve";
 inline constexpr const char* kMeshContProlong = "tcad.meshcont.prolong";
 inline constexpr const char* kBandedLuSolve = "linalg.banded_lu.solve";
-inline constexpr const char* kBicgstabSolve = "linalg.bicgstab.solve";
 inline constexpr const char* kCacheLookup = "cache.lookup";
 inline constexpr const char* kCachePublish = "cache.publish";
 inline constexpr const char* kOrchUnit = "orch.unit";

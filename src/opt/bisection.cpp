@@ -56,6 +56,10 @@ RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
   }
   const double orientation = flo < 0.0 ? 1.0 : -1.0;  // sign of f's slope
   double x = guess > lo && guess < hi ? guess : 0.5 * (lo + hi);
+  // Lengths of the last step and the one before it (rtsafe's dx and
+  // dxold), both starting at the bracket width.
+  double last_step = hi - lo;
+  double step_before_last = last_step;
   RootResult result;
   for (std::size_t it = 0; it < kMaxIterations; ++it) {
     const ValueSlope fx = f(x);
@@ -73,7 +77,11 @@ RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
     bool newton_step = false;
     if (orientation * fx.slope > 0.0) {
       const double newton = x - fx.value / fx.slope;
-      newton_step = newton > lo && newton < hi;
+      // The progress rule: a step longer than half the step before last
+      // is not converging fast enough (a slope well below the true one
+      // oscillates around the root), so bisect instead.
+      newton_step = newton > lo && newton < hi &&
+                    std::abs(newton - x) <= 0.5 * step_before_last;
       if (newton_step) next = newton;
     }
     if (hi - lo < x_tolerance ||
@@ -81,6 +89,8 @@ RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
       result.converged = true;
       return result;
     }
+    step_before_last = last_step;
+    last_step = std::abs(next - x);
     x = next;
   }
   return result;

@@ -32,11 +32,13 @@ struct ValueSlope {
 /// safeguarded by bisection. Requires a sign change like bisect (throws
 /// std::invalid_argument otherwise) and returns an endpoint where f is
 /// exactly zero. Each iterate shrinks the bracket; a Newton step that
-/// would leave it, or a slope whose sign disagrees with the bracket's
-/// orientation (zero included), is replaced by a bisection step. Stops
-/// when the bracket is narrower than `x_tolerance` or the next Newton
-/// step is shorter; `x` is the last evaluated iterate and `iterations`
-/// counts those interior evaluations (not the two endpoint ones).
+/// would leave it, a slope whose sign disagrees with the bracket's
+/// orientation (zero included), or a step longer than half the step
+/// before last (rtsafe's progress rule) is replaced by a bisection
+/// step. Stops when the bracket is narrower than `x_tolerance` or the
+/// next Newton step is shorter; `x` is the last evaluated iterate and
+/// `iterations` counts those interior evaluations (not the two endpoint
+/// ones).
 RootResult safeguarded_newton(const std::function<ValueSlope(double)>& f,
                               double lo, double hi, double x_tolerance,
                               double guess);

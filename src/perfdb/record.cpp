@@ -4,12 +4,20 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cache/hash.h"
 #include "io/json_parse.h"
 #include "io/writer.h"
 
 namespace subscale::perfdb {
 
 namespace {
+
+/// FNV-1a-64 of a line body. The stream starts from 1469598103934665603
+/// (0x14650fb0739d0383), the standard offset basis with its last decimal
+/// digit dropped; it is kept so every line already in a store verifies.
+std::uint64_t line_checksum(std::string_view body) {
+  return cache::fnv1a64(body.data(), body.size(), 0x14650fb0739d0383ull);
+}
 
 /// Compact a JsonWriter document to one line: every newline in the
 /// pretty output is formatting (JsonWriter escapes control characters
@@ -89,15 +97,6 @@ bool PerfRecord::find(std::string_view key, double& out) const {
   return false;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string record_to_line(const PerfRecord& record) {
   io::JsonWriter w;
   w.begin_object();
@@ -127,7 +126,7 @@ std::string record_to_line(const PerfRecord& record) {
 
   std::string body = compact(w.str());
   body.pop_back();  // drop the closing '}' to splice the checksum in
-  const std::string digest = hex16(fnv1a64(body));
+  const std::string digest = hex16(line_checksum(body));
   return body + kChecksumMarker + digest + "\"}";
 }
 
@@ -148,7 +147,7 @@ bool parse_record_line(std::string_view line, PerfRecord& out,
   if (end != digest.c_str() + 16) {
     return fail(error, "malformed checksum digits");
   }
-  if (claimed != fnv1a64(body)) {
+  if (claimed != line_checksum(body)) {
     return fail(error, "checksum mismatch (torn or corrupted line)");
   }
 

@@ -11,7 +11,8 @@
 /// Line format — one compact, self-checksummed JSON object, e.g.
 ///   {"perfdb": "subscale.perfdb.v1", "bench": "tcad_validation", ...,
 ///    "obs": {...}, "checksum": "9f86d081884c7d65"}
-/// The checksum is FNV-1a-64 over every byte of the line up to (and not
+/// The checksum is FNV-1a-64 (cache/hash.h, from this format's own
+/// offset basis) over every byte of the line up to (and not
 /// including) the `,"checksum"` member, rendered as 16 lowercase hex
 /// digits. A loader verifies it before trusting the line: a torn or
 /// bit-flipped line fails closed (skip-and-count, perfdb/store.h)
@@ -56,10 +57,6 @@ struct PerfRecord {
   /// when absent.
   bool find(std::string_view key, double& out) const;
 };
-
-/// FNV-1a-64 of a byte string — the line checksum. Public so tests can
-/// forge/verify lines without reimplementing it.
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Render one self-checksummed JSONL line (compact, no trailing
 /// newline; "metrics"/"obs" keys sorted).

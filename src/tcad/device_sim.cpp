@@ -77,7 +77,7 @@ bool decode_sweep(const std::vector<std::uint8_t>& bytes, SweepResult& out) {
 std::vector<std::uint8_t> encode_state(
     const std::map<std::string, double>& biases,
     const std::vector<double>& psi, const std::vector<double>& n,
-    const std::vector<double>& p, std::uint64_t strategy_stamp) {
+    const std::vector<double>& p, std::uint64_t meshcont_levels) {
   cache::ByteWriter w;
   w.u64(biases.size());
   for (const auto& [name, v] : biases) {
@@ -87,19 +87,19 @@ std::vector<std::uint8_t> encode_state(
   w.f64_vector(psi);
   w.f64_vector(n);
   w.f64_vector(p);
-  // Provenance trailer: which solver configuration produced this state
-  // (strategy | levels << 8). The key already discriminates configs;
+  // Provenance trailer: the mesh-continuation levels of the solver
+  // that produced this state. The key already discriminates configs;
   // the stamp makes a record auditable on its own, and its absence
   // makes any pre-stamp record fail decode_state's exhausted() check
   // (a clean miss, never a misread).
-  w.u64(strategy_stamp);
+  w.u64(meshcont_levels);
   return w.take();
 }
 
 bool decode_state(const std::vector<std::uint8_t>& bytes,
                   std::map<std::string, double>& biases,
                   std::vector<double>& psi, std::vector<double>& n,
-                  std::vector<double>& p, std::uint64_t& strategy_stamp) {
+                  std::vector<double>& p, std::uint64_t& meshcont_levels) {
   cache::ByteReader r(bytes);
   std::uint64_t n_contacts = 0;
   if (!r.u64(n_contacts) || n_contacts > 16) return false;
@@ -112,7 +112,7 @@ bool decode_state(const std::vector<std::uint8_t>& bytes,
   if (!r.f64_vector(psi) || !r.f64_vector(n) || !r.f64_vector(p)) {
     return false;
   }
-  if (!r.u64(strategy_stamp)) return false;
+  if (!r.u64(meshcont_levels)) return false;
   return r.exhausted();
 }
 
@@ -161,10 +161,6 @@ TcadDevice::TcadDevice(const compact::DeviceSpec& spec,
       solver_(dev_, gummel_options, ctx) {
   run_.validate();
   sign_ = (spec.polarity == doping::Polarity::kNfet) ? 1.0 : -1.0;
-  strategy_stamp_ = static_cast<std::uint64_t>(gummel_options.strategy) |
-                    (static_cast<std::uint64_t>(
-                         gummel_options.mesh_continuation_levels)
-                     << 8);
   if (gummel_options.mesh_continuation_levels > 0) {
     try {
       meshcont_ = std::make_unique<MeshContinuation>(spec, mesh_options,
@@ -194,7 +190,8 @@ TcadDevice::TcadDevice(const compact::DeviceSpec& spec,
     cache_->store(eq_key, cache::PayloadKind::kState,
                   encode_state(solver_.biases(), solver_.psi(),
                                solver_.electron_density(),
-                               solver_.hole_density(), strategy_stamp_));
+                               solver_.hole_density(),
+                               gummel_options_.mesh_continuation_levels));
     return;
   }
   cold_equilibrium();
@@ -271,7 +268,8 @@ void TcadDevice::publish_state() {
       cache::state_key(device_key_, at.vg, at.vd, at.vs, at.vb),
       cache::PayloadKind::kState,
       encode_state(biases, solver_.psi(), solver_.electron_density(),
-                   solver_.hole_density(), strategy_stamp_));
+                   solver_.hole_density(),
+                   gummel_options_.mesh_continuation_levels));
 
   // Register the point in the per-device warm-start index
   // (read-modify-write; concurrent writers last-win, which at worst

@@ -164,7 +164,6 @@ class TcadDevice {
   double sign_ = 1.0;
   cache::SolveCache* cache_ = nullptr;
   cache::HashKey device_key_{};
-  std::uint64_t strategy_stamp_ = 0;
 };
 
 }  // namespace subscale::tcad

@@ -11,15 +11,6 @@
 
 namespace subscale::tcad {
 
-const char* to_string(SolverStrategy strategy) {
-  switch (strategy) {
-    case SolverStrategy::kGummel: return "gummel";
-    case SolverStrategy::kNewton: return "newton";
-    case SolverStrategy::kHybrid: return "hybrid";
-  }
-  return "unknown";
-}
-
 void GummelOptions::validate() const {
   const auto fail = [](const char* msg) {
     throw std::invalid_argument(std::string("GummelOptions: ") + msg);
@@ -60,18 +51,6 @@ void GummelOptions::validate() const {
     fail("poisson.divergence_threshold must be > 0");
   }
   if (!(continuity.tau_srh > 0.0)) fail("continuity.tau_srh must be > 0");
-  if (newton.max_iterations == 0) {
-    fail("newton.max_iterations must be positive");
-  }
-  if (!(newton.update_tolerance > 0.0)) {
-    fail("newton.update_tolerance must be > 0");
-  }
-  if (!(newton.divergence_threshold > 0.0)) {
-    fail("newton.divergence_threshold must be > 0");
-  }
-  if (density_tolerance < 0.0) {
-    fail("density_tolerance must be >= 0 (0 disables the density stop)");
-  }
   if (mesh_continuation_levels > 4) {
     fail("mesh_continuation_levels must be <= 4 (each level halves the "
          "mesh resolution; beyond 4 the coarse device no longer "
@@ -112,9 +91,6 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
     ins_.poisson_newton_iterations =
         &sink->counter(names::kPoissonNewtonIterations);
     ins_.continuity_solves = &sink->counter(names::kContinuitySolves);
-    ins_.newton_solves = &sink->counter(names::kNewtonSolves);
-    ins_.newton_iterations = &sink->counter(names::kNewtonIterations);
-    ins_.newton_fallbacks = &sink->counter(names::kNewtonFallbacks);
     ins_.last_residual = &sink->gauge(names::kGummelLastResidual);
     ins_.iterations_per_solve = &sink->histogram(
         names::kGummelIterationsPerSolve, obs::buckets::kIterations);
@@ -292,7 +268,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
     const std::vector<double> snap_psi = psi_;
     const std::vector<double> snap_n = n_;
     const std::vector<double> snap_p = p_;
-    const GummelOutcome out = point_solve(trial, damping);
+    const GummelOutcome out = gummel_at(trial, damping);
     report_.total_gummel_iterations += out.iterations;
     report_.final_residual = out.residual;
     if (out.status == SolveStatus::kConverged) {
@@ -380,8 +356,6 @@ bool DriftDiffusionSolver::solve_equilibrium_with_guess(
     psi_ = psi;
     n_ = n;
     p_ = p;
-    // Equilibrium stays a Gummel solve under every strategy (it is the
-    // anchor state all strategies share); the guess only shortens it.
     const GummelOutcome out = gummel_at(biases_, options_.damping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
@@ -421,7 +395,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
     report_ = SolverReport{};
     report_.target = target;
     trace(obs::TraceKind::kStageEnter, "bias_seed");
-    const GummelOutcome out = point_solve(target, options_.damping);
+    const GummelOutcome out = gummel_at(target, options_.damping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
     report_.final_bias_step = options_.bias_step;
@@ -444,86 +418,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
           static_cast<double>(out.iterations), out.residual);
   }
   return try_solve_bias(vg, vd, vs, vb);
-}
-
-DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::newton_at(
-    const std::map<std::string, double>& biases) {
-  if (fault_fires(SolveStage::kNewton, 0, biases)) {
-    return {SolveStatus::kStalled, SolveStage::kNewton, 0, 0, 0.0};
-  }
-  NewtonDdOptions nopt = options_.newton;
-  // The coupled solve must land at least as close as the Gummel outer
-  // tolerance, or the polish pass below would do real work and the
-  // "Newton did the heavy lifting" premise breaks.
-  nopt.update_tolerance =
-      std::min(nopt.update_tolerance, options_.psi_tolerance);
-  nopt.divergence_threshold =
-      std::min(nopt.divergence_threshold, options_.divergence_threshold);
-  const NewtonDdResult res = solve_newton_dd(dev_, biases, psi_, n_, p_,
-                                             nopt, options_.continuity,
-                                             prof_);
-  if (ins_.newton_solves != nullptr) {
-    ins_.newton_solves->add(1);
-    ins_.newton_iterations->add(res.iterations);
-  }
-  trace(res.status == SolveStatus::kConverged ? obs::TraceKind::kStageExit
-                                              : obs::TraceKind::kRetry,
-        "newton", static_cast<double>(res.iterations), res.residual);
-  if (res.status != SolveStatus::kConverged) {
-    return {res.status, SolveStage::kNewton, 0, res.iterations, res.residual};
-  }
-  // Certify the Newton state on the Gummel manifold: from this close a
-  // start the polish converges in one or two cheap outer iterations,
-  // and afterwards the state satisfies the exact same fixed-point
-  // criterion every other strategy satisfies (the equivalence tier's
-  // anchor). Full damping — we are inside the basin.
-  GummelOutcome polish = gummel_at(biases, 1.0);
-  if (polish.status == SolveStatus::kConverged) {
-    polish.stage_iterations = res.iterations;
-  }
-  return polish;
-}
-
-DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::point_solve(
-    const std::map<std::string, double>& biases, double damping) {
-  switch (options_.strategy) {
-    case SolverStrategy::kGummel:
-      return gummel_at(biases, damping);
-    case SolverStrategy::kNewton: {
-      const std::vector<double> snap_psi = psi_;
-      const std::vector<double> snap_n = n_;
-      const std::vector<double> snap_p = p_;
-      const GummelOutcome out = newton_at(biases);
-      if (out.status == SolveStatus::kConverged) return out;
-      psi_ = snap_psi;
-      n_ = snap_n;
-      p_ = snap_p;
-      if (ins_.newton_fallbacks != nullptr) ins_.newton_fallbacks->add(1);
-      trace(obs::TraceKind::kRetry, "newton_fallback");
-      return gummel_at(biases, damping);
-    }
-    case SolverStrategy::kHybrid: {
-      const std::vector<double> snap_psi = psi_;
-      const std::vector<double> snap_n = n_;
-      const std::vector<double> snap_p = p_;
-      const GummelOutcome out = gummel_at(biases, damping);
-      if (out.status == SolveStatus::kConverged) return out;
-      // Newton rescue from the pre-attempt state; if it fails too, the
-      // original Gummel outcome drives the ramp's retry ladder.
-      psi_ = snap_psi;
-      n_ = snap_n;
-      p_ = snap_p;
-      const GummelOutcome rescue = newton_at(biases);
-      if (rescue.status == SolveStatus::kConverged) return rescue;
-      psi_ = snap_psi;
-      n_ = snap_n;
-      p_ = snap_p;
-      if (ins_.newton_fallbacks != nullptr) ins_.newton_fallbacks->add(1);
-      trace(obs::TraceKind::kRetry, "newton_fallback");
-      return out;
-    }
-  }
-  return gummel_at(biases, damping);
 }
 
 DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at(
@@ -565,8 +459,6 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
   std::vector<double> phi_n(n_nodes, 0.0);
   std::vector<double> phi_p(n_nodes, 0.0);
   std::vector<double> psi_prev(n_nodes, 0.0);
-  const bool density_stop = options_.density_tolerance > 0.0;
-  std::vector<double> n_prev, p_prev;
 
   double dpsi = 0.0;
   for (std::size_t it = 0; it < options_.max_iterations; ++it) {
@@ -623,10 +515,6 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       }
     }
 
-    if (density_stop) {
-      n_prev = n_;
-      p_prev = p_;
-    }
     const auto [rn, rp] = [&] {
       const obs::ScopedSpan continuity_span(
           prof_, obs::names::spans::kGummelContinuity);
@@ -659,15 +547,6 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       dpsi = std::max(dpsi, std::abs(psi_[idx] - psi_prev[idx]));
       max_psi = std::max(max_psi, std::abs(psi_[idx]));
     }
-    double dcarrier = 0.0;
-    if (density_stop) {
-      for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-        dcarrier = std::max(
-            dcarrier, std::abs(n_[idx] - n_prev[idx]) / (n_prev[idx] + ni));
-        dcarrier = std::max(
-            dcarrier, std::abs(p_[idx] - p_prev[idx]) / (p_prev[idx] + ni));
-      }
-    }
     sample.psi_update = dpsi;
     if (trajectory != nullptr) trajectory->samples.push_back(sample);
     last_iterations_ = it + 1;
@@ -679,8 +558,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       return {SolveStatus::kDiverged, SolveStage::kGummel, it + 1, it + 1,
               dpsi};
     }
-    if (dpsi < options_.psi_tolerance &&
-        (!density_stop || dcarrier < options_.density_tolerance)) {
+    if (dpsi < options_.psi_tolerance) {
       if (fault_fires(SolveStage::kGummel, it, biases)) {
         return {SolveStatus::kStalled, SolveStage::kGummel, it + 1, it + 1,
                 dpsi};

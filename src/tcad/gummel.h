@@ -21,7 +21,6 @@
 #include "obs/trace.h"
 #include "tcad/continuity.h"
 #include "tcad/device_structure.h"
-#include "tcad/newton_dd.h"
 #include "tcad/poisson.h"
 #include "tcad/solver_status.h"
 
@@ -31,8 +30,6 @@ namespace subscale::tcad {
 /// tests and soak runs. While `count` failures remain, any Gummel solve
 /// whose `contact` bias magnitude lies in [min_bias, max_bias) has the
 /// chosen stage forced to fail at outer iteration `at_iteration`.
-/// (SolveStage::kNewton forces the coupled Newton attempt to fail, so
-/// the Gummel-fallback path is exercisable on demand too.)
 struct FaultInjection {
   SolveStage stage = SolveStage::kNone;  ///< kNone disables injection
   std::size_t at_iteration = 0;  ///< outer iteration that fails
@@ -47,45 +44,20 @@ struct FaultInjection {
   bool coarse_only = false;
 };
 
-/// How each bias point is solved (the per-point nonlinear strategy; the
-/// adaptive continuation ramp around it is shared by all three).
-enum class SolverStrategy {
-  kGummel,  ///< decoupled Gummel only — the seed behaviour
-  kNewton,  ///< coupled Newton first; counted fallback to Gummel
-  kHybrid,  ///< Gummel first; Newton rescue before the retry ladder
-};
-
-const char* to_string(SolverStrategy strategy);
-
 struct GummelOptions {
   std::size_t max_iterations = 60;
   double psi_tolerance = 1e-7;  ///< outer-loop max |dpsi| [V]
   double bias_step = 0.1;       ///< initial continuation step [V]
 
-  /// Cold-path accelerators (opt-in; defaults reproduce the seed
-  /// solver). Every converged state is certified on the Gummel manifold
-  /// (a Newton-converged point is polished by a Gummel pass), so
-  /// strategy choice never changes the physics — the differential-
-  /// equivalence test tier pins that at 1e-9.
-  SolverStrategy strategy = SolverStrategy::kGummel;
-  NewtonDdOptions newton;  ///< coupled-solver knobs (kNewton/kHybrid)
-  /// Coarse-to-fine mesh continuation: 0 disables; level k solves on a
-  /// mesh with spacings scaled by 2^k (coarsest first), prolonging each
-  /// solution down as the next level's initial guess. Wired through
-  /// TcadDevice (which owns mesh construction); the solver itself only
-  /// provides the seeded entry points.
+  /// Coarse-to-fine mesh continuation, the cold-path accelerator
+  /// (opt-in; 0 reproduces the seed solver). Level k solves on a mesh
+  /// with spacings scaled by 2^k (coarsest first), prolonging each
+  /// solution down as the next level's initial guess; the fine solve
+  /// still converges against its own tolerances, so the answer is the
+  /// seed solver's — the differential-equivalence test tier pins that
+  /// at 1e-9. Wired through TcadDevice (which owns mesh construction);
+  /// the solver itself only provides the seeded entry points.
   std::size_t mesh_continuation_levels = 0;
-  /// Additional outer-loop stop criterion on the max RELATIVE carrier
-  /// density update, |dn| / (n + ni); 0 disables (seed behavior). The
-  /// psi criterion alone is blind to the lagged-SRH density relaxation
-  /// — channel densities are orders below the doping, so they stop
-  /// feeding back into psi long before they stop moving. Use values
-  /// >= ~1e-6: the per-iteration density update bottoms out at a
-  /// ~1e-8..1e-7 noise floor (linear-solve noise through the SG
-  /// exponentials), so tighter settings never fire and the solve runs
-  /// to max_iterations and fails. The equivalence tier instead pins
-  /// cross-strategy agreement on the state fields directly.
-  double density_tolerance = 0.0;
 
   // Resilience policy. Defaults reproduce the seed solver exactly on
   // well-behaved problems (full damping, first attempt succeeds).
@@ -206,16 +178,6 @@ class DriftDiffusionSolver {
   GummelOutcome gummel_at_impl(const std::map<std::string, double>& biases,
                                double damping,
                                obs::SolveTrajectory* trajectory);
-  /// One coupled Newton attempt at a fixed bias point; on convergence a
-  /// Gummel polish pass certifies the state on the Gummel manifold (the
-  /// equivalence contract). Publishes the newton.* counters.
-  GummelOutcome newton_at(const std::map<std::string, double>& biases);
-  /// Strategy dispatcher for one bias point: kGummel calls gummel_at,
-  /// kNewton tries Newton with a counted Gummel fallback, kHybrid tries
-  /// Gummel and lets Newton rescue a failure before the retry ladder
-  /// sees it. Always leaves the state converged-or-restored.
-  GummelOutcome point_solve(const std::map<std::string, double>& biases,
-                            double damping);
   bool fault_fires(SolveStage stage, std::size_t iteration,
                    const std::map<std::string, double>& biases);
 
@@ -233,9 +195,6 @@ class DriftDiffusionSolver {
     obs::Counter* failed_solves = nullptr;
     obs::Counter* poisson_newton_iterations = nullptr;
     obs::Counter* continuity_solves = nullptr;
-    obs::Counter* newton_solves = nullptr;
-    obs::Counter* newton_iterations = nullptr;
-    obs::Counter* newton_fallbacks = nullptr;
     obs::Gauge* last_residual = nullptr;
     obs::Histogram* iterations_per_solve = nullptr;
   };

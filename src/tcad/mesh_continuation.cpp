@@ -102,9 +102,6 @@ MeshContinuation::MeshContinuation(const compact::DeviceSpec& spec,
 
   GummelOptions coarse = options;
   coarse.mesh_continuation_levels = 0;
-  // Coarse solves exist only to manufacture guesses — plain Gummel is
-  // robust and, at 1/16th the nodes, already nearly free.
-  coarse.strategy = SolverStrategy::kGummel;
   // A guess does not need the fine deck's convergence depth: the fine
   // solve re-converges to ITS OWN fixed point under ITS OWN tolerances
   // regardless of seed quality (the equivalence tier pins that), so the
@@ -114,9 +111,6 @@ MeshContinuation::MeshContinuation(const compact::DeviceSpec& spec,
   coarse.psi_tolerance = std::max(options.psi_tolerance, 1e-5);
   coarse.poisson.update_tolerance =
       std::max(options.poisson.update_tolerance, 1e-7);
-  if (coarse.density_tolerance > 0.0) {
-    coarse.density_tolerance = std::max(coarse.density_tolerance, 1e-4);
-  }
   coarse.bias_step = std::max(options.bias_step, 2.0 * options.bias_step);
   if (options.fault.coarse_only) {
     coarse.fault.coarse_only = false;  // arm it down here instead

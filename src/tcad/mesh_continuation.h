@@ -4,11 +4,11 @@
 /// Coarse-to-fine mesh continuation for cold drift–diffusion solves.
 /// The expensive part of a cold solve is the bias-continuation ramp on
 /// the FINE mesh: a dozen-plus continuation points, each a full Gummel
-/// (or Newton) solve against an O(nx^2 * n) banded factorization. A
-/// mesh 4x coarser in each direction factors ~256x cheaper, so ramping
-/// on a cascade of coarse replicas and prolonging the result down as a
-/// fine-mesh initial guess converts the fine ramp into (ideally) one
-/// seeded single-shot solve.
+/// solve against an O(nx^2 * n) banded factorization. A mesh 4x coarser
+/// in each direction factors ~256x cheaper, so ramping on a cascade of
+/// coarse replicas and prolonging the result down as a fine-mesh
+/// initial guess converts the fine ramp into (ideally) one seeded
+/// single-shot solve.
 ///
 /// Correctness is never delegated to the coarse levels: the prolonged
 /// state is only ever an INITIAL GUESS for the fine solver, which still
@@ -61,11 +61,10 @@ std::vector<double> prolong_log_density(const mesh::TensorMesh2d& coarse,
 /// solution is prolonged onto the fine mesh as the guess handed back.
 class MeshContinuation {
  public:
-  /// Builds the coarse device replicas and their solvers. The coarse
-  /// solvers run plain Gummel (they are cheap; robustness beats
-  /// cleverness there) with the caller's tolerances. A coarse_only
-  /// fault in `options` is re-armed inside every coarse solver (flag
-  /// cleared); any other fault stays with the fine solver only.
+  /// Builds the coarse device replicas and their solvers, with the
+  /// caller's options relaxed to seed accuracy. A coarse_only fault in
+  /// `options` is re-armed inside every coarse solver (flag cleared);
+  /// any other fault stays with the fine solver only.
   MeshContinuation(const compact::DeviceSpec& spec,
                    const MeshOptions& fine_mesh, const GummelOptions& options,
                    const exec::RunContext& ctx);

@@ -14,8 +14,6 @@ const char* to_string(SolveStage stage) {
       return "continuity";
     case SolveStage::kGummel:
       return "Gummel";
-    case SolveStage::kNewton:
-      return "Newton";
   }
   return "unknown";
 }

@@ -24,7 +24,6 @@ enum class SolveStage {
   kPoisson,     ///< nonlinear Poisson (inner Newton)
   kContinuity,  ///< electron/hole continuity linear solve
   kGummel,      ///< the outer decoupled iteration
-  kNewton,      ///< the coupled Newton drift–diffusion solve
 };
 
 /// How a stage finished.

@@ -925,91 +925,68 @@ TEST(StaleTempSweep, TornTempIsInvisibleSweptAndCounted) {
   EXPECT_NE(cache.lookup(key, sca::PayloadKind::kSweep), nullptr);
 }
 
-// ---- solver-strategy key discrimination --------------------------------------
+// ---- accelerator key discrimination -----------------------------------------
 
-TEST(CacheTcadKeys, StrategyAndAcceleratorKnobsPerturbTheKey) {
+TEST(CacheTcadKeys, AcceleratorKnobsPerturbTheKey) {
   // A cached state is only replayable under the exact solver physics
-  // that produced it: every cold-solve accelerator knob must change
-  // the device key, or a Newton/mesh-continuation record could answer
-  // a Gummel query.
+  // that produced it: the mesh-continuation levels and the Slotboom
+  // assembly must each change the device key, or a record from one
+  // config could answer a query for another.
   const sc::DeviceSpec spec = nfet_90();
   const st::MeshOptions mesh = coarse_mesh();
   const sca::HashKey base = sca::device_solve_key(spec, mesh, {});
 
   st::GummelOptions g;
-  g.strategy = st::SolverStrategy::kNewton;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.strategy = st::SolverStrategy::kHybrid;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
   g.mesh_continuation_levels = 2;
+  const sca::HashKey two_levels = sca::device_solve_key(spec, mesh, g);
+  EXPECT_NE(two_levels, base);
+  g.mesh_continuation_levels = 1;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.density_tolerance = 1e-6;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
+  EXPECT_NE(sca::device_solve_key(spec, mesh, g), two_levels);
   g = st::GummelOptions{};
   g.continuity.slotboom = true;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.newton.max_iterations += 5;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-  g = st::GummelOptions{};
-  g.newton.update_tolerance *= 0.1;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
-
-  // ...and the three strategies are pairwise distinct.
-  st::GummelOptions gn, gh;
-  gn.strategy = st::SolverStrategy::kNewton;
-  gh.strategy = st::SolverStrategy::kHybrid;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, gn),
-            sca::device_solve_key(spec, mesh, gh));
 }
 
-TEST(SolveCache, StateRecordsCarryTheProducingStrategyStamp) {
-  // Equilibrium is solved by plain Gummel under EVERY strategy (the
-  // coupled solver only accelerates bias points), so a Gummel device
-  // and a Newton device publish byte-identical psi/n/p equilibrium
-  // states — distinguishable only by the trailing provenance stamp
-  // (strategy | levels << 8). The records must live under different
-  // keys AND the stamps must disagree, so provenance survives even a
-  // hypothetical key collision.
+TEST(SolveCache, StateRecordsCarryTheMeshContinuationStamp) {
+  // Every state record ends in a provenance trailer: one u64 holding
+  // the mesh-continuation levels of the solver that produced it,
+  // serialized the way every other u64 in the record is. Records of a
+  // plain and a two-level device live under different keys and carry
+  // their own levels, so provenance survives even a hypothetical key
+  // collision.
   sca::SolveCache cache;  // memory-only
   se::RunContext ctx;
   ctx.cache = &cache;
 
-  st::GummelOptions gummel;
-  st::GummelOptions newton;
-  newton.strategy = st::SolverStrategy::kNewton;
-  st::TcadDevice dev_g(nfet_90(), coarse_mesh(), gummel, ctx);
-  st::TcadDevice dev_n(nfet_90(), coarse_mesh(), newton, ctx);
+  st::GummelOptions plain;
+  st::GummelOptions meshcont;
+  meshcont.mesh_continuation_levels = 2;
+  st::TcadDevice dev_plain(nfet_90(), coarse_mesh(), plain, ctx);
+  st::TcadDevice dev_meshcont(nfet_90(), coarse_mesh(), meshcont, ctx);
 
-  const sca::HashKey key_g = sca::state_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), gummel), 0.0, 0.0,
+  const sca::HashKey key_plain = sca::state_key(
+      sca::device_solve_key(nfet_90(), coarse_mesh(), plain), 0.0, 0.0,
       0.0, 0.0);
-  const sca::HashKey key_n = sca::state_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), newton), 0.0, 0.0,
+  const sca::HashKey key_meshcont = sca::state_key(
+      sca::device_solve_key(nfet_90(), coarse_mesh(), meshcont), 0.0, 0.0,
       0.0, 0.0);
-  ASSERT_NE(key_g, key_n);
+  ASSERT_NE(key_plain, key_meshcont);
 
-  const auto rec_g = cache.lookup(key_g, sca::PayloadKind::kState);
-  const auto rec_n = cache.lookup(key_n, sca::PayloadKind::kState);
-  ASSERT_NE(rec_g, nullptr);
-  ASSERT_NE(rec_n, nullptr);
-  const auto& bg = rec_g->bytes;
-  const auto& bn = rec_n->bytes;
-  ASSERT_EQ(bg.size(), bn.size());
-  ASSERT_GE(bg.size(), 8u);
-  // Identical physics payload...
-  EXPECT_TRUE(std::equal(bg.begin(), bg.end() - 8, bn.begin()));
-  // ...different provenance trailer.
-  EXPECT_FALSE(std::equal(bg.end() - 8, bg.end(), bn.end() - 8));
+  const auto rec_plain = cache.lookup(key_plain, sca::PayloadKind::kState);
+  const auto rec_meshcont =
+      cache.lookup(key_meshcont, sca::PayloadKind::kState);
+  ASSERT_NE(rec_plain, nullptr);
+  ASSERT_NE(rec_meshcont, nullptr);
+  const auto& bp = rec_plain->bytes;
+  const auto& bm = rec_meshcont->bytes;
+  // Same mesh, same layout: the records differ only in their values.
+  ASSERT_EQ(bp.size(), bm.size());
+  ASSERT_GE(bp.size(), 8u);
 
-  // The stamp encodes exactly (strategy | levels << 8), serialized the
-  // same way every other u64 in the record is.
-  sca::ByteWriter wg, wn;
-  wg.u64(static_cast<std::uint64_t>(st::SolverStrategy::kGummel));
-  wn.u64(static_cast<std::uint64_t>(st::SolverStrategy::kNewton));
-  EXPECT_TRUE(std::equal(bg.end() - 8, bg.end(), wg.take().begin()));
-  EXPECT_TRUE(std::equal(bn.end() - 8, bn.end(), wn.take().begin()));
+  sca::ByteWriter wp, wm;
+  wp.u64(0);
+  wm.u64(2);
+  EXPECT_TRUE(std::equal(bp.end() - 8, bp.end(), wp.take().begin()));
+  EXPECT_TRUE(std::equal(bm.end() - 8, bm.end(), wm.take().begin()));
 }

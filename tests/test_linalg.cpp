@@ -4,11 +4,8 @@
 #include <random>
 
 #include "linalg/banded.h"
-#include "linalg/bicgstab.h"
-#include "linalg/csr_matrix.h"
 #include "linalg/dense.h"
 #include "linalg/newton.h"
-#include "linalg/tridiag.h"
 
 namespace sl = subscale::linalg;
 
@@ -88,24 +85,6 @@ TEST(Dense, VectorHelpers) {
   EXPECT_DOUBLE_EQ(y[1], -7.0);
 }
 
-// ---- tridiagonal ---------------------------------------------------------------
-
-TEST(Tridiag, MatchesDenseSolve) {
-  const std::size_t n = 40;
-  std::vector<double> lower(n, -1.0), diag(n, 2.5), upper(n, -1.0), rhs(n);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = std::cos(double(i));
-  const auto x = sl::solve_tridiagonal(lower, diag, upper, rhs);
-
-  sl::DenseMatrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a(i, i) = diag[i];
-    if (i > 0) a(i, i - 1) = lower[i];
-    if (i + 1 < n) a(i, i + 1) = upper[i];
-  }
-  const auto x_ref = sl::LuFactorization(a).solve(rhs);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
-}
-
 // ---- banded ---------------------------------------------------------------------
 
 TEST(Banded, InBandQueries) {
@@ -172,101 +151,6 @@ TEST(Banded, LaplacianSolve) {
   for (std::size_t i = 0; i < n / 2; ++i) {
     EXPECT_NEAR(x[i], x[n - 1 - i], 1e-9);
   }
-}
-
-// ---- CSR / ILU0 / BiCGSTAB ------------------------------------------------------
-
-TEST(Csr, DuplicatesAccumulate) {
-  sl::SparseBuilder builder(3);
-  builder.add(0, 0, 1.0);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 2, 5.0);
-  builder.add(2, 2, 1.0);
-  builder.add(1, 1, 1.0);
-  builder.add(0, 1, 0.5);
-  const sl::CsrMatrix a(builder);
-  EXPECT_EQ(a.nonzeros(), 5u);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(a.at(2, 0), 0.0);
-}
-
-TEST(Csr, MultiplyMatchesDense) {
-  sl::SparseBuilder builder(4);
-  sl::DenseMatrix d(4, 4);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      if ((i + j) % 2 == 0) {
-        const double v = dist(rng);
-        builder.add(i, j, v);
-        d(i, j) = v;
-      }
-    }
-  }
-  const sl::CsrMatrix a(builder);
-  const std::vector<double> x{1.0, -2.0, 0.5, 3.0};
-  const auto y1 = a.multiply(x);
-  const auto y2 = d.multiply(x);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-14);
-}
-
-TEST(Bicgstab, SolvesPoisson2d) {
-  // 5-point Laplacian on a 20x20 grid.
-  const std::size_t nx = 20, ny = 20, n = nx * ny;
-  sl::SparseBuilder builder(n);
-  for (std::size_t j = 0; j < ny; ++j) {
-    for (std::size_t i = 0; i < nx; ++i) {
-      const std::size_t k = j * nx + i;
-      builder.add(k, k, 4.0);
-      if (i > 0) builder.add(k, k - 1, -1.0);
-      if (i + 1 < nx) builder.add(k, k + 1, -1.0);
-      if (j > 0) builder.add(k, k - nx, -1.0);
-      if (j + 1 < ny) builder.add(k, k + nx, -1.0);
-    }
-  }
-  const sl::CsrMatrix a(builder);
-  std::vector<double> x_true(n);
-  for (std::size_t k = 0; k < n; ++k) x_true[k] = std::sin(0.1 * double(k));
-  const auto b = a.multiply(x_true);
-  const auto result = sl::bicgstab(a, b, {.relative_tolerance = 1e-12});
-  ASSERT_TRUE(result.converged);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(result.x[k], x_true[k], 1e-7);
-  }
-}
-
-TEST(Bicgstab, NonsymmetricConvectionDiffusion) {
-  // Upwind convection-diffusion: strongly nonsymmetric.
-  const std::size_t n = 200;
-  sl::SparseBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    builder.add(i, i, 3.0);
-    if (i > 0) builder.add(i, i - 1, -2.5);
-    if (i + 1 < n) builder.add(i, i + 1, -0.4);
-  }
-  const sl::CsrMatrix a(builder);
-  std::vector<double> b(n, 1.0);
-  const auto result = sl::bicgstab(a, b, {.relative_tolerance = 1e-12});
-  ASSERT_TRUE(result.converged);
-  const auto r = a.multiply(result.x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(r[i], 1.0, 1e-6);
-}
-
-TEST(Bicgstab, NonFiniteRhsReportsBreakdown) {
-  // A NaN anywhere in the right-hand side must be detected up front and
-  // reported as a breakdown — not iterated on (the Krylov recurrences
-  // would silently fill x with NaN) and not mistaken for convergence.
-  const std::size_t n = 8;
-  sl::SparseBuilder builder(n);
-  for (std::size_t i = 0; i < n; ++i) builder.add(i, i, 2.0);
-  const sl::CsrMatrix a(builder);
-  std::vector<double> b(n, 1.0);
-  b[3] = std::nan("");
-  const auto result = sl::bicgstab(a, b);
-  EXPECT_FALSE(result.converged);
-  EXPECT_TRUE(result.breakdown);
-  EXPECT_EQ(result.iterations, 0u);
 }
 
 // ---- Newton -------------------------------------------------------------------
@@ -349,7 +233,6 @@ INSTANTIATE_TEST_SUITE_P(Bandwidths, BandedWidths,
 // ---- blocked banded LU vs straight-line reference ----------------------------
 
 #include "linalg/banded_reference.h"
-#include "linalg/block_banded.h"
 
 namespace {
 
@@ -399,57 +282,4 @@ TEST(BandedReference, BlockedEliminationMatchesReferenceBitwise) {
       }
     }
   }
-}
-
-// ---- block-banded matrix (coupled Newton Jacobian storage) -------------------
-
-TEST(BlockBanded, ScalarMappingPlacesBlockEntries) {
-  // Block (bi, bj) local (r, c) must land at scalar
-  // (bi*B + r, bj*B + c), with the scalar band wide enough for every
-  // in-band block's farthest corner.
-  sl::BlockBandedMatrix a(4, 3, 1);
-  EXPECT_EQ(a.size(), 12u);
-  EXPECT_GE(a.scalar().lower_bandwidth(), 3u * 1u + 3u - 1u);
-  a.add(1, 2, 0, 2, 7.5);
-  a.add(2, 1, 2, 0, -2.5);
-  EXPECT_DOUBLE_EQ(a.scalar().at(3, 8), 7.5);
-  EXPECT_DOUBLE_EQ(a.scalar().at(8, 3), -2.5);
-}
-
-TEST(BlockBanded, SolveMatchesScalarBandedSolve) {
-  // A block-assembled system and the same system assembled directly
-  // into scalar band storage must factor and solve identically —
-  // BlockBandedLu is a view/packing layer, not different arithmetic.
-  const std::size_t nb = 6, bs = 3, bw = 2;
-  sl::BlockBandedMatrix blocked(nb, bs, bw);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    for (std::size_t bj = 0; bj < nb; ++bj) {
-      if (bi > bj + bw || bj > bi + bw) continue;
-      for (std::size_t r = 0; r < bs; ++r) {
-        for (std::size_t c = 0; c < bs; ++c) {
-          const bool diag = bi == bj && r == c;
-          blocked.add(bi, bj, r, c, diag ? 20.0 + dist(rng) : dist(rng));
-        }
-      }
-    }
-  }
-  std::vector<double> b(blocked.size());
-  for (auto& v : b) v = dist(rng);
-  const auto x_block = sl::BlockBandedLu(blocked).solve(b);
-  const auto x_scalar = sl::BandedLu(blocked.scalar()).solve(b);
-  ASSERT_EQ(x_block.size(), x_scalar.size());
-  for (std::size_t i = 0; i < x_block.size(); ++i) {
-    EXPECT_EQ(x_block[i], x_scalar[i]) << i;
-  }
-  // And the solution actually solves the system.
-  const auto ax = blocked.scalar().multiply(x_block);
-  for (std::size_t i = 0; i < ax.size(); ++i) {
-    EXPECT_NEAR(ax[i], b[i], 1e-9 * (1.0 + std::abs(b[i])));
-  }
-}
-
-TEST(BlockBanded, RejectsOutOfBandBlocks) {
-  sl::BlockBandedMatrix a(4, 2, 1);
-  EXPECT_FALSE(a.scalar().in_band(0, 2 * 2 + 1));  // block (0,2) corner
 }

@@ -14,7 +14,6 @@
 #include "core/scaling_study.h"
 #include "exec/parallel.h"
 #include "exec/run_context.h"
-#include "linalg/bicgstab.h"
 #include "obs/convergence.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -25,7 +24,6 @@
 
 namespace so = subscale::obs;
 namespace se = subscale::exec;
-namespace sl = subscale::linalg;
 namespace st = subscale::tcad;
 namespace sco = subscale::core;
 
@@ -291,30 +289,6 @@ TEST(RunContext, SerialHelper) {
 }
 
 // ---- layer instrumentation ------------------------------------------------
-
-TEST(ObsLinalg, BicgstabPublishesCounters) {
-  DefaultRegistryGuard guard;
-  so::set_default_registry(nullptr);
-  // 2x2 diagonally dominant system.
-  sl::SparseBuilder builder(2);
-  builder.add(0, 0, 4.0);
-  builder.add(0, 1, 1.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, 3.0);
-  const sl::CsrMatrix a(builder);
-  const std::vector<double> b = {1.0, 2.0};
-
-  so::MetricsRegistry reg;
-  sl::BicgstabOptions options;
-  options.metrics = &reg;
-  const auto result = sl::bicgstab(a, b, options);
-  EXPECT_TRUE(result.converged);
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counter(so::names::kBicgstabSolves), 1u);
-  EXPECT_EQ(snap.counter(so::names::kBicgstabIterations),
-            result.iterations);
-  EXPECT_EQ(snap.counter(so::names::kBicgstabFailures), 0u);
-}
 
 TEST(ObsTcad, SweepPublishesCountersAndTrace) {
   DefaultRegistryGuard guard;

@@ -96,6 +96,18 @@ TEST(SafeguardedNewton, NonPositiveSlopeFallsBackToBisection) {
   }
 }
 
+TEST(SafeguardedNewton, UnderestimatedSlopeBisectsWhenStepsStopShrinking) {
+  // A slope of 0.51 against the true 1 overshoots the root by 96 % of
+  // the error every step, so pure in-bracket Newton oscillates and
+  // contracts by only 0.96 per step. The progress rule bisects as soon
+  // as a step is longer than half the step before last.
+  const auto f = [](double x) { return so::ValueSlope{x - 0.3, 0.51}; };
+  const auto r = so::safeguarded_newton(f, 0.0, 1.0, 1e-13, 0.5);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.x, 0.3, 1e-13);
+  EXPECT_LE(r.iterations, 60u);  // a pure bisection needs ~44
+}
+
 TEST(SafeguardedNewton, DecreasingFunctionUsesItsOrientation) {
   const auto f = [](double x) { return so::ValueSlope{1.0 - x * x, -2.0 * x}; };
   const auto r = so::safeguarded_newton(f, 0.0, 3.0, 1e-13, 2.5);

@@ -47,7 +47,7 @@ pdb::PerfRecord make_record(std::uint64_t ts, double iterations,
   r.threads = 4;
   r.metrics.emplace_back("ioff_pa_um", 12.5);
   r.obs.emplace_back("tcad.gummel.outer_iterations", iterations);
-  r.obs.emplace_back("linalg.bicgstab.iterations", 2.0 * iterations);
+  r.obs.emplace_back("tcad.poisson.newton_iterations", 2.0 * iterations);
   r.obs.emplace_back("cache.hit", 7.0);  // exempt family
   return r;
 }
@@ -444,14 +444,14 @@ TEST(TrendGate, PerMetricToleranceOverride) {
       make_record(1, 100.0), make_record(2, 100.0), make_record(3, 120.0)};
   // +20% trips the default 10%...
   EXPECT_FALSE(pdb::trend_gate(history).ok());
-  // ...but a per-metric override loosens exactly that key. The bicgstab
+  // ...but a per-metric override loosens exactly that key. The poisson
   // series scales with the gummel one in make_record, so it needs its
   // own override too.
   pdb::TrendGateOptions options;
   options.tolerance_overrides.emplace_back(
       "tcad.gummel.outer_iterations", 0.5);
   options.tolerance_overrides.emplace_back(
-      "linalg.bicgstab.iterations", 0.5);
+      "tcad.poisson.newton_iterations", 0.5);
   EXPECT_TRUE(pdb::trend_gate(history, options).ok());
 }
 

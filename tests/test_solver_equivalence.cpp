@@ -1,34 +1,32 @@
-/// The differential-equivalence tier for the cold-solve accelerators:
-/// every solver strategy (decoupled Gummel, coupled Newton, hybrid) and
+/// The differential-equivalence tier for the cold-solve accelerator:
 /// the mesh-continuation cascade must land on the same converged state
 /// as the seed Gummel solver on fixture-class devices — the
-/// accelerators may only change how fast an answer arrives, never which
-/// answer. Determinism rides along: the hybrid strategy must produce
+/// accelerator may only change how fast an answer arrives, never which
+/// answer. Determinism rides along: mesh continuation must produce
 /// bitwise-identical sweeps at 1, 2 and 4 threads.
 ///
 /// What "the same answer" means here is deliberately two-tiered:
 ///
 ///  * STATE FIELDS (psi and the majority carrier n) agree at 1e-9 —
-///    the full solution, and a well-conditioned comparison. Every
-///    strategy certifies its converged point on the same Gummel fixed
-///    point (Newton results are polished by a Gummel pass, a mesh-
-///    continuation guess is only an initial guess for the fine solver),
-///    so with the stops in tight() the measured strategy-to-strategy
-///    spread is <=1e-11 psi / <=2e-10 n: the 1e-9 bound carries about
-///    two orders of margin. The minority-carrier hole field gets its
-///    own 2e-8 bound: the outer stop watches psi, and at the stiff
-///    (vdd, vdd) corner the hole relaxation contracts slowly against a
-///    ~1e-10 per-outer-iteration noise floor, so the hole distance to
-///    the fixed point plateaus near 5e-9 even with the stops tightened
-///    another 100x (measured; tightening further stalls the ramp
-///    instead of helping).
+///    the full solution, and a well-conditioned comparison. Both
+///    configs certify their converged point on the same Gummel fixed
+///    point (a mesh-continuation guess is only an initial guess for the
+///    fine solver), so with the stops in tight() the measured
+///    config-to-config spread is <=1e-11 psi / <=2e-10 n: the 1e-9
+///    bound carries about two orders of margin. The minority-carrier
+///    hole field gets its own 2e-8 bound: the outer stop watches psi,
+///    and at the stiff (vdd, vdd) corner the hole relaxation contracts
+///    slowly against a ~1e-10 per-outer-iteration noise floor, so the
+///    hole distance to the fixed point plateaus near 5e-9 even with the
+///    stops tightened another 100x (measured; tightening further stalls
+///    the ramp instead of helping).
 ///  * TERMINAL CURRENTS agree at 1e-5. The contact-flux evaluation sums
 ///    Scharfetter-Gummel edge fluxes in the n+ contact region, where
 ///    each edge is a small difference of near-equal large terms; the
 ///    gross/net flux ratio there reaches ~1e9 at subthreshold bias, so
 ///    relative state noise at the ~1e-15 linear-solve floor appears as
 ///    ~1e-6 current noise no matter how tightly the solves converge
-///    (measured: cross-strategy current deltas of 2.4e-6 on the
+///    (measured: cross-config current deltas of 2.4e-6 on the
 ///    sub-Vth fixture while the same states agree at 1e-14). The 1e-5
 ///    bound pins the currents at that functional's actual conditioning
 ///    limit; the field comparison above is the authoritative 1e-9
@@ -97,20 +95,18 @@ constexpr double kCurrentRelTol = 1e-5;
 constexpr double kDensityFloorFrac = 1e-8;
 
 /// Solver stops tightened well below the comparison bounds, so the
-/// residual strategy-to-strategy spread is convergence slack, not
+/// residual config-to-config spread is convergence slack, not
 /// disagreement. 1e-12 outer / 1e-14 inner is the tightest envelope
-/// every fixture sustains across all strategies; it needs the extra
+/// every fixture sustains under both configs; it needs the extra
 /// outer-iteration headroom because the (vdd, vdd) corner contracts
 /// slowly (distance to the fixed point is ~10x the last psi update
 /// there, which is exactly why a 1e-10 stop is NOT enough to compare
 /// fields at 1e-9).
-st::GummelOptions tight(st::SolverStrategy strategy,
-                        std::size_t meshcont_levels = 0) {
+st::GummelOptions tight(std::size_t meshcont_levels = 0) {
   st::GummelOptions o;
   o.max_iterations = 400;
   o.psi_tolerance = 1e-12;
   o.poisson.update_tolerance = 1e-14;
-  o.strategy = strategy;
   o.mesh_continuation_levels = meshcont_levels;
   return o;
 }
@@ -190,26 +186,18 @@ void expect_current_equivalent(const Snapshot& base, const Snapshot& other,
 }
 
 void run_equivalence(const sc::DeviceSpec& spec, const std::string& name) {
-  const Snapshot gummel =
-      snapshot_under(spec, tight(st::SolverStrategy::kGummel));
+  const Snapshot gummel = snapshot_under(spec, tight());
   for (const double id : gummel.id) {
     ASSERT_TRUE(std::isfinite(id)) << name;
   }
-  const auto check = [&](st::SolverStrategy strategy, std::size_t levels,
-                         const std::string& label) {
-    const Snapshot other = snapshot_under(spec, tight(strategy, levels));
-    expect_state_equivalent(gummel, other, name + "/" + label);
-    expect_current_equivalent(gummel, other, name + "/" + label);
-  };
-  check(st::SolverStrategy::kNewton, 0, "newton");
-  check(st::SolverStrategy::kHybrid, 0, "hybrid");
-  check(st::SolverStrategy::kGummel, 2, "meshcont2");
-  check(st::SolverStrategy::kHybrid, 2, "hybrid+meshcont2");
+  const Snapshot meshcont = snapshot_under(spec, tight(2));
+  expect_state_equivalent(gummel, meshcont, name + "/meshcont2");
+  expect_current_equivalent(gummel, meshcont, name + "/meshcont2");
 }
 
 }  // namespace
 
-// ---- strategy equivalence on the fixture devices ---------------------------
+// ---- mesh-continuation equivalence on the fixture devices ------------------
 
 TEST(SolverEquivalence, Table2Node90) { run_equivalence(table2_90(), "90nm"); }
 
@@ -234,50 +222,20 @@ TEST(SolverEquivalence, Table3Node95SubVth) {
 // why it is exercised here on the sub-Vth device only).
 TEST(SolverEquivalence, SlotboomAssemblyMatchesRawDensityOnFields) {
   const sc::DeviceSpec spec = table3_95();
-  const Snapshot raw = snapshot_under(spec, tight(st::SolverStrategy::kGummel));
-  st::GummelOptions o = tight(st::SolverStrategy::kGummel);
+  const Snapshot raw = snapshot_under(spec, tight());
+  st::GummelOptions o = tight();
   o.continuity.slotboom = true;
   const Snapshot slotboom = snapshot_under(spec, o);
   expect_state_equivalent(raw, slotboom, "95nm-subvth/slotboom");
 }
 
-// ---- the density stop --------------------------------------------------------
-
-// The optional density stop pins the lagged-SRH carrier relaxation that
-// the psi stop alone is blind to. It must converge at a tolerance above
-// the linear-solve noise floor (~1e-8 relative per outer iteration) and
-// leave the landed state on the same fixed point.
-TEST(SolverEquivalence, DensityStopConvergesAndAgrees) {
-  const sc::DeviceSpec spec = table3_95();
-  const Snapshot base = snapshot_under(spec, tight(st::SolverStrategy::kGummel));
-  st::GummelOptions o = tight(st::SolverStrategy::kGummel);
-  o.density_tolerance = 1e-6;
-  const Snapshot stopped = snapshot_under(spec, o);
-  expect_state_equivalent(base, stopped, "95nm-subvth/density-stop");
-  expect_current_equivalent(base, stopped, "95nm-subvth/density-stop");
-}
-
-// ---- the accelerated paths actually run ------------------------------------
-
-TEST(SolverEquivalence, NewtonStrategyActuallyRunsNewton) {
-  so::MetricsRegistry reg;
-  se::RunContext ctx;
-  ctx.metrics = &reg;
-  st::TcadDevice dev(table2_90(), {}, tight(st::SolverStrategy::kNewton),
-                     ctx);
-  dev.id_at(0.45, 0.25);
-  EXPECT_GT(reg.counter(so::names::kNewtonSolves).value(), 0u);
-  EXPECT_GT(reg.counter(so::names::kNewtonIterations).value(), 0u);
-  // The easy fixture must not need the Gummel fallback.
-  EXPECT_EQ(reg.counter(so::names::kNewtonFallbacks).value(), 0u);
-}
+// ---- the accelerated path actually runs ------------------------------------
 
 TEST(SolverEquivalence, MeshContinuationActuallyRuns) {
   so::MetricsRegistry reg;
   se::RunContext ctx;
   ctx.metrics = &reg;
-  st::TcadDevice dev(table2_90(), {},
-                     tight(st::SolverStrategy::kGummel, 2), ctx);
+  st::TcadDevice dev(table2_90(), {}, tight(2), ctx);
   ASSERT_NE(dev.mesh_continuation(), nullptr);
   EXPECT_EQ(dev.mesh_continuation()->level_count(), 2u);
   // Coarser levels really are coarser, in order.
@@ -292,12 +250,12 @@ TEST(SolverEquivalence, MeshContinuationActuallyRuns) {
 
 // ---- determinism across thread counts --------------------------------------
 
-TEST(SolverEquivalence, HybridSweepBitwiseDeterministicAcrossThreads) {
+TEST(SolverEquivalence,
+     MeshContinuationSweepBitwiseDeterministicAcrossThreads) {
   const auto sweep_at = [&](std::size_t threads) {
     se::RunContext ctx;
     ctx.exec.threads = threads;
-    st::TcadDevice dev(table2_90(), {},
-                       tight(st::SolverStrategy::kHybrid, 2), ctx);
+    st::TcadDevice dev(table2_90(), {}, tight(2), ctx);
     return dev.id_vg(0.25, 0.0, 0.45, 6);
   };
   const st::SweepResult base = sweep_at(1);
@@ -317,17 +275,14 @@ TEST(SolverEquivalence, HybridSweepBitwiseDeterministicAcrossThreads) {
 
 // ---- backend guard ----------------------------------------------------------
 
-TEST(SolverEquivalence, NanowireSpecThrowsUnderEveryStrategy) {
+TEST(SolverEquivalence, NanowireSpecThrowsWithAndWithoutMeshContinuation) {
   sc::DeviceSpec spec = table2_90();
   sc::DeviceEnv env;
   env.backend = sc::BackendKind::kNanowireGaa;
   spec.apply_env(env);
-  for (const st::SolverStrategy strategy :
-       {st::SolverStrategy::kGummel, st::SolverStrategy::kNewton,
-        st::SolverStrategy::kHybrid}) {
-    EXPECT_THROW(st::TcadDevice(spec, {}, tight(strategy)),
-                 std::invalid_argument);
-    EXPECT_THROW(st::TcadDevice(spec, {}, tight(strategy, 2)),
-                 std::invalid_argument);
+  for (const std::size_t levels : {std::size_t{0}, std::size_t{2}}) {
+    EXPECT_THROW(st::TcadDevice(spec, {}, tight(levels)),
+                 std::invalid_argument)
+        << levels << " levels";
   }
 }

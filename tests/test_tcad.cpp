@@ -17,7 +17,6 @@
 #include "tcad/device_sim.h"
 #include "tcad/extract.h"
 #include "tcad/mesh_continuation.h"
-#include "tcad/newton_dd.h"
 
 namespace se = subscale::exec;
 namespace sm = subscale::mesh;
@@ -604,91 +603,4 @@ TEST(MeshContinuationProlongation, CoarseOnlyFaultFallsBackToColdPath) {
   st::TcadDevice dev(nfet_90(), coarse_mesh(), opt, ctx);
   EXPECT_DOUBLE_EQ(dev.id_at(0.3, 0.25), reference_id());
   EXPECT_GT(reg.counter(so::names::kMeshContFallbacks).value(), 0u);
-}
-
-// ---- coupled Newton: Jacobian exactness and fallback -------------------------
-
-TEST(NewtonDd, JacobianMatchesFiniteDifferences) {
-  // With velocity_saturation off the assembled Jacobian is exact (no
-  // frozen-mobility approximation), so J*dx must match the central
-  // difference of the residual to FD accuracy. Perturbations scale with
-  // each unknown's own magnitude; agreement is judged against the
-  // row-magnitude normalization the solver itself uses, so huge rows
-  // cannot hide errors in small ones and vice versa.
-  st::GummelOptions opt;
-  opt.continuity.velocity_saturation = false;
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), opt);
-  const auto& structure = dev.structure();
-  const auto& biases = dev.solver().biases();
-  const std::vector<double> psi = dev.solver().psi();
-  const std::vector<double> n = dev.solver().electron_density();
-  const std::vector<double> p = dev.solver().hole_density();
-  const std::size_t n_nodes = structure.mesh().node_count();
-  const double ni = structure.ni();
-
-  std::vector<double> dx(3 * n_nodes);
-  const double rel = 1e-6;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    const double s = std::sin(0.7 * static_cast<double>(i) + 0.3);
-    dx[3 * i + 0] = rel * s;                        // psi [V]
-    dx[3 * i + 1] = rel * (n[i] + ni) * s;          // n [m^-3]
-    dx[3 * i + 2] = rel * (p[i] + ni) * (-s);       // p [m^-3]
-  }
-
-  std::vector<double> jdx;
-  st::newton_dd_jacobian_product(structure, biases, psi, n, p,
-                                 opt.continuity, dx, jdx);
-
-  const auto shifted = [&](double sign) {
-    std::vector<double> sp = psi, sn = n, spp = p;
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-      sp[i] += sign * dx[3 * i + 0];
-      sn[i] += sign * dx[3 * i + 1];
-      spp[i] += sign * dx[3 * i + 2];
-    }
-    std::vector<double> r, mag;
-    st::newton_dd_residual(structure, biases, sp, sn, spp, opt.continuity, r,
-                           mag);
-    return r;
-  };
-  const std::vector<double> r_plus = shifted(1.0);
-  const std::vector<double> r_minus = shifted(-1.0);
-  std::vector<double> r0, row_magnitude;
-  st::newton_dd_residual(structure, biases, psi, n, p, opt.continuity, r0,
-                         row_magnitude);
-
-  ASSERT_EQ(jdx.size(), 3 * n_nodes);
-  ASSERT_EQ(r_plus.size(), 3 * n_nodes);
-  double worst = 0.0;
-  for (std::size_t r = 0; r < jdx.size(); ++r) {
-    const double fd = 0.5 * (r_plus[r] - r_minus[r]);
-    worst = std::max(worst, std::abs(fd - jdx[r]) / row_magnitude[r]);
-  }
-  // FD truncation is O(rel^2) and roundoff O(eps/rel) relative to the
-  // row scale — both orders below this bound.
-  EXPECT_LE(worst, 5e-7);
-}
-
-TEST(NewtonDd, InjectedNewtonFaultFallsBackToGummel) {
-  // Forcing the coupled solve to fail must degrade to the seed Gummel
-  // path — counted, converged, and with SolveStatus evidence in the
-  // trajectory rather than a thrown error.
-  so::MetricsRegistry reg;
-  se::RunContext ctx;
-  ctx.metrics = &reg;
-  st::GummelOptions opt;
-  opt.strategy = st::SolverStrategy::kNewton;
-  opt.fault.stage = st::SolveStage::kNewton;
-  opt.fault.count = 1;
-  opt.fault.contact = "gate";
-  opt.fault.min_bias = 0.18;
-  opt.fault.max_bias = 0.22;
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), opt, ctx);
-  const double id = dev.id_at(0.3, 0.25);  // ramp crosses the window
-  EXPECT_TRUE(std::isfinite(id));
-  EXPECT_TRUE(dev.solver().last_report().converged);
-  EXPECT_GE(reg.counter(so::names::kNewtonFallbacks).value(), 1u);
-  EXPECT_EQ(dev.solver().pending_faults(), 0);  // the fault did fire
-  // The fallback answer is still the shared fixed point.
-  EXPECT_NEAR(id, reference_id(), 1e-3 * std::abs(reference_id()));
 }

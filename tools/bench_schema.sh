@@ -41,7 +41,7 @@ fi
 required_keys="
 tcad.gummel.outer_iterations
 tcad.gummel.retries
-linalg.bicgstab.iterations
+tcad.poisson.newton_iterations
 exec.pool.utilization_pct
 "
 
