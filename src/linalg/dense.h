@@ -38,7 +38,19 @@ class DenseMatrix {
   std::vector<double> data_;
 };
 
-/// In-place LU factorization with partial pivoting.
+/// LU factorization with partial pivoting of the square matrix `a`, in
+/// place: on return `a` holds U on and above the diagonal and the unit
+/// lower factor L below it, and `perm[i]` is the original row now at row
+/// i. Returns false, with `a` partly eliminated, on a (numerically)
+/// singular matrix. Allocates nothing when perm.size() == a.rows().
+bool lu_factor_in_place(DenseMatrix& a, std::vector<std::size_t>& perm);
+
+/// Solve A x = b from lu_factor_in_place's output. `x` must already hold
+/// b.size() entries and must not alias `b`; nothing is allocated.
+void lu_solve(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
+              const std::vector<double>& b, std::vector<double>& x);
+
+/// An owning LU factorization (lu_factor_in_place on a copy).
 /// Throws std::runtime_error on a (numerically) singular matrix.
 class LuFactorization {
  public:
@@ -47,13 +59,9 @@ class LuFactorization {
   /// Solve A x = b for x.
   std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Estimated reciprocal of the max pivot ratio (rough conditioning hint).
-  double min_pivot_magnitude() const { return min_pivot_; }
-
  private:
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
-  double min_pivot_ = 0.0;
 };
 
 /// Euclidean norm of a vector.
