@@ -63,6 +63,20 @@ int main() {
 
   rec.metric("vmin_rise_mv", dvmin_mv);
   rec.metric("energy_change_pct", energy.total_relative_change() * 100.0);
+
+  // Newton effort per backward-Euler step of the V_min transients: the
+  // budget tools/check.sh gates (circuits.tran.* counters, deterministic).
+  if (const auto* reg = obs::default_registry(); reg != nullptr) {
+    const auto snap = reg->snapshot();
+    const double steps =
+        static_cast<double>(snap.counter(obs::names::kTranSteps));
+    const double iterations = static_cast<double>(
+        snap.counter(obs::names::kTranNewtonIterations));
+    const double per_step = steps > 0.0 ? iterations / steps : 0.0;
+    std::printf("transient steps: %.0f, Newton iterations per step: %.3f\n",
+                steps, per_step);
+    rec.metric("tran_newton_per_step", per_step);
+  }
   return energy.total_relative_change() < -0.25 && dvmin_mv > 10.0 &&
          dvmin_mv < 80.0 && factor_tracks;
       });

@@ -24,7 +24,9 @@ namespace subscale::cache {
 /// v2: SubVthOptions carries a DeviceEnv (backend kind, temperature,
 /// nanowire radius) — two cards differing only in environment must
 /// never share a design-objective memo.
-inline constexpr std::uint64_t kStudyKeySchema = 2;
+/// v3: the circuit engine's analytic Jacobian (DESIGN.md §19) moves the
+/// chain energies find_vmin memoizes in the 11th digit.
+inline constexpr std::uint64_t kStudyKeySchema = 3;
 
 inline void hash_append(KeyHasher& h, const compact::Calibration& c) {
   h.tag("calib")

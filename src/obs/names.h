@@ -98,9 +98,14 @@ enum class GatePolicy { kGated, kExempt };
   X(kOrchReassigned, "orch.reassigned", kCounter, kExempt)                    \
   X(kOrchPoisoned, "orch.poisoned", kCounter, kExempt)                        \
   X(kOrchWorkerRestarts, "orch.worker_restarts", kCounter, kExempt)           \
-  /* circuits layer — inverter VTC Newton effort */                           \
+  /* circuits layer — inverter VTC, DC and transient Newton effort */        \
   X(kVtcSolves, "circuits.vtc.solves", kCounter, kGated)                      \
   X(kVtcNewtonIterations, "circuits.vtc.newton_iterations", kCounter, kGated) \
+  X(kDcSolves, "circuits.dc.solves", kCounter, kGated)                        \
+  X(kDcNewtonIterations, "circuits.dc.newton_iterations", kCounter, kGated)   \
+  X(kDcFailures, "circuits.dc.failures", kCounter, kGated)                    \
+  X(kTranSteps, "circuits.tran.steps", kCounter, kGated)                      \
+  X(kTranNewtonIterations, "circuits.tran.newton_iterations", kCounter, kGated) \
   /* cards layer — technology-deck traffic */                                 \
   X(kCardsLoads, "cards.loads", kCounter, kGated)                             \
   X(kCardsBackendDispatches, "cards.backend_dispatches", kCounter, kGated)    \

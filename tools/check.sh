@@ -160,6 +160,24 @@ if [[ -z "$sanitize" ]]; then
     exit 1
   fi
   echo "obs_trend: VTC Newton budget gate enforced"
+
+  # Transient Newton budget. bench_fig06 records the Newton iterations per
+  # backward-Euler step of its V_min transients (circuits.tran.* counters,
+  # deterministic). The ceiling sits ~1.25x above the measured 2.00, so a
+  # stamped Jacobian that drifts from the true one (Newton going linear)
+  # fails here; an impossible budget must trip the same gate.
+  (cd "$bench_tmp" && SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
+      "$build_dir/bench/bench_fig06_energy_vmin" > /dev/null)
+  "$repo_root/tools/bench_schema.sh" "$bench_tmp"/BENCH_fig06_energy_vmin.json
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench fig06_energy_vmin --metric-max tran_newton_per_step=2.5
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench fig06_energy_vmin --metric-max tran_newton_per_step=1 \
+      > /dev/null; then
+    echo "check.sh: transient Newton budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: transient Newton budget gate enforced"
   rm -rf "$bench_tmp"
 
   # Cache round-trip smoke: bench_ext_cache gates itself (warm replay
