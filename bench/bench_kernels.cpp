@@ -1,6 +1,7 @@
 // Library-performance microbenchmarks (google-benchmark): the numerical
 // kernels behind the reproduction — banded LU, compact-model evaluation,
-// VTC solves, FO1 transients, and a full TCAD Gummel bias point.
+// VTC solves, FO1 transients, a V_min search, and a full TCAD Gummel bias
+// point.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 
 #include "circuits/delay.h"
 #include "circuits/inverter.h"
+#include "circuits/vmin.h"
 #include "circuits/vtc.h"
 #include "compact/mosfet.h"
 #include "linalg/banded.h"
@@ -199,6 +201,14 @@ void BM_Fo1DelayTransient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fo1DelayTransient);
+
+void BM_FindVmin(benchmark::State& state) {
+  const auto inv = circuits::make_inverter(spec_90()).at_vdd(0.3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(circuits::find_vmin(inv).vmin);
+  }
+}
+BENCHMARK(BM_FindVmin)->Unit(benchmark::kMicrosecond);
 
 void BM_SuperVthDesignFlow(benchmark::State& state) {
   const auto& node = scaling::paper_nodes()[0];

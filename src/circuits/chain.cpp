@@ -23,10 +23,13 @@ ChainEnergyResult chain_energy(const InverterDevices& devices, double vdd,
       fo1_delay(inv, {.self_load_factor = spec.self_load_factor}).tp;
   r.cycle_time = static_cast<double>(spec.stages) * r.stage_delay;
 
-  // Static current: alternate logic levels down the chain.
+  // Static current: alternate logic levels down the chain, summed stage
+  // by stage (two distinct currents, each evaluated once).
+  const double leak_high = inverter_leakage(inv, /*input_high=*/true);
+  const double leak_low = inverter_leakage(inv, /*input_high=*/false);
   double i_leak = 0.0;
   for (std::size_t s = 0; s < spec.stages; ++s) {
-    i_leak += inverter_leakage(inv, /*input_high=*/(s % 2) == 0);
+    i_leak += (s % 2) == 0 ? leak_high : leak_low;
   }
   r.leakage_current = i_leak;
 

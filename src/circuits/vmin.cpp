@@ -1,6 +1,7 @@
 #include "circuits/vmin.h"
 
-#include <cmath>
+#include <algorithm>
+#include <vector>
 
 #include "cache/study_keys.h"
 #include "opt/golden_section.h"
@@ -10,8 +11,12 @@ namespace subscale::circuits {
 
 VminResult find_vmin(const InverterDevices& devices, const ChainSpec& chain,
                      const VminOptions& options) {
+  // Every chain energy this search computes, so the breakdown at the
+  // optimum is a lookup; only an optimum the memo served is recomputed.
+  std::vector<ChainEnergyResult> evaluated;
   const auto energy = [&](double vdd) {
-    return chain_energy(devices, vdd, chain).e_total;
+    evaluated.push_back(chain_energy(devices, vdd, chain));
+    return evaluated.back().e_total;
   };
   const opt::EvalMemo memo(
       options.cache_sink(),
@@ -29,7 +34,11 @@ VminResult find_vmin(const InverterDevices& devices, const ChainSpec& chain,
       options.v_tolerance, memo);
   VminResult result;
   result.vmin = m.x;
-  result.at_vmin = chain_energy(devices, m.x, chain);
+  const auto hit =
+      std::find_if(evaluated.begin(), evaluated.end(),
+                   [&](const ChainEnergyResult& r) { return r.vdd == m.x; });
+  result.at_vmin =
+      hit != evaluated.end() ? *hit : chain_energy(devices, m.x, chain);
   return result;
 }
 

@@ -27,11 +27,13 @@ double softplus(double x, double* slope) {
 
 CompactMosfet::CompactMosfet(DeviceSpec spec, const Calibration& calib)
     : DeviceModel(std::move(spec), calib) {
+  // n_i(T) feeds every depletion and potential term below; evaluate it once.
+  const double ni = physics::intrinsic_density_legacy(spec_.temperature);
   neff_ = spec_.effective_channel_doping(calib_.k_halo);
-  wdep_ = depletion_width_at_threshold(neff_, spec_.temperature);
+  wdep_ = depletion_width_at_threshold(neff_, spec_.temperature, ni);
   ss_ = compact::subthreshold_swing(neff_, spec_.geometry.tox,
                                     spec_.geometry.leff(), spec_.temperature,
-                                    calib_);
+                                    calib_, ni);
   n_ = slope_factor_from_swing(ss_, spec_.temperature);
   cox_ = physics::oxide_capacitance(spec_.geometry.tox);
   vt_ = physics::thermal_voltage(spec_.temperature);
@@ -39,8 +41,8 @@ CompactMosfet::CompactMosfet(DeviceSpec spec, const Calibration& calib)
   carrier_ = spec_.polarity == doping::Polarity::kNfet
                  ? physics::Carrier::kElectron
                  : physics::Carrier::kHole;
-  vth_parts_ = threshold_components(spec_, calib_, 0.0);
-  q_dep_ = physics::depletion_charge(neff_, spec_.temperature);
+  vth_parts_ = threshold_components(spec_, calib_, 0.0, ni);
+  q_dep_ = physics::depletion_charge(neff_, spec_.temperature, ni);
   mu0_ = physics::masetti_mobility(carrier_, neff_);
   i_scale_ = calib_.k_io * 2.0 * n_;
   const double leff = spec_.geometry.leff();

@@ -15,7 +15,11 @@
 namespace subscale::compact {
 
 /// Depletion width at threshold for doping neff [m^-3] at temperature T.
+/// The `ni` forms take n_i(T) (physics::intrinsic_density_legacy) from a
+/// caller that already has it; the others compute it.
 double depletion_width_at_threshold(double neff, double temperature);
+double depletion_width_at_threshold(double neff, double temperature,
+                                    double ni);
 
 /// Inverse subthreshold slope S_S [V/decade], paper Eq. 2(b).
 /// \param neff effective channel doping [m^-3]
@@ -23,6 +27,9 @@ double depletion_width_at_threshold(double neff, double temperature);
 /// \param leff effective channel length [m]
 double subthreshold_swing(double neff, double tox, double leff,
                           double temperature, const Calibration& calib);
+double subthreshold_swing(double neff, double tox, double leff,
+                          double temperature, const Calibration& calib,
+                          double ni);
 
 /// Long-channel limit of Eq. 2(b): drops the exponential term.
 double subthreshold_swing_long(double neff, double tox, double temperature,

@@ -50,8 +50,13 @@ inline double threshold_at(const VthComponents& c, const Calibration& calib,
 }
 
 /// Full decomposition at drain bias `vds` (source-referenced magnitude).
+/// The `ni` form takes n_i(spec.temperature) (physics::
+/// intrinsic_density_legacy) from a caller that already has it.
 VthComponents threshold_components(const DeviceSpec& spec,
                                    const Calibration& calib, double vds);
+VthComponents threshold_components(const DeviceSpec& spec,
+                                   const Calibration& calib, double vds,
+                                   double ni);
 
 /// Net threshold voltage magnitude at drain bias `vds` [V].
 double threshold_voltage(const DeviceSpec& spec, const Calibration& calib,

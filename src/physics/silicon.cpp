@@ -43,7 +43,12 @@ double intrinsic_density_legacy(double temperature_kelvin) {
 }
 
 double bulk_potential(double acceptor_density, double temperature_kelvin) {
-  const double ni = intrinsic_density_legacy(temperature_kelvin);
+  return bulk_potential(acceptor_density, temperature_kelvin,
+                        intrinsic_density_legacy(temperature_kelvin));
+}
+
+double bulk_potential(double acceptor_density, double temperature_kelvin,
+                      double ni) {
   if (acceptor_density <= ni) {
     throw std::invalid_argument("bulk_potential: doping must exceed n_i");
   }
@@ -53,7 +58,14 @@ double bulk_potential(double acceptor_density, double temperature_kelvin) {
 
 double surface_potential_at_threshold(double acceptor_density,
                                       double temperature_kelvin) {
-  return 2.0 * bulk_potential(acceptor_density, temperature_kelvin);
+  return surface_potential_at_threshold(
+      acceptor_density, temperature_kelvin,
+      intrinsic_density_legacy(temperature_kelvin));
+}
+
+double surface_potential_at_threshold(double acceptor_density,
+                                      double temperature_kelvin, double ni) {
+  return 2.0 * bulk_potential(acceptor_density, temperature_kelvin, ni);
 }
 
 double depletion_width(double acceptor_density, double surface_potential) {
@@ -66,14 +78,26 @@ double depletion_width(double acceptor_density, double surface_potential) {
 
 double max_depletion_width(double acceptor_density,
                            double temperature_kelvin) {
-  return depletion_width(
-      acceptor_density,
-      surface_potential_at_threshold(acceptor_density, temperature_kelvin));
+  return max_depletion_width(acceptor_density, temperature_kelvin,
+                             intrinsic_density_legacy(temperature_kelvin));
+}
+
+double max_depletion_width(double acceptor_density, double temperature_kelvin,
+                           double ni) {
+  return depletion_width(acceptor_density,
+                         surface_potential_at_threshold(
+                             acceptor_density, temperature_kelvin, ni));
 }
 
 double depletion_charge(double acceptor_density, double temperature_kelvin) {
+  return depletion_charge(acceptor_density, temperature_kelvin,
+                          intrinsic_density_legacy(temperature_kelvin));
+}
+
+double depletion_charge(double acceptor_density, double temperature_kelvin,
+                        double ni) {
   const double psi =
-      surface_potential_at_threshold(acceptor_density, temperature_kelvin);
+      surface_potential_at_threshold(acceptor_density, temperature_kelvin, ni);
   return std::sqrt(2.0 * kQ * kEpsSi * acceptor_density * psi);
 }
 
@@ -90,7 +114,12 @@ double oxide_capacitance(double oxide_thickness) {
 }
 
 double builtin_potential(double na, double nd, double temperature_kelvin) {
-  const double ni = intrinsic_density_legacy(temperature_kelvin);
+  return builtin_potential(na, nd, temperature_kelvin,
+                           intrinsic_density_legacy(temperature_kelvin));
+}
+
+double builtin_potential(double na, double nd, double temperature_kelvin,
+                         double ni) {
   if (na <= 0.0 || nd <= 0.0) {
     throw std::invalid_argument("builtin_potential: non-positive doping");
   }
@@ -99,8 +128,15 @@ double builtin_potential(double na, double nd, double temperature_kelvin) {
 
 double flatband_voltage_npoly_psub(double acceptor_density,
                                    double temperature_kelvin) {
+  return flatband_voltage_npoly_psub(
+      acceptor_density, temperature_kelvin,
+      intrinsic_density_legacy(temperature_kelvin));
+}
+
+double flatband_voltage_npoly_psub(double acceptor_density,
+                                   double temperature_kelvin, double ni) {
   const double eg = silicon_bandgap_ev(temperature_kelvin);
-  const double phi_f = bulk_potential(acceptor_density, temperature_kelvin);
+  const double phi_f = bulk_potential(acceptor_density, temperature_kelvin, ni);
   return -(eg / 2.0 + phi_f);
 }
 

@@ -23,13 +23,22 @@ double intrinsic_density(double temperature_kelvin);
 /// model defaults to it for fidelity with the paper's equations.
 double intrinsic_density_legacy(double temperature_kelvin);
 
+// The n_i-dependent helpers below come in two forms: the T-only form
+// evaluates n_i = intrinsic_density_legacy(T) and forwards to the form
+// taking it explicitly, which a caller evaluating many of them at one
+// temperature (the compact model's construction) uses to compute n_i once.
+
 /// Bulk Fermi potential phi_F = vT * ln(Na/ni) of p-type silicon [V].
 /// \param acceptor_density  net acceptor doping [m^-3], must be > ni.
 double bulk_potential(double acceptor_density, double temperature_kelvin);
+double bulk_potential(double acceptor_density, double temperature_kelvin,
+                      double ni);
 
 /// Surface potential at classical threshold, 2*phi_F [V].
 double surface_potential_at_threshold(double acceptor_density,
                                       double temperature_kelvin);
+double surface_potential_at_threshold(double acceptor_density,
+                                      double temperature_kelvin, double ni);
 
 /// Depletion-region width under a gate at surface potential psi_s [m]:
 /// W = sqrt(2*eps_si*psi_s/(q*Na)).
@@ -37,10 +46,14 @@ double depletion_width(double acceptor_density, double surface_potential);
 
 /// Maximum depletion width at threshold (psi_s = 2*phi_F) [m].
 double max_depletion_width(double acceptor_density, double temperature_kelvin);
+double max_depletion_width(double acceptor_density, double temperature_kelvin,
+                           double ni);
 
 /// Depletion charge per unit area at threshold [C/m^2]:
 /// Q_dep = sqrt(2*q*eps_si*Na*2phi_F).
 double depletion_charge(double acceptor_density, double temperature_kelvin);
+double depletion_charge(double acceptor_density, double temperature_kelvin,
+                        double ni);
 
 /// Depletion capacitance per unit area C_dep = eps_si / W_dep [F/m^2].
 double depletion_capacitance(double acceptor_density,
@@ -51,11 +64,15 @@ double oxide_capacitance(double oxide_thickness);
 
 /// Built-in potential of an abrupt junction with densities na, nd [V].
 double builtin_potential(double na, double nd, double temperature_kelvin);
+double builtin_potential(double na, double nd, double temperature_kelvin,
+                         double ni);
 
 /// Flat-band voltage of an n+ poly gate over p-type silicon [V].
 /// VFB = -(Eg/2 + phi_F) for a degenerate n+ poly gate (work function at
 /// the conduction band edge), ignoring oxide fixed charge.
 double flatband_voltage_npoly_psub(double acceptor_density,
                                    double temperature_kelvin);
+double flatband_voltage_npoly_psub(double acceptor_density,
+                                   double temperature_kelvin, double ni);
 
 }  // namespace subscale::physics
