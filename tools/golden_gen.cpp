@@ -8,6 +8,13 @@
 /// that shifts the physics must regenerate the fixtures DELIBERATELY
 /// and show the diff in review.
 ///
+/// tcad_equivalence.json pins the TCAD stack itself: the equivalence
+/// tier's three devices under its tight stops (currents at both tier
+/// points, psi/n/p on the surface row and channel-centre column; see
+/// tests/tcad_equivalence_fixture.h). tests/test_solver_equivalence.cpp
+/// holds its Gummel snapshots against it at the tier's own bounds. It
+/// runs six cold TCAD solves, so expect about half a minute.
+///
 ///   ./golden_gen [output_dir]     # default: tests/golden
 ///
 /// Values are written with %.17g (io::JsonWriter), so fixtures
@@ -27,6 +34,7 @@
 #include "core/scaling_study.h"
 #include "io/writer.h"
 #include "physics/units.h"
+#include "tcad_equivalence_fixture.h"
 
 namespace {
 
@@ -139,5 +147,15 @@ int main(int argc, char** argv) {
   write_fixture(dir, "fig02_ss_ionioff", fig02);
   write_fixture(dir, "fig09_lpoly_ss", fig09);
   write_fixture(dir, "nanowire_idvg", nanowire);
+
+  namespace eq = subscale::equivalence;
+  std::vector<std::pair<std::string, double>> tcad;
+  for (const eq::Fixture& f : eq::fixtures()) {
+    const eq::Snapshot s = eq::snapshot_under(f.spec, eq::tight());
+    for (auto& value : eq::fixture_values(f.name, s)) {
+      tcad.push_back(std::move(value));
+    }
+  }
+  write_fixture(dir, "tcad_equivalence", tcad);
   return 0;
 }
