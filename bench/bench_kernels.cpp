@@ -31,31 +31,13 @@ compact::DeviceSpec spec_90() {
                                        1.52e18, 3.63e18, 1.2, 1.0);
 }
 
-void BM_BandedLuFactorSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t bw = 41;
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  linalg::BandedMatrix a(n, bw, bw);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw);
-         ++j) {
-      a.at(i, j) = (i == j) ? 8.0 + dist(rng) : dist(rng);
-    }
-  }
-  std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    linalg::BandedLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_BandedLuFactorSolve)->Arg(400)->Arg(1000)->Arg(2000);
-
-// The blocked forward-elimination in BandedLu is pinned bitwise to the
-// textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
-// BandedReference.BlockedEliminationMatchesReferenceBitwise). These two
-// benchmarks measure the speed side of that equivalence; the abort
-// below makes a silent numerical drift impossible to misread as a win.
+// Banded LU at the paper shapes: the 90 nm device's 943-node system at
+// the band of either mesh numbering (41 numbering along x, 23 along the
+// shorter y axis). The blocked elimination in BandedLu is pinned bitwise
+// to the textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
+// BandedReference.BlockedEliminationMatchesReferenceBitwise); both
+// benchmarks repeat that check before timing, so a silent numerical
+// drift cannot be misread as a win.
 linalg::BandedMatrix make_bench_banded(std::size_t n, std::size_t bw) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -84,18 +66,38 @@ void check_bitwise(const std::vector<double>& fast,
   }
 }
 
-void BM_BandedLuReferenceSolve(benchmark::State& state) {
+/// The shared set-up of both LU benchmarks: the matrix at (n, bw), a
+/// right-hand side, and the bitwise check.
+linalg::BandedMatrix checked_bench_banded(const benchmark::State& state,
+                                          std::vector<double>& b) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::BandedMatrix a = make_bench_banded(n, 41);
-  std::vector<double> b(n, 1.0);
+  const std::size_t bw = static_cast<std::size_t>(state.range(1));
+  linalg::BandedMatrix a = make_bench_banded(n, bw);
+  b.assign(n, 1.0);
   check_bitwise(linalg::BandedLu(a).solve(b),
                 linalg::ReferenceBandedLu(a).solve(b), "banded lu");
+  return a;
+}
+
+void BM_BandedLuFactorSolve(benchmark::State& state) {
+  std::vector<double> b;
+  const linalg::BandedMatrix a = checked_bench_banded(state, b);
+  for (auto _ : state) {
+    linalg::BandedLu lu(a);
+    benchmark::DoNotOptimize(lu.solve(b));
+  }
+}
+BENCHMARK(BM_BandedLuFactorSolve)->Args({943, 41})->Args({943, 23});
+
+void BM_BandedLuReferenceSolve(benchmark::State& state) {
+  std::vector<double> b;
+  const linalg::BandedMatrix a = checked_bench_banded(state, b);
   for (auto _ : state) {
     linalg::ReferenceBandedLu lu(a);
     benchmark::DoNotOptimize(lu.solve(b));
   }
 }
-BENCHMARK(BM_BandedLuReferenceSolve)->Arg(400)->Arg(1000)->Arg(2000);
+BENCHMARK(BM_BandedLuReferenceSolve)->Args({943, 41})->Args({943, 23});
 
 // Scharfetter–Gummel assembly, fresh-buffers vs SgWorkspace reuse. The
 // workspace caches edge geometry + zero-field mobilities across solves;
