@@ -38,7 +38,12 @@ namespace subscale::cache {
 /// v4: the coupled-Newton strategy and the density stop were removed;
 /// mesh-continuation levels are the one accelerator hashed, and the
 /// payload trailer records them alone.
-inline constexpr std::uint64_t kTcadKeySchema = 4;
+/// v5: TensorMesh2d numbers nodes along its shorter axis (y on every
+/// paper device). State payloads are stored in node order, so a v4
+/// record decoded under the new numbering would be a permuted field;
+/// and the changed elimination order moves the converged values in the
+/// last digits, so no v4 record is a bitwise replay any more.
+inline constexpr std::uint64_t kTcadKeySchema = 5;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")

@@ -14,6 +14,7 @@ constexpr double kGeomTol = 1e-15;
 TensorMesh2d::TensorMesh2d(Grid1d x_grid, Grid1d y_grid)
     : x_(std::move(x_grid)),
       y_(std::move(y_grid)),
+      y_fastest_(y_.size() < x_.size()),
       materials_(x_.size() * y_.size(), Material::kSilicon),
       contact_of_node_(x_.size() * y_.size()) {}
 

@@ -3,8 +3,12 @@
 /// \file mesh2d.h
 /// Tensor-product rectilinear 2-D mesh with per-node material labels and
 /// named contact (Dirichlet boundary) sets. Node (i, j) sits at
-/// (x[i], y[j]); the linear index is j * nx + i so the x direction varies
-/// fastest — this gives the TCAD system matrices a bandwidth of nx.
+/// (x[i], y[j]). The linear index runs along the shorter axis first:
+/// i * ny + j when ny < nx, otherwise j * nx + i (x fastest, also on a
+/// tie). A 5-point stencil then couples nodes at most min(nx, ny) apart,
+/// which is the TCAD system matrices' bandwidth (see bandwidth()); a
+/// banded LU costs O(n * bandwidth^2), so numbering along the short axis
+/// is the cheap one. Every caller maps through index/i_of/j_of.
 ///
 /// Convention for MOSFET cross-sections: x runs along the channel
 /// (source -> drain), y runs downward into the device (y = 0 at the gate
@@ -39,10 +43,16 @@ class TensorMesh2d {
   const Grid1d& y_grid() const { return y_; }
 
   std::size_t index(std::size_t i, std::size_t j) const {
-    return j * nx() + i;
+    return y_fastest_ ? i * ny() + j : j * nx() + i;
   }
-  std::size_t i_of(std::size_t idx) const { return idx % nx(); }
-  std::size_t j_of(std::size_t idx) const { return idx / nx(); }
+  std::size_t i_of(std::size_t idx) const {
+    return y_fastest_ ? idx / ny() : idx % nx();
+  }
+  std::size_t j_of(std::size_t idx) const {
+    return y_fastest_ ? idx % ny() : idx / nx();
+  }
+  /// Largest |index(a) - index(b)| over 4-neighbour pairs: min(nx, ny).
+  std::size_t bandwidth() const { return y_fastest_ ? ny() : nx(); }
 
   // ---- control volumes (box method) ---------------------------------
 
@@ -99,6 +109,7 @@ class TensorMesh2d {
  private:
   Grid1d x_;
   Grid1d y_;
+  bool y_fastest_ = false;  ///< ny < nx: number along y first
   std::vector<Material> materials_;
   std::map<std::string, std::vector<std::size_t>> contacts_;
   std::vector<std::string> contact_of_node_;

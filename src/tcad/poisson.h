@@ -6,7 +6,7 @@
 /// carriers evaluated from frozen quasi-Fermi potentials (the inner
 /// problem of a Gummel iteration). Dirichlet at contacts, natural
 /// Neumann elsewhere; solved with damped Newton and a banded direct
-/// factorization (bandwidth = nx of the tensor mesh).
+/// factorization (bandwidth = TensorMesh2d::bandwidth(), min(nx, ny)).
 
 #include <map>
 #include <string>

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mesh/grid1d.h"
 #include "mesh/mesh2d.h"
@@ -93,13 +97,53 @@ sm::TensorMesh2d make_unit_mesh(std::size_t nx, std::size_t ny) {
 }  // namespace
 
 TEST(TensorMesh2d, IndexRoundTrip) {
-  const auto mesh = make_unit_mesh(7, 5);
-  for (std::size_t j = 0; j < mesh.ny(); ++j) {
-    for (std::size_t i = 0; i < mesh.nx(); ++i) {
-      const std::size_t idx = mesh.index(i, j);
-      EXPECT_EQ(mesh.i_of(idx), i);
-      EXPECT_EQ(mesh.j_of(idx), j);
+  // Wider than tall, taller than wide, and square: both numberings.
+  for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{7, 5},
+                               {5, 7},
+                               {6, 6}}) {
+    const auto mesh = make_unit_mesh(nx, ny);
+    std::vector<char> seen(mesh.node_count(), 0);
+    for (std::size_t j = 0; j < mesh.ny(); ++j) {
+      for (std::size_t i = 0; i < mesh.nx(); ++i) {
+        const std::size_t idx = mesh.index(i, j);
+        ASSERT_LT(idx, mesh.node_count()) << nx << "x" << ny;
+        EXPECT_EQ(seen[idx]++, 0) << nx << "x" << ny << " idx " << idx;
+        EXPECT_EQ(mesh.i_of(idx), i) << nx << "x" << ny;
+        EXPECT_EQ(mesh.j_of(idx), j) << nx << "x" << ny;
+      }
     }
+  }
+}
+
+TEST(TensorMesh2d, NumbersAlongTheShorterAxis) {
+  // The band of a 5-point stencil is the index distance between
+  // neighbours, so the mesh numbers its shorter axis first (x on a tie)
+  // and every 4-neighbour pair lies within bandwidth() = min(nx, ny).
+  for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{7, 5},
+                               {5, 7},
+                               {6, 6},
+                               {41, 23},
+                               {23, 41}}) {
+    const auto mesh = make_unit_mesh(nx, ny);
+    const std::string shape = std::to_string(nx) + "x" + std::to_string(ny);
+    EXPECT_EQ(mesh.bandwidth(), std::min(nx, ny)) << shape;
+    std::size_t widest = 0;
+    for (std::size_t j = 0; j < ny; ++j) {
+      for (std::size_t i = 0; i < nx; ++i) {
+        const std::size_t idx = mesh.index(i, j);
+        if (i + 1 < nx) {
+          const std::size_t east = mesh.index(i + 1, j);
+          widest = std::max(widest, east > idx ? east - idx : idx - east);
+          EXPECT_EQ(east - idx, ny < nx ? ny : 1) << shape;
+        }
+        if (j + 1 < ny) {
+          const std::size_t north = mesh.index(i, j + 1);
+          widest = std::max(widest, north > idx ? north - idx : idx - north);
+          EXPECT_EQ(north - idx, ny < nx ? 1 : nx) << shape;
+        }
+      }
+    }
+    EXPECT_LE(widest, mesh.bandwidth()) << shape;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "compact/device_spec.h"
 #include "compact/mosfet.h"
+#include "core/scaling_study.h"
 #include "exec/run_context.h"
 #include "mesh/mesh2d.h"
 #include "obs/metrics.h"
@@ -474,6 +475,41 @@ TEST(TcadPaperTrend, LongerGateImprovesSwing) {
       st::extract_from_sweep(long_dev.id_vg(0.25, 0.0, 0.40, 11), window);
 
   EXPECT_GT(short_ex.ss, long_ex.ss);
+}
+
+// ---- node numbering on the paper devices ------------------------------------
+
+TEST(TcadMeshNumbering, PaperDevicesNumberAlongTheirShorterAxis) {
+  // Every paper-card device (4 nodes x 2 strategies) has more mesh lines
+  // along the channel (x) than into the substrate (y), on the fine mesh
+  // and on each mesh-continuation level, so its nodes are numbered along
+  // y and the TCAD band is ny (23 instead of 41 at 90 nm).
+  const subscale::core::ScalingStudy study;
+  std::vector<sc::DeviceSpec> specs;
+  for (std::size_t i = 0; i < study.node_count(); ++i) {
+    specs.push_back(study.super_devices()[i].spec);
+    specs.push_back(study.sub_devices()[i].device.spec);
+  }
+  ASSERT_EQ(specs.size(), 8u);
+  const auto expect_y_fastest = [](const sm::TensorMesh2d& m,
+                                   const std::string& label) {
+    EXPECT_LT(m.ny(), m.nx()) << label;
+    EXPECT_EQ(m.bandwidth(), m.ny()) << label;
+    EXPECT_EQ(m.index(0, 1), 1u) << label;
+    EXPECT_EQ(m.index(1, 0), m.ny()) << label;
+  };
+  st::GummelOptions options;
+  options.mesh_continuation_levels = 2;
+  for (std::size_t d = 0; d < specs.size(); ++d) {
+    const std::string label = "device " + std::to_string(d);
+    expect_y_fastest(st::make_device_structure(specs[d]).mesh(), label);
+    const st::MeshContinuation cascade(specs[d], {}, options, {});
+    ASSERT_EQ(cascade.level_count(), 2u) << label;
+    for (std::size_t k = 0; k < cascade.level_count(); ++k) {
+      expect_y_fastest(cascade.level_mesh(k),
+                       label + " level " + std::to_string(k));
+    }
+  }
 }
 
 // ---- mesh-continuation prolongation properties -------------------------------
