@@ -55,9 +55,13 @@ struct ContinuityResult {
 /// them once and amortizes them over the hundreds of continuity solves
 /// an I-V ramp performs on that device. The band-matrix and rhs buffers
 /// are recycled between calls (zero + refill is bitwise-identical to
-/// fresh construction, and every row is rewritten each assembly).
-/// Passing a workspace changes no arithmetic: results are
-/// bitwise-identical to the workspace-free path.
+/// fresh construction, and every row is rewritten each assembly), and
+/// the matrix is factored in place with the pivots and row scales kept
+/// here too, so a solve allocates nothing. A singular system throws from
+/// the factorization with the matrix partly factored; the next assembly
+/// rewrites it, so the workspace stays usable. Passing a workspace
+/// changes no arithmetic: results are bitwise-identical to the
+/// workspace-free path.
 class SgWorkspace {
  public:
   SgWorkspace();
@@ -86,6 +90,8 @@ class SgWorkspace {
   std::vector<Edge> edges_;               ///< 4 slots (W,E,S,N) per node
   std::unique_ptr<linalg::BandedMatrix> a_;
   std::vector<double> rhs_;
+  std::vector<std::size_t> ipiv_;  ///< LU row interchanges
+  std::vector<double> row_scale_;  ///< LU row equilibration
   std::vector<double> w_;  ///< Slotboom weights scratch
 };
 
