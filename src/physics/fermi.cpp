@@ -21,22 +21,6 @@ double bernoulli(double x) {
   return x / std::expm1(x);
 }
 
-double bernoulli_derivative(double x) {
-  const double ax = std::abs(x);
-  if (ax < 1e-6) {
-    return -0.5 + x / 6.0;  // B'(x) ~ -1/2 + x/6
-  }
-  if (x > 700.0) {
-    return (1.0 - x) * std::exp(-x);
-  }
-  if (x < -700.0) {
-    return -1.0;
-  }
-  const double em1 = std::expm1(x);
-  const double ex = std::exp(x);
-  return (em1 - x * ex) / (em1 * em1);
-}
-
 double electron_density(double psi, double phi_n, double ni, double vt) {
   return ni * std::exp((psi - phi_n) / vt);
 }

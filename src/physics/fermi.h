@@ -11,9 +11,6 @@ namespace subscale::physics {
 /// stable series branch near x = 0 and an overflow-safe large-|x| branch.
 double bernoulli(double x);
 
-/// Derivative dB/dx, stable near zero.
-double bernoulli_derivative(double x);
-
 /// Electron density n = ni * exp((psi - phi_n)/vT) under Boltzmann
 /// statistics, with potentials referenced to the intrinsic level [m^-3].
 double electron_density(double psi, double phi_n, double ni, double vt);

@@ -193,15 +193,6 @@ TEST(Fermi, BernoulliLargeArguments) {
   EXPECT_NEAR(sp::bernoulli(-800.0), 800.0, 1e-9);
 }
 
-TEST(Fermi, BernoulliDerivativeMatchesFiniteDifference) {
-  for (double x : {-5.0, -0.5, -1e-7, 1e-7, 0.5, 5.0, 30.0}) {
-    const double h = 1e-6 * std::max(1.0, std::abs(x));
-    const double fd = (sp::bernoulli(x + h) - sp::bernoulli(x - h)) / (2 * h);
-    EXPECT_NEAR(sp::bernoulli_derivative(x), fd, 1e-5)
-        << "x = " << x;
-  }
-}
-
 TEST(Fermi, CarrierDensities) {
   const double ni = 1.45e16;
   const double vt = sp::kVt300;
