@@ -142,15 +142,6 @@ MeshContinuation::MeshContinuation(const compact::DeviceSpec& spec,
   }
 }
 
-std::vector<std::size_t> MeshContinuation::level_node_counts() const {
-  std::vector<std::size_t> out;
-  out.reserve(levels_.size());
-  for (const Level& level : levels_) {
-    out.push_back(level.dev->mesh().node_count());
-  }
-  return out;
-}
-
 void MeshContinuation::prolong_state(std::size_t from_level,
                                      const DeviceStructure& to,
                                      std::vector<double>& psi,
