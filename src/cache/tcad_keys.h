@@ -43,7 +43,11 @@ namespace subscale::cache {
 /// record decoded under the new numbering would be a permuted field;
 /// and the changed elimination order moves the converged values in the
 /// last digits, so no v4 record is a bitwise replay any more.
-inline constexpr std::uint64_t kTcadKeySchema = 5;
+/// v6: the Slotboom continuity assembly and its key field were removed,
+/// and the 45/32 nm meshes put their silicon surface row at y = 0
+/// (it had rounded to just above it), so those devices now converge to
+/// states no v5 record could hold.
+inline constexpr std::uint64_t kTcadKeySchema = 6;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")
@@ -106,8 +110,7 @@ inline void hash_append(KeyHasher& h, const tcad::GummelOptions& o) {
       .f64(o.poisson.divergence_threshold);
   h.tag("continuity")
       .f64(o.continuity.tau_srh)
-      .boolean(o.continuity.velocity_saturation)
-      .boolean(o.continuity.slotboom);
+      .boolean(o.continuity.velocity_saturation);
   h.tag("meshcont").u64(o.mesh_continuation_levels);
   // GummelOptions::fault intentionally absent — see the file comment.
 }

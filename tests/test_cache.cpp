@@ -929,9 +929,9 @@ TEST(StaleTempSweep, TornTempIsInvisibleSweptAndCounted) {
 
 TEST(CacheTcadKeys, AcceleratorKnobsPerturbTheKey) {
   // A cached state is only replayable under the exact solver physics
-  // that produced it: the mesh-continuation levels and the Slotboom
-  // assembly must each change the device key, or a record from one
-  // config could answer a query for another.
+  // that produced it: the mesh-continuation levels must change the
+  // device key, or a record from one config could answer a query for
+  // another.
   const sc::DeviceSpec spec = nfet_90();
   const st::MeshOptions mesh = coarse_mesh();
   const sca::HashKey base = sca::device_solve_key(spec, mesh, {});
@@ -943,9 +943,6 @@ TEST(CacheTcadKeys, AcceleratorKnobsPerturbTheKey) {
   g.mesh_continuation_levels = 1;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), two_levels);
-  g = st::GummelOptions{};
-  g.continuity.slotboom = true;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base);
 }
 
 TEST(SolveCache, StateRecordsCarryTheMeshContinuationStamp) {
