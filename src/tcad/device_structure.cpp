@@ -43,10 +43,15 @@ mesh::TensorMesh2d build_mesh(const compact::DeviceSpec& spec,
 
   // ---- y grid: oxide layer + graded silicon depth -------------------
   mesh::Grid1d yg;
+  // The interface tick is 0.0 itself: -tox + ox_h * oxide_layers can
+  // round to a hair above it (-2.07e-25 m at tox 1.70 and 1.53 nm), and
+  // finalize() would keep that tick in place of 0.0, lifting the silicon
+  // surface row out of the source/drain diffusions.
   const double ox_h = g.tox / static_cast<double>(opt.oxide_layers);
-  for (std::size_t k = 0; k <= opt.oxide_layers; ++k) {
+  for (std::size_t k = 0; k < opt.oxide_layers; ++k) {
     yg.add_point(-g.tox + ox_h * static_cast<double>(k));
   }
+  yg.add_point(0.0);
   yg.add_ticks(mesh::graded_ticks({.x0 = 0.0,
                                    .x1 = g.substrate_depth,
                                    .h0 = opt.surface_spacing,

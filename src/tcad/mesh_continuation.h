@@ -84,9 +84,9 @@ class MeshContinuation {
                   std::vector<double>& n, std::vector<double>& p);
 
   std::size_t level_count() const { return levels_.size(); }
-  /// Mesh of level k, coarsest first (test observability).
-  const mesh::TensorMesh2d& level_mesh(std::size_t k) const {
-    return levels_.at(k).dev->mesh();
+  /// Device structure of level k, coarsest first (test observability).
+  const DeviceStructure& level_device(std::size_t k) const {
+    return *levels_.at(k).dev;
   }
 
  private:

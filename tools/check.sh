@@ -205,6 +205,17 @@ if [[ -z "$sanitize" ]]; then
   echo "bench_ext_cards: card round-trip smoke passed"
   rm -rf "$cards_tmp"
 
+  # Parallel TCAD validation: bench_ext_parallel_study runs all four
+  # nodes' sweeps serially and on 4 threads and gates itself (every node
+  # usable, bitwise-identical results, >= 2x speedup where 4 hardware
+  # threads exist), exiting non-zero on any violation.
+  parallel_tmp="$(mktemp -d)"
+  (cd "$parallel_tmp" && "$build_dir/bench/bench_ext_parallel_study" \
+      > /dev/null)
+  "$repo_root/tools/bench_schema.sh" "$parallel_tmp"/BENCH_*.json
+  echo "bench_ext_parallel_study: parallel validation passed"
+  rm -rf "$parallel_tmp"
+
   # Orchestrator resume smoke: a forked-worker study, then a rerun
   # against the same dirs. The rerun must be a pure resume (claimed=0 —
   # every unit found in the content-addressed store, nothing re-solved)
