@@ -33,8 +33,11 @@ compact::DeviceSpec spec_90() {
 
 // Banded LU at the paper shapes: the 90 nm device's 943-node system at
 // the band of either mesh numbering (41 numbering along x, 23 along the
-// shorter y axis). The blocked elimination in BandedLu is pinned bitwise
-// to the textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
+// shorter y axis) as a dense random band, and as the device-shaped
+// 41 x 23 stencil (linalg::stencil_banded: identity oxide and contact
+// rows, sparse row interchanges), selected by the third argument. The
+// blocked elimination in BandedLu is pinned bitwise to the textbook loop
+// nest in ReferenceBandedLu (tier-1: test_linalg
 // BandedReference.BlockedEliminationMatchesReferenceBitwise); both
 // benchmarks repeat that check before timing, so a silent numerical
 // drift cannot be misread as a win.
@@ -66,13 +69,15 @@ void check_bitwise(const std::vector<double>& fast,
   }
 }
 
-/// The shared set-up of both LU benchmarks: the matrix at (n, bw), a
-/// right-hand side, and the bitwise check.
+/// The shared set-up of both LU benchmarks: the matrix at (n, bw, shape),
+/// a right-hand side, and the bitwise check.
 linalg::BandedMatrix checked_bench_banded(const benchmark::State& state,
                                           std::vector<double>& b) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t bw = static_cast<std::size_t>(state.range(1));
-  linalg::BandedMatrix a = make_bench_banded(n, bw);
+  linalg::BandedMatrix a = state.range(2) == 0
+                               ? make_bench_banded(n, bw)
+                               : linalg::stencil_banded(n / bw, bw, 7);
   b.assign(n, 1.0);
   check_bitwise(linalg::BandedLu(a).solve(b),
                 linalg::ReferenceBandedLu(a).solve(b), "banded lu");
@@ -87,7 +92,10 @@ void BM_BandedLuFactorSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(lu.solve(b));
   }
 }
-BENCHMARK(BM_BandedLuFactorSolve)->Args({943, 41})->Args({943, 23});
+BENCHMARK(BM_BandedLuFactorSolve)
+    ->Args({943, 41, 0})
+    ->Args({943, 23, 0})
+    ->Args({943, 23, 1});
 
 void BM_BandedLuReferenceSolve(benchmark::State& state) {
   std::vector<double> b;
@@ -97,7 +105,10 @@ void BM_BandedLuReferenceSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(lu.solve(b));
   }
 }
-BENCHMARK(BM_BandedLuReferenceSolve)->Args({943, 41})->Args({943, 23});
+BENCHMARK(BM_BandedLuReferenceSolve)
+    ->Args({943, 41, 0})
+    ->Args({943, 23, 0})
+    ->Args({943, 23, 1});
 
 // Scharfetter–Gummel assembly, fresh-buffers vs SgWorkspace reuse. The
 // workspace caches edge geometry + zero-field mobilities across solves;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
 
 namespace subscale::linalg {
@@ -95,6 +96,66 @@ std::vector<double> ReferenceBandedLu::solve(const std::vector<double>& b) const
     x[kk] = acc / at(kk, kk);
   }
   return x;
+}
+
+BandedMatrix stencil_banded(std::size_t nx, std::size_t ny, unsigned seed) {
+  constexpr std::size_t kOxideRows = 3;
+  if (nx < 4 || ny < kOxideRows + 2) {
+    throw std::invalid_argument("stencil_banded: grid too small");
+  }
+  const std::size_t n = nx * ny;
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> decade(-12, 12);
+  const auto node = [ny](std::size_t i, std::size_t j) { return i * ny + j; };
+  const auto fixed = [&](std::size_t i, std::size_t j) {
+    return j < kOxideRows || j + 1 == ny ||
+           (j == kOxideRows && (i < nx / 4 || i >= nx - nx / 4));
+  };
+  // Per edge, from node (i, j) to (i+1, j) and to (i, j+1): a conductance
+  // and a potential drop in thermal voltages, read negated from the far
+  // end, as a Scharfetter–Gummel edge is.
+  const auto drop = [&] {
+    const double reach = unit(rng) < 0.03 ? 8.0 : 0.5;
+    return reach * (2.0 * unit(rng) - 1.0);
+  };
+  std::vector<double> k_x(n), k_y(n), drop_x(n), drop_y(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    k_x[e] = 0.5 + unit(rng);
+    k_y[e] = 0.5 + unit(rng);
+    drop_x[e] = drop();
+    drop_y[e] = drop();
+  }
+
+  BandedMatrix a(n, ny, ny);
+  for (std::size_t i = 0; i < nx; ++i) {
+    for (std::size_t j = 0; j < ny; ++j) {
+      const std::size_t r = node(i, j);
+      if (fixed(i, j)) {
+        a.at(r, r) = 1.0;
+        continue;
+      }
+      const double scale = std::pow(10.0, decade(rng));
+      double diag = -1e-3 * unit(rng);  // recombination
+      const auto couple = [&](std::size_t nb, double k, double drop) {
+        if (nb % ny < kOxideRows) return;  // no flux into the oxide
+        a.at(r, nb) = scale * (k * std::exp(-0.5 * drop));
+        diag -= k * std::exp(0.5 * drop);
+      };
+      if (i > 0) {
+        const std::size_t w = node(i - 1, j);
+        couple(w, k_x[w], -drop_x[w]);
+      }
+      if (i + 1 < nx) couple(node(i + 1, j), k_x[r], drop_x[r]);
+      if (j > 0) {
+        const std::size_t s = node(i, j - 1);
+        couple(s, k_y[s], -drop_y[s]);
+      }
+      if (j + 1 < ny) couple(node(i, j + 1), k_y[r], drop_y[r]);
+      a.at(r, r) = scale * diag;
+    }
+  }
+  return a;
 }
 
 }  // namespace subscale::linalg

@@ -41,4 +41,19 @@ class ReferenceBandedLu {
   double at(std::size_t r, std::size_t c) const { return dense_[r * n_ + c]; }
 };
 
+/// A system shaped like the TCAD continuity matrices, for the kernel
+/// tests and benchmarks: a 5-point stencil on an nx x ny grid numbered
+/// along y (node i*ny + j, so kl = ku = ny). The top three grid rows are
+/// oxide, whose rows are identity rows that no other row couples to; the
+/// outer quarters of the next (surface) row and the whole bottom row are
+/// contacts, identity rows that their neighbours do couple to. Every
+/// other row carries Scharfetter–Gummel-like couplings over random
+/// potential drops (about one edge in thirty steep) and is scaled by a
+/// random power of ten in [1e-12, 1e12]. Like the device matrices, it
+/// swaps rows at a minority of the elimination steps, and fill from an
+/// earlier swap is still live at later steps that do not swap.
+/// Deterministic in `seed`.
+BandedMatrix stencil_banded(std::size_t nx, std::size_t ny,
+                            unsigned seed);
+
 }  // namespace subscale::linalg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -304,10 +305,12 @@ TEST(BandedReference, BlockedEliminationMatchesReferenceBitwise) {
   // column-outer unit-stride loops with a 4-wide body; the reference
   // keeps textbook row-outer order. Same element-wise operations, same
   // operands -> the SOLUTIONS must agree bitwise, not merely to
-  // rounding. Covers square and skew bands, with and without 24-decade
-  // row-scale mixes, the 943-node system of the 90 nm device at the
-  // band of either mesh numbering (23 and 41), and a near-zero diagonal
-  // that forces a row interchange at almost every step.
+  // rounding (memcmp, so a flipped -0.0 or a different NaN counts).
+  // Covers square and skew bands, with and without 24-decade row-scale
+  // mixes, the 943-node system of the 90 nm device at the band of either
+  // mesh numbering (23 and 41), a near-zero diagonal that forces a row
+  // interchange at almost every step, and a device-shaped stencil whose
+  // sparse interchanges leave fill live across steps that do not swap.
   const auto expect_bitwise = [](const sl::BandedMatrix& a,
                                  const std::string& label) {
     std::vector<double> b(a.size());
@@ -317,7 +320,8 @@ TEST(BandedReference, BlockedEliminationMatchesReferenceBitwise) {
     const auto x_ref = sl::ReferenceBandedLu(a).solve(b);
     ASSERT_EQ(x_fast.size(), x_ref.size()) << label;
     for (std::size_t i = 0; i < x_fast.size(); ++i) {
-      ASSERT_EQ(x_fast[i], x_ref[i]) << label << " i=" << i;
+      ASSERT_EQ(std::memcmp(&x_fast[i], &x_ref[i], sizeof(double)), 0)
+          << label << " i=" << i << ": " << x_fast[i] << " vs " << x_ref[i];
     }
   };
   const std::pair<std::size_t, std::size_t> bands[] = {
@@ -339,4 +343,28 @@ TEST(BandedReference, BlockedEliminationMatchesReferenceBitwise) {
     }
     expect_bitwise(pivoting, "pivoting n=943 bw=" + std::to_string(bw));
   }
+
+  // The 90 nm device's shape: 41 x 23 numbered along y. Check that it
+  // really is the sparse-pivot regime: some steps swap, most do not, and
+  // at some step without a swap the fill reach of an earlier swap,
+  // max(pivot row + ku), still runs past the step's own row + ku.
+  const sl::BandedMatrix stencil = sl::stencil_banded(41, 23, 20070604);
+  expect_bitwise(stencil, "stencil 41x23");
+  sl::BandedMatrix lu = stencil;
+  std::vector<std::size_t> ipiv;
+  std::vector<double> row_scale;
+  sl::banded_lu_factor_in_place(lu, ipiv, row_scale);
+  const std::size_t n = stencil.size();
+  const std::size_t ku = stencil.upper_bandwidth();
+  std::size_t swaps = 0;
+  std::size_t carried = 0;
+  std::size_t reach = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (ipiv[k] != k) ++swaps;
+    if (ipiv[k] == k && reach > std::min(n - 1, k + ku)) ++carried;
+    reach = std::max(reach, std::min(n - 1, ipiv[k] + ku));
+  }
+  EXPECT_GT(swaps, 0u);
+  EXPECT_LT(swaps, n / 4);
+  EXPECT_GT(carried, 0u);
 }
