@@ -21,8 +21,9 @@ class BandedMatrix;
 /// orders, which plain partial pivoting cannot survive). On return `a`'s
 /// band storage holds the factors, ipiv[k] the row swapped with row k at
 /// step k, and row_scale[r] row r's equilibration factor. Throws
-/// std::runtime_error on a zero or non-finite row or a singular pivot,
-/// leaving `a` partly factored; refill every entry before reusing it.
+/// std::runtime_error on a zero or non-finite row (before any row is
+/// scaled) or a singular pivot (with `a` partly factored); refill every
+/// entry, the fill rows included (set_zero), before reusing it.
 /// Allocates nothing when ipiv and row_scale already hold a.size()
 /// entries.
 void banded_lu_factor_in_place(BandedMatrix& a,
