@@ -72,17 +72,24 @@ double saturation_velocity(Carrier carrier, double temperature_kelvin) {
   return vsat300 * std::pow(kT300 / temperature_kelvin, k);
 }
 
-double caughey_thomas_mobility(Carrier carrier, double low_field_mobility,
-                               double parallel_field,
-                               double temperature_kelvin) {
+double caughey_thomas_mobility_vsat(Carrier carrier,
+                                    double low_field_mobility,
+                                    double parallel_field, double vsat) {
   if (low_field_mobility <= 0.0) {
     throw std::invalid_argument("caughey_thomas_mobility: mu0 <= 0");
   }
-  const double vsat = saturation_velocity(carrier, temperature_kelvin);
   const double beta = (carrier == Carrier::kElectron) ? 2.0 : 1.0;
   const double e = std::abs(parallel_field);
   const double x = low_field_mobility * e / vsat;
   return low_field_mobility / std::pow(1.0 + std::pow(x, beta), 1.0 / beta);
+}
+
+double caughey_thomas_mobility(Carrier carrier, double low_field_mobility,
+                               double parallel_field,
+                               double temperature_kelvin) {
+  return caughey_thomas_mobility_vsat(
+      carrier, low_field_mobility, parallel_field,
+      saturation_velocity(carrier, temperature_kelvin));
 }
 
 double surface_degradation(Carrier carrier, double effective_normal_field,

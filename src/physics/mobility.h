@@ -18,8 +18,16 @@ double masetti_mobility(Carrier carrier, double total_doping);
 /// Saturation velocity [m/s] (Canali-style temperature dependence).
 double saturation_velocity(Carrier carrier, double temperature_kelvin);
 
-/// Caughey–Thomas field-dependent mobility [m^2/Vs]:
+/// Caughey–Thomas field-dependent mobility [m^2/Vs] at saturation
+/// velocity `vsat` [m/s]:
 /// mu(E) = mu0 / (1 + (mu0*E/vsat)^beta)^(1/beta), beta=2 (n), 1 (p).
+/// Callers evaluating many edges at one temperature compute
+/// saturation_velocity once and call this form.
+double caughey_thomas_mobility_vsat(Carrier carrier,
+                                    double low_field_mobility,
+                                    double parallel_field, double vsat);
+
+/// caughey_thomas_mobility_vsat at saturation_velocity(carrier, T).
 double caughey_thomas_mobility(Carrier carrier, double low_field_mobility,
                                double parallel_field,
                                double temperature_kelvin);
