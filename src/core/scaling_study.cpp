@@ -162,8 +162,7 @@ std::vector<TcadNodeValidation> ScalingStudy::tcad_validation(
   };
 
   return exec::values_or_throw(exec::parallel_map<TcadNodeValidation>(
-      nodes.size(), run_node, options.run.exec,
-      exec::TaskObs{prof, options.run.trace}));
+      nodes.size(), run_node, options.run.exec, prof));
 }
 
 }  // namespace subscale::core

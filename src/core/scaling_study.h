@@ -61,7 +61,7 @@ struct TcadValidationOptions {
   /// the old separate `strict`/`exec` knobs). run.exec drives the
   /// per-node task fan-out; run.strict rethrows the first solver
   /// failure (in node order) instead of recording and continuing;
-  /// run.metrics/run.trace flow into every device and sweep. Results
+  /// run.metrics/run.profiler flow into every device and sweep. Results
   /// are bitwise-identical at every thread count; {threads = 1} is the
   /// exact serial path.
   exec::RunContext run{};

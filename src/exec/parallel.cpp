@@ -1,13 +1,11 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 
 #include "exec/task_pool.h"
 #include "obs/names.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace subscale::exec {
 
@@ -28,40 +26,21 @@ TaskError capture(std::size_t index) {
 }
 
 /// One task body with its observability wrapper. Shared by the serial
-/// and pooled paths so a loop records the same events (one "exec.task"
-/// span + one kTaskSpan trace event per index) at any thread count.
+/// and pooled paths so a loop records the same spans (one "exec.task"
+/// span per index) at any thread count.
 void run_task(const std::function<void(std::size_t)>& fn, std::size_t i,
-              obs::SpanProfiler* profiler, obs::TraceRing* trace) {
+              obs::SpanProfiler* profiler) {
   const obs::ScopedSpan span(profiler, obs::names::spans::kTask);
-  if (trace == nullptr) {
-    fn(i);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    fn(i);
-  } catch (...) {
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    trace->record(obs::TraceKind::kTaskSpan, "parallel_for",
-                  static_cast<double>(i), ms);
-    throw;
-  }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  trace->record(obs::TraceKind::kTaskSpan, "parallel_for",
-                static_cast<double>(i), ms);
+  fn(i);
 }
 
 std::vector<TaskError> serial_for(
     std::size_t n, const std::function<void(std::size_t)>& fn,
-    obs::SpanProfiler* profiler, obs::TraceRing* trace) {
+    obs::SpanProfiler* profiler) {
   std::vector<TaskError> errors;
   for (std::size_t i = 0; i < n; ++i) {
     try {
-      run_task(fn, i, profiler, trace);
+      run_task(fn, i, profiler);
     } catch (...) {
       errors.push_back(capture(i));
     }
@@ -73,14 +52,11 @@ std::vector<TaskError> serial_for(
 
 std::vector<TaskError> parallel_for(
     std::size_t n, const std::function<void(std::size_t)>& fn,
-    const ExecPolicy& policy, const TaskObs& task_obs) {
-  obs::SpanProfiler* profiler = task_obs.profiler != nullptr
-                                    ? task_obs.profiler
-                                    : obs::default_profiler();
-  obs::TraceRing* trace = task_obs.trace;
+    const ExecPolicy& policy, obs::SpanProfiler* profiler) {
+  if (profiler == nullptr) profiler = obs::default_profiler();
   const std::size_t threads = std::min(policy.resolved_threads(), n);
   if (threads <= 1 || TaskPool::on_worker_thread()) {
-    return serial_for(n, fn, profiler, trace);
+    return serial_for(n, fn, profiler);
   }
 
   std::vector<TaskError> errors;
@@ -88,9 +64,9 @@ std::vector<TaskError> parallel_for(
   {
     TaskPool pool(threads);
     for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&fn, &errors, &errors_mu, profiler, trace, i] {
+      pool.submit([&fn, &errors, &errors_mu, profiler, i] {
         try {
-          run_task(fn, i, profiler, trace);
+          run_task(fn, i, profiler);
         } catch (...) {
           TaskError error = capture(i);
           std::lock_guard<std::mutex> lock(errors_mu);

@@ -30,7 +30,6 @@
 
 namespace subscale::obs {
 class SpanProfiler;
-class TraceRing;
 }  // namespace subscale::obs
 
 namespace subscale::exec {
@@ -43,22 +42,17 @@ struct TaskError {
   std::exception_ptr exception;
 };
 
-/// Observability hooks for one parallel loop. `profiler` null falls
-/// back to obs::default_profiler(); `trace` null disables task events
-/// (no process default, matching RunContext::trace). Each task then
-/// records one "exec.task" span and one kTaskSpan trace event carrying
-/// (index, duration ms) — on the serial path too, so task *counts* stay
-/// thread-count-invariant per the §10.3 determinism contract.
-struct TaskObs {
-  obs::SpanProfiler* profiler = nullptr;
-  obs::TraceRing* trace = nullptr;
-};
-
 /// Run fn(i) for i in [0, n), capturing per-task exceptions. Returns
 /// the failures sorted by index (empty = all tasks succeeded).
+///
+/// Each task records one "exec.task" span into `profiler` (null falls
+/// back to obs::default_profiler()) — on the serial path too, so task
+/// *counts* stay thread-count-invariant per the §10.3 determinism
+/// contract. The span carries the recording thread's tid.
 std::vector<TaskError> parallel_for(
     std::size_t n, const std::function<void(std::size_t)>& fn,
-    const ExecPolicy& policy = global_policy(), const TaskObs& obs = {});
+    const ExecPolicy& policy = global_policy(),
+    obs::SpanProfiler* profiler = nullptr);
 
 /// Rethrow the lowest-index failure (no-op when there is none). This
 /// is what strict modes use: the first failure in index order is the
@@ -80,11 +74,12 @@ struct TaskResult {
 template <typename T>
 std::vector<TaskResult<T>> parallel_map(
     std::size_t n, const std::function<T(std::size_t)>& fn,
-    const ExecPolicy& policy = global_policy(), const TaskObs& obs = {}) {
+    const ExecPolicy& policy = global_policy(),
+    obs::SpanProfiler* profiler = nullptr) {
   std::vector<TaskResult<T>> results(n);
   const std::vector<TaskError> errors = parallel_for(
       n, [&](std::size_t i) { results[i].value.emplace(fn(i)); }, policy,
-      obs);
+      profiler);
   for (std::size_t i = 0; i < n; ++i) results[i].index = i;
   for (const TaskError& e : errors) {
     results[e.index].error = e.message;

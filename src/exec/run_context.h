@@ -15,8 +15,6 @@
 ///                 process-wide obs::default_registry()", which is
 ///                 itself null unless installed — the zero-overhead
 ///                 default.
-///   * `trace`   — optional structured event ring (stage enter/exit,
-///                 retry, step-halve, rollback, fault injection).
 ///   * `profiler` — optional hierarchical span profiler. Null falls
 ///                 back to obs::default_profiler() (itself null unless
 ///                 installed), mirroring `metrics`.
@@ -40,7 +38,6 @@
 #include "obs/convergence.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace subscale::cache {
 class SolveCache;
@@ -52,7 +49,6 @@ namespace subscale::exec {
 struct RunContext {
   ExecPolicy exec{};
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRing* trace = nullptr;
   obs::SpanProfiler* profiler = nullptr;
   obs::ConvergenceRecorder* convergence = nullptr;
   cache::SolveCache* cache = nullptr;

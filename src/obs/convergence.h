@@ -15,7 +15,7 @@
 /// Concurrency: the solver builds each trajectory privately and commits
 /// it whole, so the recorder's lock is taken once per solve, never per
 /// iteration. Capacity is fixed at construction; trajectories past it
-/// are dropped and counted, soak-run safe like the trace ring.
+/// are dropped and counted, soak-run safe like the span profiler.
 
 #include <cstddef>
 #include <cstdint>

@@ -6,11 +6,21 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/trace.h"
-
 namespace subscale::obs {
 
 namespace {
+
+/// Small dense ordinal of the calling thread (0, 1, 2, ... in first-use
+/// order, process-wide), so concurrent spans attribute to distinct
+/// tracks. Stable for a thread's lifetime; NOT stable across runs
+/// (scheduling decides first-use order), so it is diagnostic, never
+/// part of a determinism contract.
+std::uint32_t thread_ordinal() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(

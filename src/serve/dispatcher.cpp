@@ -361,12 +361,6 @@ Result Dispatcher::compute_metrics(const Query& query) {
     p.admission.governor = a.options().latency_target_ms > 0.0;
     p.admission.latency_target_ms = a.options().latency_target_ms;
   }
-  if (obs::TraceRing* ring = options_.run.trace; ring != nullptr) {
-    p.has_trace = true;
-    p.trace.recorded = ring->total_recorded();
-    p.trace.dropped = ring->dropped();
-    p.trace.capacity = ring->capacity();
-  }
   if (obs::SpanProfiler* prof = options_.run.span_sink(); prof != nullptr) {
     const obs::ProfileSnapshot snap = prof->snapshot();
     p.has_profiler = true;

@@ -114,7 +114,7 @@ class Dispatcher {
   Result compute_design(const Query& query);
   Result compute_figure(const Query& query);
   Result compute_info(const Query& query);
-  /// Non-perturbing by contract: snapshots the registry/admission/trace/
+  /// Non-perturbing by contract: snapshots the registry/admission/
   /// profiler without bumping serve.executed (or any other counter), so
   /// two back-to-back metrics queries against unchanged state render
   /// byte-identical documents.

@@ -343,17 +343,6 @@ void write_metrics(io::Writer& w, const MetricsPayload& p) {
     w.value(p.admission.latency_target_ms);
     w.end_object();
   }
-  if (p.has_trace) {
-    w.key("trace");
-    w.begin_object();
-    w.key("recorded");
-    w.value(p.trace.recorded);
-    w.key("dropped");
-    w.value(p.trace.dropped);
-    w.key("capacity");
-    w.value(p.trace.capacity);
-    w.end_object();
-  }
   if (p.has_profiler) {
     w.key("profiler");
     w.begin_object();
@@ -618,15 +607,6 @@ bool parse_result(const std::string& text, Result& out, std::string* error) {
         p.admission.latency_target_ms =
             a->number_at("latency_target_ms", 0.0);
       }
-      if (const io::JsonPtr t = body->get("trace"); t != nullptr) {
-        p.has_trace = true;
-        p.trace.recorded =
-            static_cast<std::uint64_t>(t->number_at("recorded", 0.0));
-        p.trace.dropped =
-            static_cast<std::uint64_t>(t->number_at("dropped", 0.0));
-        p.trace.capacity =
-            static_cast<std::uint64_t>(t->number_at("capacity", 0.0));
-      }
       if (const io::JsonPtr pr = body->get("profiler"); pr != nullptr) {
         p.has_profiler = true;
         p.profiler.spans =
@@ -726,14 +706,6 @@ std::string metrics_to_prometheus(const MetricsPayload& payload) {
                 payload.admission.governor ? "1" : "0");
     prom_scalar(out, "subscale_admission_latency_target_ms", "gauge",
                 prom_value(payload.admission.latency_target_ms));
-  }
-  if (payload.has_trace) {
-    prom_scalar(out, "subscale_trace_recorded", "counter",
-                std::to_string(payload.trace.recorded));
-    prom_scalar(out, "subscale_trace_dropped", "counter",
-                std::to_string(payload.trace.dropped));
-    prom_scalar(out, "subscale_trace_capacity", "gauge",
-                std::to_string(payload.trace.capacity));
   }
   if (payload.has_profiler) {
     prom_scalar(out, "subscale_profiler_spans", "counter",

@@ -164,12 +164,12 @@ struct InfoPayload {
 /// kMetrics payload: the full structured telemetry export — every
 /// counter, gauge and histogram (buckets AND interpolated percentiles)
 /// of the dispatcher's live registry, plus the admission governor's
-/// state, trace-ring drop accounting and the profiler span rollup when
-/// those are wired. Deliberately clock-free (no uptime field) and
-/// gathered without bumping any serve.* counter, so answering it does
-/// not perturb what it reports — the same query against the daemon
-/// socket and against a local Dispatcher sharing the registry renders
-/// byte-identical documents (tests/test_serve.cpp pins this).
+/// state and the profiler span rollup when those are wired.
+/// Deliberately clock-free (no uptime field) and gathered without
+/// bumping any serve.* counter, so answering it does not perturb what
+/// it reports — the same query against the daemon socket and against a
+/// local Dispatcher sharing the registry renders byte-identical
+/// documents (tests/test_serve.cpp pins this).
 struct MetricsPayload {
   bool enabled = false;  ///< false: no registry wired; blocks empty
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -195,12 +195,6 @@ struct MetricsPayload {
     bool governor = false;  ///< latency_target_ms > 0
     double latency_target_ms = 0.0;
   } admission;
-  bool has_trace = false;
-  struct TraceState {
-    std::uint64_t recorded = 0;  ///< total events, incl. overwritten
-    std::uint64_t dropped = 0;   ///< lost to ring overwrite
-    std::uint64_t capacity = 0;
-  } trace;
   bool has_profiler = false;
   struct ProfilerState {
     std::uint64_t spans = 0;

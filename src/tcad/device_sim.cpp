@@ -383,9 +383,6 @@ SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
     const double wall_ms = timer.stop();
     result.timings.push_back({vg, wall_ms, report.total_gummel_iterations,
                               report.retries, report.converged});
-    if (ctx.trace != nullptr) {
-      ctx.trace->record(obs::TraceKind::kSweepPoint, "id_vg", vg, wall_ms);
-    }
     if (report.converged) {
       if (sink != nullptr) {
         sink->counter(obs::names::kSweepPointsConverged).add(1);

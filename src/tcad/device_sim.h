@@ -17,10 +17,10 @@
 /// throw-on-first-failure semantics.
 ///
 /// Telemetry: the RunContext passed at construction supplies the
-/// metrics sink and trace ring for the device's solver and for the
-/// sweep loop itself (per-point counters, timings, and kSweepPoint
-/// trace events). An id_vg overload accepts a per-sweep context to
-/// override strictness for one call.
+/// metrics sink and span profiler for the device's solver and for the
+/// sweep loop itself (per-point counters, the tcad.sweep.point span and
+/// latency histogram, and SweepResult::timings). An id_vg overload
+/// accepts a per-sweep context to override strictness for one call.
 ///
 /// Caching: the context's solve cache (RunContext::cache_sink()) is
 /// resolved once at construction, like the metrics sink. When present:

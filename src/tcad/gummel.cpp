@@ -70,7 +70,6 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
                                            const exec::RunContext& ctx)
     : dev_(dev),
       options_(options),
-      trace_(ctx.trace),
       prof_(ctx.span_sink()),
       recorder_(ctx.convergence) {
   options_.validate();
@@ -120,8 +119,6 @@ bool DriftDiffusionSolver::fault_fires(
   if (v < f.min_bias || v >= f.max_bias) return false;
   --fault_budget_;
   if (ins_.faults_injected != nullptr) ins_.faults_injected->add(1);
-  trace(obs::TraceKind::kFaultInjected, to_string(stage),
-        static_cast<double>(iteration));
   return true;
 }
 
@@ -151,7 +148,6 @@ void DriftDiffusionSolver::solve_equilibrium() {
   report_.target = biases_;
 
   double damping = options_.damping;
-  trace(obs::TraceKind::kStageEnter, "equilibrium");
   while (true) {
     neutral_guess();
     const GummelOutcome out = gummel_at(biases_, damping);
@@ -160,14 +156,10 @@ void DriftDiffusionSolver::solve_equilibrium() {
     report_.final_damping = damping;
     if (out.status == SolveStatus::kConverged) {
       solved_ = true;
-      trace(obs::TraceKind::kStageExit, "equilibrium",
-            static_cast<double>(out.iterations), out.residual);
       return;
     }
     ++report_.retries;
     if (ins_.retries != nullptr) ins_.retries->add(1);
-    trace(obs::TraceKind::kRetry, "equilibrium",
-          static_cast<double>(out.iterations), out.residual);
     report_.failures.push_back({biases_, out.stage, out.status,
                                 out.iterations, out.stage_iterations,
                                 out.residual, 0.0, damping});
@@ -177,7 +169,6 @@ void DriftDiffusionSolver::solve_equilibrium() {
       if (ins_.damping_tightenings != nullptr) {
         ins_.damping_tightenings->add(1);
       }
-      trace(obs::TraceKind::kDampingTighten, "equilibrium", damping);
       continue;
     }
     report_.converged = false;
@@ -185,7 +176,6 @@ void DriftDiffusionSolver::solve_equilibrium() {
     report_.status = out.status;
     report_.failed_biases = biases_;
     if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
-    trace(obs::TraceKind::kPointFailed, "equilibrium");
     throw SolverError(report_);
   }
 }
@@ -242,7 +232,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
   // leave the solver at the last converged bias point.
   double step = options_.bias_step;
   double damping = options_.damping;
-  trace(obs::TraceKind::kStageEnter, "bias_ramp");
   while (true) {
     double max_gap = 0.0;
     for (const auto& [name, v] : target) {
@@ -255,8 +244,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
       report_.status = SolveStatus::kStalled;
       report_.failed_biases = biases_;
       if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
-      trace(obs::TraceKind::kPointFailed, "bias_ramp",
-            static_cast<double>(report_.continuation_steps));
       break;
     }
     const double frac = std::min(1.0, step / max_gap);
@@ -288,39 +275,29 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
     ++report_.retries;
     if (ins_.rollbacks != nullptr) ins_.rollbacks->add(1);
     if (ins_.retries != nullptr) ins_.retries->add(1);
-    trace(obs::TraceKind::kRollback, to_string(out.stage),
-          static_cast<double>(out.iterations), out.residual);
     report_.failures.push_back({trial, out.stage, out.status, out.iterations,
                                 out.stage_iterations, out.residual, step,
                                 damping});
     if (step > options_.min_bias_step) {
       step = std::max(options_.min_bias_step, 0.5 * step);
       if (ins_.step_halvings != nullptr) ins_.step_halvings->add(1);
-      trace(obs::TraceKind::kStepHalve, "bias_ramp", step);
     } else if (damping > options_.min_damping) {
       damping = std::max(options_.min_damping,
                          options_.retry_damping * damping);
       if (ins_.damping_tightenings != nullptr) {
         ins_.damping_tightenings->add(1);
       }
-      trace(obs::TraceKind::kDampingTighten, "bias_ramp", damping);
     } else {
       report_.converged = false;
       report_.failed_stage = out.stage;
       report_.status = out.status;
       report_.failed_biases = trial;
       if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
-      trace(obs::TraceKind::kPointFailed, to_string(out.stage));
       break;
     }
   }
   report_.final_bias_step = step;
   report_.final_damping = damping;
-  if (report_.converged) {
-    trace(obs::TraceKind::kStageExit, "bias_ramp",
-          static_cast<double>(report_.continuation_steps),
-          static_cast<double>(report_.total_gummel_iterations));
-  }
   return report_;
 }
 
@@ -363,12 +340,8 @@ bool DriftDiffusionSolver::solve_equilibrium_with_guess(
     if (out.status == SolveStatus::kConverged) {
       solved_ = true;
       report_.seed_used = true;
-      trace(obs::TraceKind::kStageExit, "equilibrium_seed",
-            static_cast<double>(out.iterations), out.residual);
       return true;
     }
-    trace(obs::TraceKind::kRetry, "equilibrium_seed",
-          static_cast<double>(out.iterations), out.residual);
   }
   // The cold ladder rebuilds its own neutral guess, so a failed or
   // malformed seed costs nothing but the attempt.
@@ -394,7 +367,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
     p_ = p;
     report_ = SolverReport{};
     report_.target = target;
-    trace(obs::TraceKind::kStageEnter, "bias_seed");
     const GummelOutcome out = gummel_at(target, options_.damping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
@@ -405,8 +377,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
       report_.continuation_steps = 1;
       report_.seed_used = true;
       if (ins_.continuation_steps != nullptr) ins_.continuation_steps->add(1);
-      trace(obs::TraceKind::kStageExit, "bias_seed",
-            static_cast<double>(out.iterations), out.residual);
       return report_;
     }
     psi_ = snap_psi;
@@ -414,8 +384,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
     p_ = snap_p;
     biases_ = snap_biases;
     if (ins_.rollbacks != nullptr) ins_.rollbacks->add(1);
-    trace(obs::TraceKind::kRollback, "bias_seed",
-          static_cast<double>(out.iterations), out.residual);
   }
   return try_solve_bias(vg, vd, vs, vb);
 }

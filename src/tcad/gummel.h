@@ -18,7 +18,6 @@
 
 #include "exec/run_context.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "tcad/continuity.h"
 #include "tcad/device_structure.h"
 #include "tcad/poisson.h"
@@ -83,10 +82,10 @@ struct GummelOptions {
 class DriftDiffusionSolver {
  public:
   /// Validates `options` and `ctx` (throws std::invalid_argument on bad
-  /// fields). The context supplies the telemetry sink and event trace
-  /// for every solve this instance runs; with the default context and
-  /// no process-wide registry installed, instrumentation reduces to
-  /// null-pointer tests.
+  /// fields). The context supplies the telemetry sink, span profiler
+  /// and convergence recorder for every solve this instance runs; with
+  /// the default context and no process-wide registry installed,
+  /// instrumentation reduces to null-pointer tests.
   explicit DriftDiffusionSolver(const DeviceStructure& dev,
                                 const GummelOptions& options = {},
                                 const exec::RunContext& ctx = {});
@@ -199,15 +198,9 @@ class DriftDiffusionSolver {
     obs::Histogram* iterations_per_solve = nullptr;
   };
 
-  void trace(obs::TraceKind kind, const char* what, double a = 0.0,
-             double b = 0.0) {
-    if (trace_ != nullptr) trace_->record(kind, what, a, b);
-  }
-
   const DeviceStructure& dev_;
   GummelOptions options_;
   Instruments ins_;
-  obs::TraceRing* trace_ = nullptr;
   obs::SpanProfiler* prof_ = nullptr;  ///< resolved once (span_sink())
   obs::ConvergenceRecorder* recorder_ = nullptr;  ///< opt-in, may be null
   std::vector<double> psi_;

@@ -835,34 +835,6 @@ TEST(ServeMetrics, PayloadJsonRoundTripsAndRendersPrometheus) {
   EXPECT_EQ(sv::metrics_to_prometheus(parsed.metrics), prom);
 }
 
-TEST(ServeMetrics, SnapshotSurfacesTraceRingDropAccounting) {
-  subscale::obs::MetricsRegistry registry;
-  subscale::obs::TraceRing ring(4);
-  for (int i = 0; i < 10; ++i) {
-    ring.record(subscale::obs::TraceKind::kStageEnter, "stage");
-  }
-  ASSERT_GT(ring.dropped(), 0u);
-
-  sv::DispatcherOptions options;
-  options.run.metrics = &registry;
-  options.run.trace = &ring;
-  sv::Dispatcher dispatcher(options);
-  sv::Query q;
-  q.kind = sv::QueryKind::kMetrics;
-  const sv::Result result = dispatcher.dispatch(q);
-  ASSERT_TRUE(result.ok);
-  ASSERT_TRUE(result.metrics.has_trace);
-  EXPECT_EQ(result.metrics.trace.capacity, 4u);
-  EXPECT_EQ(result.metrics.trace.recorded, 10u);
-  EXPECT_EQ(result.metrics.trace.dropped, ring.dropped());
-
-  // The drop accounting survives the wire too.
-  sv::Result parsed;
-  ASSERT_TRUE(sv::parse_result(sv::result_to_json(result), parsed));
-  EXPECT_TRUE(parsed.metrics.has_trace);
-  EXPECT_EQ(parsed.metrics.trace.dropped, result.metrics.trace.dropped);
-}
-
 TEST(ServeMetrics, SnapshotCarriesProfilerRollupWhenWired) {
   subscale::obs::MetricsRegistry registry;
   subscale::obs::SpanProfiler profiler;
