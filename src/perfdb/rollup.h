@@ -8,16 +8,16 @@
 /// gate the newest record against the ROLLING BASELINE — the median of
 /// the last N prior runs — instead of a single predecessor.
 ///
-/// Why a rolling median beats the pairwise obs_diff gate it supersedes:
-/// a 3%-per-PR drift never trips a 10% pairwise diff, but after four
-/// PRs the newest run is ~13% over the window median and the trend gate
-/// fires. The median also shrugs off one noisy or anomalous baseline
-/// run where a mean (or a single-predecessor diff) would not. obs_diff
-/// stays available for explicit two-record comparisons.
+/// Why a rolling median beats a pairwise diff: a 3%-per-PR drift never
+/// trips a 10% pairwise diff, but after four PRs the newest run is ~13%
+/// over the window median and the trend gate fires. The median also
+/// shrugs off one noisy or anomalous baseline run where a mean (or a
+/// single-predecessor diff) would not. An explicit two-record
+/// comparison (`obs_trend diff`) is the same gate over a two-record
+/// history, so the older record alone is the baseline.
 ///
 /// Which keys gate, and how hard, comes from the one schema table
-/// (obs::names::regression_gated + per-metric tolerance overrides) —
-/// the same policy the pairwise gate applies, applied longitudinally.
+/// (obs::names::regression_gated + per-metric tolerance overrides).
 
 #include <cstddef>
 #include <string>
@@ -68,8 +68,8 @@ struct TrendGateOptions {
   double tolerance = 0.10;
   /// Per-metric tolerance overrides, exact flat key -> tolerance.
   std::vector<std::pair<std::string, double>> tolerance_overrides;
-  /// Gate latency-histogram .sum keys too (wall clock; off by default
-  /// for the same reason obs_diff skips *_ms.sum).
+  /// Gate latency-histogram .sum keys too (wall clock, not effort, so
+  /// off by default).
   bool include_timing = false;
   /// Gate the record-level wall_ms as well (timing; off by default).
   bool gate_wall_ms = false;
@@ -106,8 +106,8 @@ struct TrendReport {
 /// returns it) against the rolling baseline. Fewer than 2 records gates
 /// nothing and passes — a fresh history cannot regress. A gated key
 /// present anywhere in the baseline window but missing from the newest
-/// record fails (schema drift, same stance as obs_diff's MISSING); a
-/// key new in the newest record has no baseline and is skipped.
+/// record fails (schema drift, reported as MISSING); a key new in the
+/// newest record has no baseline and is skipped.
 TrendReport trend_gate(const std::vector<PerfRecord>& history,
                        const TrendGateOptions& options = {});
 
