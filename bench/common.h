@@ -15,7 +15,7 @@
 /// standard metric schema, and writes the snapshot into the record's
 /// "obs" block — so every BENCH json carries the full counter set
 /// (gummel/poisson iterations, retries, pool utilization, ...) and
-/// tools/bench_schema.sh can validate it. Set SUBSCALE_METRICS=0 (or
+/// `obs_trend schema` can validate it. Set SUBSCALE_METRICS=0 (or
 /// "off") to benchmark the disabled-registry fast path.
 ///
 /// Profiling: SUBSCALE_PROFILE=1 additionally installs a process-wide

@@ -114,9 +114,9 @@ void write_series_document(Writer& w, const std::vector<Series>& series);
 /// Emit a metrics snapshot as one flat object: counters and gauges as
 /// "name": value, histograms flattened to "name.count" / "name.sum"
 /// (bucket tallies are diagnostic-level and stay out of the flat
-/// schema). Key order is sorted-by-kind-then-name and deterministic —
-/// tools/bench_schema.sh validates BENCH json against exactly this
-/// layout.
+/// schema). Key order is sorted-by-kind-then-name and deterministic;
+/// `obs_trend schema` validates the keys of BENCH json against the
+/// schema table (obs/names.h).
 void write_metrics_snapshot(Writer& w, const obs::MetricsSnapshot& snap);
 
 /// Emit a TextTable as {"headers": [...], "rows": [[...], ...]} so the
