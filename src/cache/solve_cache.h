@@ -89,7 +89,7 @@ struct CacheOptions {
   /// FIFO cap per in-memory shard (16 shards). 0 keeps nothing in
   /// memory (every lookup goes to disk) — useful in tests.
   std::size_t max_entries_per_shard = 512;
-  CacheFault fault;
+  CacheFault fault{};
   /// Telemetry sink; null falls back to obs::default_registry().
   obs::MetricsRegistry* metrics = nullptr;
 
