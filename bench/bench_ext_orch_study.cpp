@@ -59,8 +59,7 @@ int main() {
 
         orch::StudySpec spec;
         spec.points = 4;
-        spec.mesh.surface_spacing = 0.6e-9;  // coarse: orchestration is
-        spec.mesh.junction_spacing = 1.5e-9; // under test, not physics
+        spec.mesh = tcad::kCoarseMesh;  // orchestration is under test
         const orch::Manifest manifest = orch::build_manifest(spec);
         std::printf("study: %zu units (supervth x 4 nodes, %zu-point "
                     "sweeps, coarse mesh)\n\n",

@@ -151,12 +151,12 @@ void BM_SgAssemblyWorkspace(benchmark::State& state) {
   tcad::SgWorkspace ws;
   std::vector<double> n = fx.n0;
   tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi, fx.p0,
-                         n, {}, nullptr, &ws);
+                         n, nullptr, &ws);
   check_bitwise(n, n_ref, "sg workspace");
   for (auto _ : state) {
     n = fx.n0;
     tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi,
-                           fx.p0, n, {}, nullptr, &ws);
+                           fx.p0, n, nullptr, &ws);
     benchmark::DoNotOptimize(n.data());
   }
 }

@@ -17,7 +17,9 @@
 ///     deliberately excluded — call sites bypass the cache entirely
 ///     while fault injection is armed, because replaying a cached result
 ///     would mask the recovery paths the faults exist to exercise;
-///   * bump kTcadKeySchema whenever the hashed field set changes — old
+///   * bump kTcadKeySchema whenever the hashed field set changes, or a
+///     solver constant that moves converged answers does (the fixed
+///     Gummel/Poisson/continuity/well constants are not hashed) — old
 ///     records then simply stop being addressed.
 
 #include "cache/hash.h"
@@ -47,7 +49,10 @@ namespace subscale::cache {
 /// and the 45/32 nm meshes put their silicon surface row at y = 0
 /// (it had rounded to just above it), so those devices now converge to
 /// states no v5 record could hold.
-inline constexpr std::uint64_t kTcadKeySchema = 6;
+/// v7: the solver and retrograde-well settings that only ever took one
+/// value became constants and left the hashed field set; the states
+/// they converge to are bitwise those of v6.
+inline constexpr std::uint64_t kTcadKeySchema = 7;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")
@@ -86,31 +91,15 @@ inline void hash_append(KeyHasher& h, const tcad::MeshOptions& m) {
       .f64(m.surface_spacing)
       .f64(m.junction_spacing)
       .f64(m.grading_ratio)
-      .u64(m.oxide_layers)
-      .f64(m.well_multiplier)
-      .f64(m.well_onset_factor)
-      .f64(m.well_straggle_factor);
+      .u64(m.oxide_layers);
 }
 
 inline void hash_append(KeyHasher& h, const tcad::GummelOptions& o) {
   h.tag("gummel")
       .u64(o.max_iterations)
       .f64(o.psi_tolerance)
-      .f64(o.bias_step)
-      .f64(o.min_bias_step)
-      .f64(o.damping)
-      .f64(o.retry_damping)
-      .f64(o.min_damping)
-      .f64(o.divergence_threshold)
-      .u64(o.max_continuation_steps);
-  h.tag("poisson")
-      .u64(o.poisson.max_iterations)
-      .f64(o.poisson.update_tolerance)
-      .f64(o.poisson.damping_clamp)
-      .f64(o.poisson.divergence_threshold);
-  h.tag("continuity")
-      .f64(o.continuity.tau_srh)
-      .boolean(o.continuity.velocity_saturation);
+      .f64(o.bias_step);
+  h.tag("poisson").f64(o.poisson.update_tolerance);
   h.tag("meshcont").u64(o.mesh_continuation_levels);
   // GummelOptions::fault intentionally absent — see the file comment.
 }

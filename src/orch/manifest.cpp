@@ -110,12 +110,6 @@ void write_mesh(io::Writer& w, const tcad::MeshOptions& m) {
   w.value(m.grading_ratio);
   w.key("oxide_layers");
   w.value(static_cast<std::uint64_t>(m.oxide_layers));
-  w.key("well_multiplier");
-  w.value(m.well_multiplier);
-  w.key("well_onset_factor");
-  w.value(m.well_onset_factor);
-  w.key("well_straggle_factor");
-  w.value(m.well_straggle_factor);
   w.end_object();
 }
 
@@ -127,35 +121,12 @@ void write_gummel(io::Writer& w, const tcad::GummelOptions& g) {
   w.value(g.psi_tolerance);
   w.key("bias_step");
   w.value(g.bias_step);
-  w.key("min_bias_step");
-  w.value(g.min_bias_step);
-  w.key("damping");
-  w.value(g.damping);
-  w.key("retry_damping");
-  w.value(g.retry_damping);
-  w.key("min_damping");
-  w.value(g.min_damping);
-  w.key("divergence_threshold");
-  w.value(g.divergence_threshold);
-  w.key("max_continuation_steps");
-  w.value(static_cast<std::uint64_t>(g.max_continuation_steps));
+  w.key("mesh_continuation_levels");
+  w.value(static_cast<std::uint64_t>(g.mesh_continuation_levels));
   w.key("poisson");
   w.begin_object();
-  w.key("max_iterations");
-  w.value(static_cast<std::uint64_t>(g.poisson.max_iterations));
   w.key("update_tolerance");
   w.value(g.poisson.update_tolerance);
-  w.key("damping_clamp");
-  w.value(g.poisson.damping_clamp);
-  w.key("divergence_threshold");
-  w.value(g.poisson.divergence_threshold);
-  w.end_object();
-  w.key("continuity");
-  w.begin_object();
-  w.key("tau_srh");
-  w.value(g.continuity.tau_srh);
-  w.key("velocity_saturation");
-  w.value(g.continuity.velocity_saturation);
   w.end_object();
   w.end_object();
 }
@@ -166,11 +137,6 @@ void read_mesh(const io::JsonValue& v, tcad::MeshOptions& m) {
   m.grading_ratio = v.number_at("grading_ratio", m.grading_ratio);
   m.oxide_layers = static_cast<std::size_t>(v.number_at(
       "oxide_layers", static_cast<double>(m.oxide_layers)));
-  m.well_multiplier = v.number_at("well_multiplier", m.well_multiplier);
-  m.well_onset_factor =
-      v.number_at("well_onset_factor", m.well_onset_factor);
-  m.well_straggle_factor =
-      v.number_at("well_straggle_factor", m.well_straggle_factor);
 }
 
 void read_gummel(const io::JsonValue& v, tcad::GummelOptions& g) {
@@ -178,29 +144,12 @@ void read_gummel(const io::JsonValue& v, tcad::GummelOptions& g) {
       "max_iterations", static_cast<double>(g.max_iterations)));
   g.psi_tolerance = v.number_at("psi_tolerance", g.psi_tolerance);
   g.bias_step = v.number_at("bias_step", g.bias_step);
-  g.min_bias_step = v.number_at("min_bias_step", g.min_bias_step);
-  g.damping = v.number_at("damping", g.damping);
-  g.retry_damping = v.number_at("retry_damping", g.retry_damping);
-  g.min_damping = v.number_at("min_damping", g.min_damping);
-  g.divergence_threshold =
-      v.number_at("divergence_threshold", g.divergence_threshold);
-  g.max_continuation_steps = static_cast<std::size_t>(
-      v.number_at("max_continuation_steps",
-                  static_cast<double>(g.max_continuation_steps)));
+  g.mesh_continuation_levels = static_cast<std::size_t>(
+      v.number_at("mesh_continuation_levels",
+                  static_cast<double>(g.mesh_continuation_levels)));
   if (const io::JsonPtr p = v.get("poisson"); p != nullptr) {
-    g.poisson.max_iterations = static_cast<std::size_t>(p->number_at(
-        "max_iterations", static_cast<double>(g.poisson.max_iterations)));
     g.poisson.update_tolerance =
         p->number_at("update_tolerance", g.poisson.update_tolerance);
-    g.poisson.damping_clamp =
-        p->number_at("damping_clamp", g.poisson.damping_clamp);
-    g.poisson.divergence_threshold = p->number_at(
-        "divergence_threshold", g.poisson.divergence_threshold);
-  }
-  if (const io::JsonPtr c = v.get("continuity"); c != nullptr) {
-    g.continuity.tau_srh = c->number_at("tau_srh", g.continuity.tau_srh);
-    g.continuity.velocity_saturation = c->bool_at(
-        "velocity_saturation", g.continuity.velocity_saturation);
   }
 }
 

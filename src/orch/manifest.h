@@ -36,7 +36,12 @@ namespace subscale::orch {
 /// Bump when the manifest JSON layout or the unit-key derivation
 /// changes meaning; a loader rejects unknown versions.
 /// v2: the spec carries a technology-card id.
-inline constexpr std::uint64_t kManifestVersion = 2;
+/// v3: mesh and gummel carry exactly the fields that are still
+/// settable, mesh_continuation_levels included (v2 dropped it, so a
+/// reloaded spec solved without the continuation its unit keys hash).
+/// A v2 manifest may set a field that is now a constant, so it is
+/// rejected rather than read with different values.
+inline constexpr std::uint64_t kManifestVersion = 3;
 
 /// Key-schema version folded into every unit result key (mirrors
 /// cache::kTcadKeySchema's role: bump = old records stop being asked

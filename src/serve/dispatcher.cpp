@@ -40,7 +40,6 @@ void DispatcherOptions::validate() const {
         "DispatcherOptions: default_card must not be empty");
   }
   run.validate();
-  gummel.validate();
 }
 
 Dispatcher::Dispatcher(const DispatcherOptions& options)
@@ -195,9 +194,9 @@ Result Dispatcher::compute_sweep(const Query& query) {
          "compact backend)",
          std::string("backend ") + compact::backend_kind_name(spec.backend));
   }
-  const tcad::MeshOptions& mesh =
-      query.coarse_mesh ? options_.coarse_mesh : options_.mesh;
-  tcad::TcadDevice device(spec, mesh, options_.gummel, options_.run);
+  const tcad::MeshOptions mesh =
+      query.coarse_mesh ? tcad::kCoarseMesh : tcad::MeshOptions{};
+  tcad::TcadDevice device(spec, mesh, {}, options_.run);
   const tcad::SweepResult sweep =
       device.id_vg(query.vd, query.vg_start, query.vg_stop, query.points);
 

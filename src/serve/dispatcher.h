@@ -55,13 +55,6 @@ struct DispatcherOptions {
   /// runs. metrics/cache resolve through the usual sinks (explicit >
   /// process default > off).
   exec::RunContext run{};
-  /// Mesh/solver options for kSweep queries; `coarse_mesh` is the
-  /// interactive-latency preset a query opts into (defaults match the
-  /// orchestrator's --coarse-mesh spacings).
-  tcad::MeshOptions mesh{};
-  tcad::MeshOptions coarse_mesh{.surface_spacing = 0.6e-9,
-                                .junction_spacing = 1.5e-9};
-  tcad::GummelOptions gummel{};
   /// Test hook: runs on the leader after its in-flight registration and
   /// before the actual solve — lets the coalescing tests hold the
   /// leader in place until every follower has arrived. Never set in

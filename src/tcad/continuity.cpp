@@ -14,27 +14,21 @@ namespace subscale::tcad {
 
 double edge_mobility(const DeviceStructure& dev, physics::Carrier carrier,
                      const std::vector<double>& psi, std::size_t node_a,
-                     std::size_t node_b, double dist,
-                     const ContinuityOptions& options) {
+                     std::size_t node_b, double dist) {
   const double doping =
       0.5 * (dev.total_doping()[node_a] + dev.total_doping()[node_b]);
-  double mu = physics::masetti_mobility(carrier, doping);
-  if (options.velocity_saturation) {
-    const double e_par = std::abs(psi[node_b] - psi[node_a]) / dist;
-    mu = physics::caughey_thomas_mobility(carrier, mu, e_par,
-                                          dev.spec().temperature);
-  }
-  return mu;
+  const double e_par = std::abs(psi[node_b] - psi[node_a]) / dist;
+  return physics::caughey_thomas_mobility(
+      carrier, physics::masetti_mobility(carrier, doping), e_par,
+      dev.spec().temperature);
 }
 
 double edge_current(const DeviceStructure& dev, physics::Carrier carrier,
                     const std::vector<double>& psi,
                     const std::vector<double>& density, std::size_t node_a,
-                    std::size_t node_b, double dist, double area,
-                    const ContinuityOptions& options) {
+                    std::size_t node_b, double dist, double area) {
   const double vt = dev.vt();
-  const double mu = edge_mobility(dev, carrier, psi, node_a, node_b, dist,
-                                  options);
+  const double mu = edge_mobility(dev, carrier, psi, node_a, node_b, dist);
   const double k = physics::kQ * mu * vt * area / dist;
   const double dpsi = (psi[node_b] - psi[node_a]) / vt;
   if (carrier == physics::Carrier::kElectron) {
@@ -106,7 +100,6 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
                                   const std::vector<double>& psi,
                                   const std::vector<double>& other_density,
                                   std::vector<double>& density,
-                                  const ContinuityOptions& options,
                                   obs::SpanProfiler* profiler,
                                   SgWorkspace* workspace) {
   const auto& m = dev.mesh();
@@ -129,16 +122,12 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
   // antisymmetric, and so is the division by vt), so its B(+-dpsi) are
   // these two swapped; |dpsi|, dist, area and the averaged doping are the
   // same expressions there, so its mobility and k are these too.
-  const double vsat = options.velocity_saturation
-                          ? physics::saturation_velocity(carrier, temperature)
-                          : 0.0;
+  const double vsat = physics::saturation_velocity(carrier, temperature);
   for (std::size_t e = 0; e < ws.edges_.size(); ++e) {
     const SgWorkspace::Edge& edge = ws.edges_[e];
-    double mu = electrons ? edge.mu_n0 : edge.mu_p0;
-    if (options.velocity_saturation) {
-      const double e_par = std::abs(psi[edge.b] - psi[edge.a]) / edge.dist;
-      mu = physics::caughey_thomas_mobility_vsat(carrier, mu, e_par, vsat);
-    }
+    const double e_par = std::abs(psi[edge.b] - psi[edge.a]) / edge.dist;
+    const double mu = physics::caughey_thomas_mobility_vsat(
+        carrier, electrons ? edge.mu_n0 : edge.mu_p0, e_par, vsat);
     const double k = mu * vt * edge.area / edge.dist;
     const double dpsi = (psi[edge.b] - psi[edge.a]) / vt;
     ws.kb_ab_[e] = k * physics::bernoulli(dpsi);
@@ -193,8 +182,7 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
     const double box = m.box_area(m.i_of(idx), m.j_of(idx));
     const double n_prev = electrons ? density[idx] : other_density[idx];
     const double p_prev = electrons ? other_density[idx] : density[idx];
-    const double denom = options.tau_srh * (n_prev + ni) +
-                         options.tau_srh * (p_prev + ni);
+    const double denom = kTauSrh * (n_prev + ni) + kTauSrh * (p_prev + ni);
     const double other = other_density[idx];
     if (electrons) {
       // sum(...) - box (n p - ni^2)/D = 0

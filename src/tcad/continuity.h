@@ -3,7 +3,9 @@
 /// \file continuity.h
 /// Steady-state carrier continuity with Scharfetter–Gummel fluxes:
 /// div J_n = +q R, div J_p = -q R, with SRH recombination (denominator
-/// lagged so each solve is a single banded linear system).
+/// lagged so each solve is a single banded linear system). Edge
+/// mobilities are Masetti (doping) degraded by Caughey–Thomas velocity
+/// saturation along the edge.
 
 #include <cstddef>
 #include <memory>
@@ -23,10 +25,7 @@ class BandedMatrix;
 
 namespace subscale::tcad {
 
-struct ContinuityOptions {
-  double tau_srh = 1e-7;       ///< SRH lifetime [s] (both carriers)
-  bool velocity_saturation = true;  ///< Caughey–Thomas edge mobility
-};
+inline constexpr double kTauSrh = 1e-7;  ///< SRH lifetime [s], both carriers
 
 struct ContinuityResult {
   SolveStatus status = SolveStatus::kConverged;
@@ -60,8 +59,8 @@ class SgWorkspace {
  private:
   friend ContinuityResult solve_continuity(
       const DeviceStructure&, physics::Carrier, const std::vector<double>&,
-      const std::vector<double>&, std::vector<double>&,
-      const ContinuityOptions&, obs::SpanProfiler*, SgWorkspace*);
+      const std::vector<double>&, std::vector<double>&, obs::SpanProfiler*,
+      SgWorkspace*);
 
   /// A silicon edge from node a to its E or N neighbour b.
   struct Edge {
@@ -106,7 +105,6 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
                                   const std::vector<double>& psi,
                                   const std::vector<double>& other_density,
                                   std::vector<double>& density,
-                                  const ContinuityOptions& options = {},
                                   obs::SpanProfiler* profiler = nullptr,
                                   SgWorkspace* workspace = nullptr);
 
@@ -116,13 +114,11 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
 double edge_current(const DeviceStructure& dev, physics::Carrier carrier,
                     const std::vector<double>& psi,
                     const std::vector<double>& density, std::size_t node_a,
-                    std::size_t node_b, double dist, double area,
-                    const ContinuityOptions& options = {});
+                    std::size_t node_b, double dist, double area);
 
 /// Edge mobility used by both routines [m^2/Vs].
 double edge_mobility(const DeviceStructure& dev, physics::Carrier carrier,
                      const std::vector<double>& psi, std::size_t node_a,
-                     std::size_t node_b, double dist,
-                     const ContinuityOptions& options);
+                     std::size_t node_b, double dist);
 
 }  // namespace subscale::tcad

@@ -13,6 +13,15 @@ namespace subscale::tcad {
 
 namespace {
 
+// Deep-profile completion: a retrograde well (extra body-type doping
+// switching on below the junctions) that suppresses sub-surface
+// punch-through, as every real process does. It does not alter the
+// surface channel, so the paper's four surface scaling parameters keep
+// their meaning.
+constexpr double kWellMultiplier = 10.0;      ///< extra doping / N_sub
+constexpr double kWellOnsetFactor = 0.9;      ///< onset depth / x_j
+constexpr double kWellStraggleFactor = 0.5;   ///< straggle / x_j
+
 mesh::TensorMesh2d build_mesh(const compact::DeviceSpec& spec,
                               const MeshOptions& opt) {
   const auto& g = spec.geometry;
@@ -93,15 +102,13 @@ DeviceStructure::DeviceStructure(const compact::DeviceSpec& spec,
       doping::make_mosfet_profile(spec_.polarity, spec_.geometry, spec_.levels);
   auto full_profile = std::make_shared<doping::Superposition>();
   full_profile->add(std::move(base_profile));
-  if (options.well_multiplier > 0.0) {
-    const auto body_species = spec_.polarity == doping::Polarity::kNfet
-                                  ? doping::Species::kAcceptor
-                                  : doping::Species::kDonor;
-    full_profile->add(std::make_shared<doping::RetrogradeWell>(
-        body_species, options.well_multiplier * spec_.levels.nsub,
-        options.well_onset_factor * spec_.geometry.xj,
-        options.well_straggle_factor * spec_.geometry.xj));
-  }
+  const auto body_species = spec_.polarity == doping::Polarity::kNfet
+                                ? doping::Species::kAcceptor
+                                : doping::Species::kDonor;
+  full_profile->add(std::make_shared<doping::RetrogradeWell>(
+      body_species, kWellMultiplier * spec_.levels.nsub,
+      kWellOnsetFactor * spec_.geometry.xj,
+      kWellStraggleFactor * spec_.geometry.xj));
   const std::shared_ptr<const doping::DopingProfile> profile = full_profile;
   const std::size_t n = mesh_.node_count();
   net_doping_.assign(n, 0.0);

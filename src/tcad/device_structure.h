@@ -25,17 +25,13 @@ struct MeshOptions {
   double junction_spacing = 1.0e-9; ///< lateral spacing at the junctions
   double grading_ratio = 1.35;      ///< geometric growth away from them
   std::size_t oxide_layers = 3;     ///< vertical cells through the oxide
-
-  /// Deep-profile completion: a retrograde well (extra channel-type
-  /// doping switching on below the junctions) that suppresses
-  /// sub-surface punch-through, as every real process does. It does not
-  /// alter the surface channel, so the paper's four surface scaling
-  /// parameters keep their meaning. Set the multiplier to 0 to simulate
-  /// the bare 4-parameter profile.
-  double well_multiplier = 10.0;    ///< extra acceptors = mult * N_sub
-  double well_onset_factor = 0.9;   ///< onset depth = factor * x_j
-  double well_straggle_factor = 0.5;  ///< straggle = factor * x_j
 };
+
+/// The interactive-latency preset: what `--coarse-mesh` studies and
+/// sweep queries solve on, and what tests use when solve cost, not
+/// accuracy, matters.
+inline constexpr MeshOptions kCoarseMesh{.surface_spacing = 0.6e-9,
+                                         .junction_spacing = 1.5e-9};
 
 class DeviceStructure {
  public:

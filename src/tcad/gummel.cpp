@@ -21,36 +21,13 @@ void GummelOptions::validate() const {
     fail("bias_step must be > 0 (a zero or negative continuation step "
          "would ramp forever without reaching the target bias)");
   }
-  if (!(min_bias_step > 0.0)) fail("min_bias_step must be > 0");
-  if (min_bias_step > bias_step) {
-    fail("min_bias_step must not exceed bias_step");
-  }
-  if (!(damping > 0.0) || damping > 1.0) fail("damping must be in (0, 1]");
-  if (!(retry_damping > 0.0) || retry_damping >= 1.0) {
-    fail("retry_damping must be in (0, 1)");
-  }
-  if (!(min_damping > 0.0) || min_damping > damping) {
-    fail("min_damping must be in (0, damping]");
-  }
-  if (!(divergence_threshold > 0.0)) {
-    fail("divergence_threshold must be > 0");
-  }
-  if (max_continuation_steps == 0) {
-    fail("max_continuation_steps must be positive");
-  }
-  if (poisson.max_iterations == 0) {
-    fail("poisson.max_iterations must be positive");
+  if (bias_step < kMinBiasStep) {
+    fail("bias_step must not be below the continuation-step floor "
+         "kMinBiasStep");
   }
   if (!(poisson.update_tolerance > 0.0)) {
     fail("poisson.update_tolerance must be > 0");
   }
-  if (!(poisson.damping_clamp > 0.0)) {
-    fail("poisson.damping_clamp must be > 0");
-  }
-  if (!(poisson.divergence_threshold > 0.0)) {
-    fail("poisson.divergence_threshold must be > 0");
-  }
-  if (!(continuity.tau_srh > 0.0)) fail("continuity.tau_srh must be > 0");
   if (mesh_continuation_levels > 4) {
     fail("mesh_continuation_levels must be <= 4 (each level halves the "
          "mesh resolution; beyond 4 the coarse device no longer "
@@ -147,7 +124,7 @@ void DriftDiffusionSolver::solve_equilibrium() {
   report_ = SolverReport{};
   report_.target = biases_;
 
-  double damping = options_.damping;
+  double damping = kInitialDamping;
   while (true) {
     neutral_guess();
     const GummelOutcome out = gummel_at(biases_, damping);
@@ -163,9 +140,8 @@ void DriftDiffusionSolver::solve_equilibrium() {
     report_.failures.push_back({biases_, out.stage, out.status,
                                 out.iterations, out.stage_iterations,
                                 out.residual, 0.0, damping});
-    if (damping > options_.min_damping) {
-      damping = std::max(options_.min_damping,
-                         options_.retry_damping * damping);
+    if (damping > kMinDamping) {
+      damping = std::max(kMinDamping, kRetryDamping * damping);
       if (ins_.damping_tightenings != nullptr) {
         ins_.damping_tightenings->add(1);
       }
@@ -180,15 +156,16 @@ void DriftDiffusionSolver::solve_equilibrium() {
   }
 }
 
-bool DriftDiffusionSolver::adopt_state(
-    const std::map<std::string, double>& biases, std::vector<double> psi,
-    std::vector<double> n, std::vector<double> p) {
-  const std::size_t n_nodes = dev_.mesh().node_count();
+namespace {
+
+/// True when psi/n/p each hold one finite value per mesh node: the
+/// check every externally supplied state (a cache restore or a
+/// mesh-continuation guess) must pass before the solver takes it.
+bool state_matches_mesh(std::size_t n_nodes, const std::vector<double>& psi,
+                        const std::vector<double>& n,
+                        const std::vector<double>& p) {
   if (psi.size() != n_nodes || n.size() != n_nodes || p.size() != n_nodes) {
     return false;
-  }
-  for (const char* contact : {"gate", "drain", "source", "bulk"}) {
-    if (biases.find(contact) == biases.end()) return false;
   }
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
     if (!std::isfinite(psi[idx]) || !std::isfinite(n[idx]) ||
@@ -196,12 +173,23 @@ bool DriftDiffusionSolver::adopt_state(
       return false;
     }
   }
+  return true;
+}
+
+}  // namespace
+
+bool DriftDiffusionSolver::adopt_state(
+    const std::map<std::string, double>& biases, std::vector<double> psi,
+    std::vector<double> n, std::vector<double> p) {
+  if (!state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) return false;
+  for (const char* contact : {"gate", "drain", "source", "bulk"}) {
+    if (biases.find(contact) == biases.end()) return false;
+  }
   psi_ = std::move(psi);
   n_ = std::move(n);
   p_ = std::move(p);
   biases_ = biases;
   solved_ = true;
-  last_iterations_ = 0;
   report_ = SolverReport{};
   report_.target = biases_;
   return true;
@@ -231,14 +219,14 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
   // under-relaxation; when both knobs hit their floors we give up and
   // leave the solver at the last converged bias point.
   double step = options_.bias_step;
-  double damping = options_.damping;
+  double damping = kInitialDamping;
   while (true) {
     double max_gap = 0.0;
     for (const auto& [name, v] : target) {
       max_gap = std::max(max_gap, std::abs(v - biases_[name]));
     }
     if (max_gap == 0.0) break;
-    if (report_.continuation_steps >= options_.max_continuation_steps) {
+    if (report_.continuation_steps >= kMaxContinuationSteps) {
       report_.converged = false;
       report_.failed_stage = SolveStage::kGummel;
       report_.status = SolveStatus::kStalled;
@@ -278,12 +266,11 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
     report_.failures.push_back({trial, out.stage, out.status, out.iterations,
                                 out.stage_iterations, out.residual, step,
                                 damping});
-    if (step > options_.min_bias_step) {
-      step = std::max(options_.min_bias_step, 0.5 * step);
+    if (step > kMinBiasStep) {
+      step = std::max(kMinBiasStep, 0.5 * step);
       if (ins_.step_halvings != nullptr) ins_.step_halvings->add(1);
-    } else if (damping > options_.min_damping) {
-      damping = std::max(options_.min_damping,
-                         options_.retry_damping * damping);
+    } else if (damping > kMinDamping) {
+      damping = std::max(kMinDamping, kRetryDamping * damping);
       if (ins_.damping_tightenings != nullptr) {
         ins_.damping_tightenings->add(1);
       }
@@ -301,29 +288,10 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
   return report_;
 }
 
-namespace {
-
-bool guess_matches_mesh(std::size_t n_nodes, const std::vector<double>& psi,
-                        const std::vector<double>& n,
-                        const std::vector<double>& p) {
-  if (psi.size() != n_nodes || n.size() != n_nodes || p.size() != n_nodes) {
-    return false;
-  }
-  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-    if (!std::isfinite(psi[idx]) || !std::isfinite(n[idx]) ||
-        !std::isfinite(p[idx])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool DriftDiffusionSolver::solve_equilibrium_with_guess(
     const std::vector<double>& psi, const std::vector<double>& n,
     const std::vector<double>& p) {
-  if (guess_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
+  if (state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
     const obs::ScopedSpan span(prof_,
                                obs::names::spans::kGummelEquilibrium);
     biases_ = {{"gate", 0.0}, {"drain", 0.0}, {"source", 0.0},
@@ -333,10 +301,10 @@ bool DriftDiffusionSolver::solve_equilibrium_with_guess(
     psi_ = psi;
     n_ = n;
     p_ = p;
-    const GummelOutcome out = gummel_at(biases_, options_.damping);
+    const GummelOutcome out = gummel_at(biases_, kInitialDamping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
-    report_.final_damping = options_.damping;
+    report_.final_damping = kInitialDamping;
     if (out.status == SolveStatus::kConverged) {
       solved_ = true;
       report_.seed_used = true;
@@ -354,7 +322,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
     const std::vector<double>& psi, const std::vector<double>& n,
     const std::vector<double>& p) {
   if (!solved_) solve_equilibrium();
-  if (guess_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
+  if (state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
     const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
     const std::map<std::string, double> target = {
         {"gate", vg}, {"drain", vd}, {"source", vs}, {"bulk", vb}};
@@ -367,11 +335,11 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
     p_ = p;
     report_ = SolverReport{};
     report_.target = target;
-    const GummelOutcome out = gummel_at(target, options_.damping);
+    const GummelOutcome out = gummel_at(target, kInitialDamping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
     report_.final_bias_step = options_.bias_step;
-    report_.final_damping = options_.damping;
+    report_.final_damping = kInitialDamping;
     if (out.status == SolveStatus::kConverged) {
       biases_ = target;
       report_.continuation_steps = 1;
@@ -468,7 +436,6 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     }
     if (!pres.converged) {
       if (trajectory != nullptr) trajectory->samples.push_back(sample);
-      last_iterations_ = it + 1;
       return {pres.status, SolveStage::kPoisson, it + 1, pres.iterations,
               pres.max_update};
     }
@@ -488,10 +455,10 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
           prof_, obs::names::spans::kGummelContinuity);
       ContinuityResult electron =
           solve_continuity(dev_, physics::Carrier::kElectron, psi_, p_, n_,
-                           options_.continuity, prof_, &sg_workspace_);
+                           prof_, &sg_workspace_);
       const ContinuityResult hole =
           solve_continuity(dev_, physics::Carrier::kHole, psi_, n_, p_,
-                           options_.continuity, prof_, &sg_workspace_);
+                           prof_, &sg_workspace_);
       return std::make_pair(electron, hole);
     }();
     sample.continuity_max_density = std::max(rn.max_density, rp.max_density);
@@ -503,7 +470,6 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     if (rn_status != SolveStatus::kConverged ||
         rp.status != SolveStatus::kConverged) {
       if (trajectory != nullptr) trajectory->samples.push_back(sample);
-      last_iterations_ = it + 1;
       const SolveStatus bad =
           rn_status != SolveStatus::kConverged ? rn_status : rp.status;
       return {bad, SolveStage::kContinuity, it + 1, 1, dpsi};
@@ -517,12 +483,11 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     }
     sample.psi_update = dpsi;
     if (trajectory != nullptr) trajectory->samples.push_back(sample);
-    last_iterations_ = it + 1;
     if (!std::isfinite(dpsi) || !std::isfinite(max_psi)) {
       return {SolveStatus::kNonFinite, SolveStage::kGummel, it + 1, it + 1,
               dpsi};
     }
-    if (max_psi > options_.divergence_threshold) {
+    if (max_psi > kGummelDivergenceThreshold) {
       return {SolveStatus::kDiverged, SolveStage::kGummel, it + 1, it + 1,
               dpsi};
     }
@@ -553,9 +518,9 @@ double DriftDiffusionSolver::terminal_current(
       if (!dev_.silicon_edge(idx, nb)) return;
       if (m.contact_of(nb) == contact) return;  // internal to the contact
       current += edge_current(dev_, physics::Carrier::kElectron, psi_, n_,
-                              idx, nb, dist, area, options_.continuity);
+                              idx, nb, dist, area);
       current += edge_current(dev_, physics::Carrier::kHole, psi_, p_, idx,
-                              nb, dist, area, options_.continuity);
+                              nb, dist, area);
     };
     if (i > 0) {
       accumulate(m.index(i - 1, j), m.x(i) - m.x(i - 1),

@@ -7,7 +7,7 @@
 /// stops moving. Bias is applied by *adaptive* continuation: contacts
 /// are ramped in bounded steps, and a step that fails to converge is
 /// rolled back to the last-good state and retried with a halved step
-/// and tightened under-relaxation, down to configurable floors. Every
+/// and tightened under-relaxation, down to the fixed floors below. Every
 /// solve produces a SolverReport (see solver_status.h); only the strict
 /// entry points throw.
 
@@ -24,6 +24,16 @@
 #include "tcad/solver_status.h"
 
 namespace subscale::tcad {
+
+// The resilience ladder's fixed policy. A well-behaved problem converges
+// on its first attempt at full damping and never reaches the floors.
+inline constexpr double kInitialDamping = 1.0;  ///< psi under-relaxation
+inline constexpr double kRetryDamping = 0.6;    ///< damping factor per retry
+inline constexpr double kMinDamping = 0.2;      ///< under-relaxation floor
+inline constexpr double kMinBiasStep = 0.0125;  ///< continuation-step floor [V]
+inline constexpr std::size_t kMaxContinuationSteps = 1000;  ///< ramp bound
+/// max |psi| before an outer iteration is declared divergent [V]
+inline constexpr double kGummelDivergenceThreshold = 50.0;
 
 /// Deterministic fault injection for exercising the recovery paths in
 /// tests and soak runs. While `count` failures remain, any Gummel solve
@@ -58,22 +68,13 @@ struct GummelOptions {
   /// the solver itself only provides the seeded entry points.
   std::size_t mesh_continuation_levels = 0;
 
-  // Resilience policy. Defaults reproduce the seed solver exactly on
-  // well-behaved problems (full damping, first attempt succeeds).
-  double min_bias_step = 0.0125;  ///< continuation-step floor [V]
-  double damping = 1.0;      ///< initial under-relaxation on psi updates
-  double retry_damping = 0.6;  ///< damping multiplier per retry
-  double min_damping = 0.2;    ///< under-relaxation floor
-  double divergence_threshold = 50.0;  ///< max |psi| before divergence [V]
-  std::size_t max_continuation_steps = 1000;  ///< hard ramp bound
-
   FaultInjection fault;  ///< test-only deterministic failure forcing
   PoissonOptions poisson;
-  ContinuityOptions continuity;
 
   /// Throws std::invalid_argument (with the offending field named) on
-  /// non-positive steps/tolerances, out-of-range damping factors, or an
-  /// inverted fault window. Called by DriftDiffusionSolver's ctor.
+  /// non-positive iteration budgets or tolerances, a bias step below
+  /// kMinBiasStep, too many mesh-continuation levels, or an inverted
+  /// fault window. Called by DriftDiffusionSolver's ctor.
   void validate() const;
 };
 
@@ -138,7 +139,6 @@ class DriftDiffusionSolver {
   /// Contact biases of the currently held solution [V].
   const std::map<std::string, double>& biases() const { return biases_; }
   const DeviceStructure& structure() const { return dev_; }
-  std::size_t last_gummel_iterations() const { return last_iterations_; }
 
   /// Replace the solver state with an externally supplied solved
   /// solution (the solve-cache restore / warm-start path). Returns
@@ -209,7 +209,6 @@ class DriftDiffusionSolver {
   SgWorkspace sg_workspace_;  ///< amortized SG assembly tables/buffers
   std::map<std::string, double> biases_;
   bool solved_ = false;
-  std::size_t last_iterations_ = 0;
   SolverReport report_;
   long fault_budget_ = 0;
 };

@@ -16,6 +16,10 @@ namespace {
 
 constexpr double kMaxExponent = 200.0;
 
+constexpr std::size_t kMaxNewtonIterations = 120;
+constexpr double kDampingClamp = 0.5;  ///< max |delta psi| per step [V]
+constexpr double kDivergenceThreshold = 50.0;  ///< max |psi| [V]
+
 double clamped_exp(double x) {
   return std::exp(std::clamp(x, -kMaxExponent, kMaxExponent));
 }
@@ -126,7 +130,7 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
   std::vector<double> row_scale(n_nodes);
 
   PoissonResult result;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxNewtonIterations; ++it) {
     jac.set_zero();
 
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
@@ -166,8 +170,7 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
     double max_psi = 0.0;
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
       if (dirichlet[idx]) continue;
-      const double d = std::clamp(delta[idx], -options.damping_clamp,
-                                  options.damping_clamp);
+      const double d = std::clamp(delta[idx], -kDampingClamp, kDampingClamp);
       psi[idx] += d;
       max_update = std::max(max_update, std::abs(d));
       max_psi = std::max(max_psi, std::abs(psi[idx]));
@@ -181,7 +184,7 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
       result.status = SolveStatus::kNonFinite;
       return result;
     }
-    if (max_psi > options.divergence_threshold) {
+    if (max_psi > kDivergenceThreshold) {
       result.status = SolveStatus::kDiverged;
       return result;
     }

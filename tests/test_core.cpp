@@ -81,8 +81,7 @@ TEST(ScalingStudy, TcadValidationDegradesGracefully) {
   sco::TcadValidationOptions opt;
   opt.nodes = {0};  // the 90nm node only (TCAD solves are expensive)
   opt.points = 10;
-  opt.mesh.surface_spacing = 0.6e-9;
-  opt.mesh.junction_spacing = 1.5e-9;
+  opt.mesh = st::kCoarseMesh;
   opt.gummel.fault.stage = st::SolveStage::kPoisson;
   opt.gummel.fault.count = 1'000'000'000;
   opt.gummel.fault.min_bias = 0.19;

@@ -267,8 +267,7 @@ TEST(ParallelDeterminism, TcadValidationMatchesSerialBitwise) {
   sco::TcadValidationOptions opt;
   opt.nodes = {0, 1};
   opt.points = 6;
-  opt.mesh.surface_spacing = 0.6e-9;  // coarse: keep the test fast
-  opt.mesh.junction_spacing = 1.5e-9;
+  opt.mesh = subscale::tcad::kCoarseMesh;  // keep the test fast
 
   opt.run.exec = ex::ExecPolicy::serial();
   const auto serial = study().tcad_validation(opt);
@@ -284,8 +283,7 @@ TEST(ParallelDeterminism, TcadValidationStrictThrowsThroughThePool) {
   sco::TcadValidationOptions opt;
   opt.nodes = {0};
   opt.points = 6;
-  opt.mesh.surface_spacing = 0.6e-9;
-  opt.mesh.junction_spacing = 1.5e-9;
+  opt.mesh = st::kCoarseMesh;
   opt.gummel.fault.stage = st::SolveStage::kPoisson;
   opt.gummel.fault.count = 1'000'000'000;
   opt.gummel.fault.min_bias = 0.0;

@@ -48,8 +48,7 @@ so::StudySpec small_spec() {
   spec.nodes = {0, 1};
   spec.vds = {0.25, 0.05};
   spec.points = 4;
-  spec.mesh.surface_spacing = 0.6e-9;
-  spec.mesh.junction_spacing = 1.5e-9;
+  spec.mesh = subscale::tcad::kCoarseMesh;
   return spec;
 }
 
@@ -152,6 +151,9 @@ TEST(Manifest, JsonRoundTripIsExact) {
   spec.strategies = {Strategy::kSubVth};
   spec.gummel.max_iterations = 42;
   spec.gummel.psi_tolerance = 3.25e-8;
+  spec.gummel.bias_step = 0.05;
+  spec.gummel.mesh_continuation_levels = 2;
+  spec.gummel.poisson.update_tolerance = 2e-9;
   const so::Manifest m = so::build_manifest(spec);
   const std::string path = dir.str() + "/manifest.json";
   ASSERT_TRUE(so::save_manifest(path, m));
@@ -163,6 +165,9 @@ TEST(Manifest, JsonRoundTripIsExact) {
   EXPECT_EQ(back.spec.points, m.spec.points);
   EXPECT_EQ(back.spec.gummel.max_iterations, 42u);
   EXPECT_EQ(back.spec.gummel.psi_tolerance, 3.25e-8);
+  EXPECT_EQ(back.spec.gummel.bias_step, 0.05);
+  EXPECT_EQ(back.spec.gummel.mesh_continuation_levels, 2u);
+  EXPECT_EQ(back.spec.gummel.poisson.update_tolerance, 2e-9);
   ASSERT_EQ(back.units.size(), m.units.size());
   for (std::size_t i = 0; i < m.units.size(); ++i) {
     EXPECT_EQ(back.units[i].result_key, m.units[i].result_key);

@@ -45,8 +45,7 @@ so::Manifest tiny_manifest() {
   so::StudySpec spec;
   spec.nodes = {0, 1};
   spec.points = 3;
-  spec.mesh.surface_spacing = 0.6e-9;
-  spec.mesh.junction_spacing = 1.5e-9;
+  spec.mesh = subscale::tcad::kCoarseMesh;
   return so::build_manifest(spec);
 }
 

@@ -202,7 +202,6 @@ std::vector<double> reference_continuity(const st::DeviceStructure& dev,
                                          const std::vector<double>& psi,
                                          const std::vector<double>& other,
                                          const std::vector<double>& density,
-                                         const st::ContinuityOptions& options,
                                          EdgeCoverage& coverage) {
   const sm::TensorMesh2d& m = dev.mesh();
   const std::size_t n_nodes = m.node_count();
@@ -233,11 +232,9 @@ std::vector<double> reference_continuity(const st::DeviceStructure& dev,
       if (j == js && m.j_of(nb) == js) ++coverage.along_surface;
       double mu = sp::masetti_mobility(
           carrier, 0.5 * (dev.total_doping()[idx] + dev.total_doping()[nb]));
-      if (options.velocity_saturation) {
-        const double e_par = std::abs(psi[nb] - psi[idx]) / dist;
-        mu = sp::caughey_thomas_mobility(carrier, mu, e_par,
-                                         dev.spec().temperature);
-      }
+      const double e_par = std::abs(psi[nb] - psi[idx]) / dist;
+      mu = sp::caughey_thomas_mobility(carrier, mu, e_par,
+                                       dev.spec().temperature);
       const double k = mu * vt * area / dist;
       const double dpsi = (psi[nb] - psi[idx]) / vt;
       if (electrons) {
@@ -267,8 +264,8 @@ std::vector<double> reference_continuity(const st::DeviceStructure& dev,
     const double box = m.box_area(i, j);
     const double n_prev = electrons ? density[idx] : other[idx];
     const double p_prev = electrons ? other[idx] : density[idx];
-    const double denom = options.tau_srh * (n_prev + ni) +
-                         options.tau_srh * (p_prev + ni);
+    const double denom =
+        st::kTauSrh * (n_prev + ni) + st::kTauSrh * (p_prev + ni);
     if (electrons) {
       diag -= box * other[idx] / denom;
       rhs[idx] = -box * ni * ni / denom;
@@ -304,52 +301,40 @@ std::size_t first_bit_difference(const std::vector<double>& a,
 }  // namespace
 
 TEST(ContinuityAssembly, MatchesPerNodeReferenceBitwise) {
-  // On the 90 nm device at a biased state, for both carriers and with
-  // velocity saturation on and off, solve_continuity's densities equal
-  // the per-node reference's bit for bit: without a workspace, and out
-  // of one workspace reused across carriers and options. The flux rows
-  // include edges into the source/drain contacts and along the oxide
-  // interface.
+  // On the 90 nm device at a biased state, for both carriers,
+  // solve_continuity's densities equal the per-node reference's bit for
+  // bit: without a workspace, and out of one workspace reused across
+  // carriers. The flux rows include edges into the source/drain
+  // contacts and along the oxide interface.
   const st::DeviceStructure dev(nfet_90());
   st::DriftDiffusionSolver solver(dev);
   solver.solve_equilibrium();
   solver.solve_bias(0.6, 0.5);
   const std::vector<double>& psi = solver.psi();
   st::SgWorkspace workspace;
-  std::vector<double> saturated;
-  for (const bool vsat : {true, false}) {
-    st::ContinuityOptions options;
-    options.velocity_saturation = vsat;
-    for (const sp::Carrier carrier :
-         {sp::Carrier::kElectron, sp::Carrier::kHole}) {
-      const bool electrons = carrier == sp::Carrier::kElectron;
-      const std::string label = std::string(electrons ? "n" : "p") +
-                                (vsat ? " vsat" : " no-vsat");
-      const std::vector<double>& own =
-          electrons ? solver.electron_density() : solver.hole_density();
-      const std::vector<double>& other =
-          electrons ? solver.hole_density() : solver.electron_density();
-      EdgeCoverage coverage;
-      const std::vector<double> ref = reference_continuity(
-          dev, carrier, psi, other, own, options, coverage);
-      EXPECT_GT(coverage.into_contact, 0u) << label;
-      EXPECT_GT(coverage.along_surface, 0u) << label;
+  for (const sp::Carrier carrier :
+       {sp::Carrier::kElectron, sp::Carrier::kHole}) {
+    const bool electrons = carrier == sp::Carrier::kElectron;
+    const std::string label = electrons ? "n" : "p";
+    const std::vector<double>& own =
+        electrons ? solver.electron_density() : solver.hole_density();
+    const std::vector<double>& other =
+        electrons ? solver.hole_density() : solver.electron_density();
+    EdgeCoverage coverage;
+    const std::vector<double> ref =
+        reference_continuity(dev, carrier, psi, other, own, coverage);
+    EXPECT_GT(coverage.into_contact, 0u) << label;
+    EXPECT_GT(coverage.along_surface, 0u) << label;
 
-      std::vector<double> fresh = own;
-      st::solve_continuity(dev, carrier, psi, other, fresh, options);
-      std::vector<double> reused = own;
-      st::solve_continuity(dev, carrier, psi, other, reused, options,
-                           nullptr, &workspace);
-      const std::size_t at_fresh = first_bit_difference(ref, fresh);
-      EXPECT_EQ(at_fresh, ref.size()) << label << " fresh";
-      const std::size_t at_reused = first_bit_difference(ref, reused);
-      EXPECT_EQ(at_reused, ref.size()) << label << " workspace";
-      if (electrons && vsat) saturated = ref;
-      if (electrons && !vsat) {
-        // The bias is high enough for velocity saturation to matter.
-        EXPECT_LT(first_bit_difference(saturated, ref), ref.size());
-      }
-    }
+    std::vector<double> fresh = own;
+    st::solve_continuity(dev, carrier, psi, other, fresh);
+    std::vector<double> reused = own;
+    st::solve_continuity(dev, carrier, psi, other, reused, nullptr,
+                         &workspace);
+    const std::size_t at_fresh = first_bit_difference(ref, fresh);
+    EXPECT_EQ(at_fresh, ref.size()) << label << " fresh";
+    const std::size_t at_reused = first_bit_difference(ref, reused);
+    EXPECT_EQ(at_reused, ref.size()) << label << " workspace";
   }
 }
 
@@ -405,15 +390,6 @@ TEST(Extract, DiblFromTwoSyntheticSweeps) {
 
 namespace {
 
-/// Coarse mesh for the resilience tests (solve cost, not accuracy,
-/// dominates here).
-st::MeshOptions coarse_mesh() {
-  st::MeshOptions mesh;
-  mesh.surface_spacing = 0.6e-9;
-  mesh.junction_spacing = 1.5e-9;
-  return mesh;
-}
-
 /// Fault the given stage once, at gate biases in [0.18 V, 0.22 V).
 st::GummelOptions faulted_options(st::SolveStage stage, long count) {
   st::GummelOptions opt;
@@ -428,7 +404,7 @@ st::GummelOptions faulted_options(st::SolveStage stage, long count) {
 /// Unfaulted reference current at (vg=0.3, vd=0.25) on the coarse mesh.
 double reference_id() {
   static const double id = [] {
-    st::TcadDevice dev(nfet_90(), coarse_mesh());
+    st::TcadDevice dev(nfet_90(), st::kCoarseMesh);
     return dev.id_at(0.3, 0.25);
   }();
   return id;
@@ -456,14 +432,8 @@ TEST(GummelOptions, ValidationRejectsBadFields) {
   opt.psi_tolerance = 0.0;
   expect_invalid(opt, "psi_tolerance");
   opt = {};
-  opt.min_bias_step = 0.2;  // above bias_step
-  expect_invalid(opt, "min_bias_step");
-  opt = {};
-  opt.damping = 1.5;
-  expect_invalid(opt, "damping");
-  opt = {};
-  opt.retry_damping = 1.0;
-  expect_invalid(opt, "retry_damping");
+  opt.bias_step = 0.5 * st::kMinBiasStep;  // below the halving floor
+  expect_invalid(opt, "bias_step");
   opt = {};
   opt.max_iterations = 0;
   expect_invalid(opt, "max_iterations");
@@ -471,16 +441,13 @@ TEST(GummelOptions, ValidationRejectsBadFields) {
   opt.poisson.update_tolerance = -1e-9;
   expect_invalid(opt, "poisson.update_tolerance");
   opt = {};
-  opt.continuity.tau_srh = 0.0;
-  expect_invalid(opt, "tau_srh");
-  opt = {};
   opt.fault.stage = st::SolveStage::kPoisson;
   opt.fault.min_bias = 0.3;
   opt.fault.max_bias = 0.2;
   expect_invalid(opt, "fault");
 
   // The solver constructor runs the same validation.
-  st::DeviceStructure dev(nfet_90(), coarse_mesh());
+  st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
   st::GummelOptions bad;
   bad.bias_step = 0.0;
   EXPECT_THROW(st::DriftDiffusionSolver(dev, bad), std::invalid_argument);
@@ -490,7 +457,7 @@ TEST(SolverResilience, PoissonFaultRecoversByStepHalving) {
   // A forced Poisson failure at the gate=0.2V continuation point must be
   // absorbed by the retry policy (roll back, halve the step) and the
   // terminal current must match the unfaulted solve.
-  st::TcadDevice dev(nfet_90(), coarse_mesh(),
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh,
                      faulted_options(st::SolveStage::kPoisson, 1));
   const double id = dev.id_at(0.3, 0.25);
   const auto& report = dev.solver().last_report();
@@ -503,7 +470,7 @@ TEST(SolverResilience, PoissonFaultRecoversByStepHalving) {
 }
 
 TEST(SolverResilience, ContinuityFaultRecoversByStepHalving) {
-  st::TcadDevice dev(nfet_90(), coarse_mesh(),
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh,
                      faulted_options(st::SolveStage::kContinuity, 1));
   const double id = dev.id_at(0.3, 0.25);
   const auto& report = dev.solver().last_report();
@@ -520,7 +487,7 @@ TEST(SolverResilience, ExhaustedRetriesReportStageAndBias) {
   // sits inside the fault window) must exhaust step-halving and damping,
   // report the failing stage and bias, leave the solver at the last-good
   // state — and not poison later bias points.
-  st::DeviceStructure dev(nfet_90(), coarse_mesh());
+  st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
   st::DriftDiffusionSolver solver(
       dev, faulted_options(st::SolveStage::kPoisson, 1'000'000'000));
   solver.solve_equilibrium();
@@ -534,9 +501,8 @@ TEST(SolverResilience, ExhaustedRetriesReportStageAndBias) {
   EXPECT_LT(report.failed_biases.at("gate"), 0.22);
   EXPECT_GE(report.retries, 3u);  // halvings + damping tightenings
   // Both knobs were driven to their floors before giving up.
-  const st::GummelOptions defaults;
-  EXPECT_DOUBLE_EQ(report.final_bias_step, defaults.min_bias_step);
-  EXPECT_DOUBLE_EQ(report.final_damping, defaults.min_damping);
+  EXPECT_DOUBLE_EQ(report.final_bias_step, st::kMinBiasStep);
+  EXPECT_DOUBLE_EQ(report.final_damping, st::kMinDamping);
   // The digest names the stage and the bias point.
   const std::string digest = report.summary();
   EXPECT_NE(digest.find("Poisson"), std::string::npos) << digest;
@@ -569,7 +535,7 @@ TEST(SolverResilience, SweepSkipsUnrecoverablePointAndContinues) {
       faulted_options(st::SolveStage::kPoisson, 1'000'000'000);
   faulty.fault.min_bias = 0.19;
   faulty.fault.max_bias = 0.21;
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), faulty);
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh, faulty);
 
   const st::SweepResult sweep = dev.id_vg(0.25, 0.0, 0.45, 10);
   const auto& report = sweep.report;
@@ -611,7 +577,7 @@ TEST(SolverResilience, EquilibriumFaultRecoversWithTightenedDamping) {
   st::GummelOptions opt;
   opt.fault.stage = st::SolveStage::kContinuity;
   opt.fault.count = 2;
-  st::DeviceStructure dev(nfet_90(), coarse_mesh());
+  st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
   st::DriftDiffusionSolver solver(dev, opt);
   solver.solve_equilibrium();
   const auto& report = solver.last_report();
@@ -632,22 +598,18 @@ TEST(TcadPaperTrend, LongerGateImprovesSwing) {
   // longer gate improves S_S. (Gates much shorter than the node's
   // feature set punch through entirely in the literal 2-D structure, so
   // the comparison runs on the well-behaved side: 90nm vs 65nm gates.)
-  st::MeshOptions coarse;
-  coarse.surface_spacing = 0.6e-9;
-  coarse.junction_spacing = 1.5e-9;
-
   st::ExtractOptions window;
   window.window_lo_decades = 0.3;
   window.window_hi_decades = 2.2;
 
   sc::DeviceSpec short_spec = nfet_90();  // lpoly = 65nm
-  st::TcadDevice short_dev(short_spec, coarse);
+  st::TcadDevice short_dev(short_spec, st::kCoarseMesh);
   const auto short_ex =
       st::extract_from_sweep(short_dev.id_vg(0.25, 0.0, 0.40, 11), window);
 
   sc::DeviceSpec long_spec = nfet_90();
   long_spec.geometry.lpoly = 90e-9;  // same features, longer gate
-  st::TcadDevice long_dev(long_spec, coarse);
+  st::TcadDevice long_dev(long_spec, st::kCoarseMesh);
   const auto long_ex =
       st::extract_from_sweep(long_dev.id_vg(0.25, 0.0, 0.40, 11), window);
 
@@ -836,7 +798,7 @@ TEST(MeshContinuationProlongation, SameMeshRoundTripReconvergesImmediately) {
   // fresh solver seeded with it must certify the point in at most two
   // outer iterations (one to verify, one of slack) rather than re-run
   // the continuation ramp.
-  st::TcadDevice dev(nfet_90(), coarse_mesh());
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh);
   dev.id_at(0.3, 0.25);
   const auto& m = dev.structure().mesh();
   const auto psi = st::prolong_bilinear(m, m, dev.solver().psi());
@@ -865,7 +827,7 @@ TEST(MeshContinuationProlongation, CoarseOnlyFaultFallsBackToColdPath) {
   opt.fault.stage = st::SolveStage::kPoisson;
   opt.fault.count = 1'000'000'000;
   opt.fault.coarse_only = true;
-  st::TcadDevice dev(nfet_90(), coarse_mesh(), opt, ctx);
+  st::TcadDevice dev(nfet_90(), st::kCoarseMesh, opt, ctx);
   EXPECT_DOUBLE_EQ(dev.id_at(0.3, 0.25), reference_id());
   EXPECT_GT(reg.counter(so::names::kMeshContFallbacks).value(), 0u);
 }

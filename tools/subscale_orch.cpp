@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
         spec.strategies.push_back(s);
       }
     } else if (arg == "--coarse-mesh") {
-      spec.mesh.surface_spacing = 0.6e-9;
-      spec.mesh.junction_spacing = 1.5e-9;
+      spec.mesh = tcad::kCoarseMesh;
     } else if (arg == "--retry-budget" && (v = next())) {
       options.retry_budget = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--lease-timeout" && (v = next())) {
