@@ -25,7 +25,7 @@ namespace subscale::obs::names {
 /// What instrument a schema row registers (and how its flat record keys
 /// gate): histograms flatten to "<name>.count"/"<name>.sum" in BENCH
 /// and perfdb records, and a latency histogram's .sum is wall clock —
-/// excluded from the regression gates unless timing is opted in.
+/// never regression-gated.
 enum class MetricKind {
   kCounter,
   kGauge,
@@ -203,8 +203,7 @@ inline const MetricDef* find_flat(std::string_view key) {
 /// keys outside the table (a record written by a newer binary) fall
 /// back to the historical prefix/suffix heuristics so the gates degrade
 /// conservatively instead of flagging noise.
-inline bool regression_gated(std::string_view key,
-                             bool include_timing = false) {
+inline bool regression_gated(std::string_view key) {
   const auto ends_with = [&](std::string_view suffix) {
     return key.size() >= suffix.size() &&
            key.substr(key.size() - suffix.size()) == suffix;
@@ -212,7 +211,7 @@ inline bool regression_gated(std::string_view key,
   if (const MetricDef* def = find_flat(key); def != nullptr) {
     if (def->gate == GatePolicy::kExempt) return false;
     if (def->kind == MetricKind::kLatencyHistogram && ends_with(".sum")) {
-      return include_timing;  // wall clock, not effort
+      return false;  // wall clock, not effort
     }
     return true;
   }
@@ -223,7 +222,7 @@ inline bool regression_gated(std::string_view key,
       starts_with("orch.") || starts_with("serve.")) {
     return false;
   }
-  if (ends_with("_ms.sum") && !include_timing) return false;
+  if (ends_with("_ms.sum")) return false;
   if (ends_with(".last_residual")) return false;
   return true;
 }

@@ -69,20 +69,7 @@ std::vector<double> metric_series(const std::vector<PerfRecord>& history,
   return out;
 }
 
-namespace {
-
-double tolerance_for(const TrendGateOptions& options,
-                     const std::string& key) {
-  for (const auto& [k, tol] : options.tolerance_overrides) {
-    if (k == key) return tol;
-  }
-  return options.tolerance;
-}
-
-}  // namespace
-
-TrendReport trend_gate(const std::vector<PerfRecord>& history,
-                       const TrendGateOptions& options) {
+TrendReport trend_gate(const std::vector<PerfRecord>& history) {
   TrendReport report;
   report.records = history.size();
   if (history.size() < 2) return report;  // nothing to gate against
@@ -90,7 +77,7 @@ TrendReport trend_gate(const std::vector<PerfRecord>& history,
   const PerfRecord& newest = history.back();
   const std::size_t window_end = history.size() - 1;
   const std::size_t window_begin =
-      options.window < window_end ? window_end - options.window : 0;
+      kTrendWindow < window_end ? window_end - kTrendWindow : 0;
 
   // The gated key set: every gateable obs key seen anywhere in the
   // baseline window. (Headline "metrics" values are bench-chosen
@@ -101,12 +88,9 @@ TrendReport trend_gate(const std::vector<PerfRecord>& history,
   std::set<std::string> keys;
   for (std::size_t i = window_begin; i < window_end; ++i) {
     for (const auto& [key, value] : history[i].obs) {
-      if (obs::names::regression_gated(key, options.include_timing)) {
-        keys.insert(key);
-      }
+      if (obs::names::regression_gated(key)) keys.insert(key);
     }
   }
-  if (options.gate_wall_ms) keys.insert("wall_ms");
 
   for (const std::string& key : keys) {
     MetricTrend mt;
@@ -121,7 +105,6 @@ TrendReport trend_gate(const std::vector<PerfRecord>& history,
     mt.window_n = window_values.size();
     mt.baseline = median_of(window_values);
 
-    const double tol = tolerance_for(options, key);
     double newest_value = 0.0;
     if (!newest.find(key, newest_value)) {
       mt.missing = true;
@@ -133,18 +116,11 @@ TrendReport trend_gate(const std::vector<PerfRecord>& history,
         mt.regressed = newest_value > 0.0;  // appeared from zero
       } else {
         mt.change = (newest_value - mt.baseline) / std::abs(mt.baseline);
-        mt.regressed = mt.change > tol;
+        mt.regressed = mt.change > kTrendTolerance;
       }
       std::vector<double> fit_values = window_values;
       fit_values.push_back(newest_value);
       mt.trend = robust_trend(fit_values);
-      if (!mt.regressed && options.slope_tolerance > 0.0 && mt.trend.ok &&
-          mt.baseline != 0.0) {
-        const double accumulated =
-            mt.trend.slope * static_cast<double>(mt.window_n);
-        mt.regressed =
-            accumulated / std::abs(mt.baseline) > options.slope_tolerance;
-      }
     }
 
     ++report.compared;

@@ -16,13 +16,12 @@
 /// comparison (`obs_trend diff`) is the same gate over a two-record
 /// history, so the older record alone is the baseline.
 ///
-/// Which keys gate, and how hard, comes from the one schema table
-/// (obs::names::regression_gated + per-metric tolerance overrides).
+/// Which keys gate comes from the one schema table
+/// (obs::names::regression_gated).
 
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "perfdb/record.h"
@@ -61,23 +60,11 @@ TrendFit robust_trend(const std::vector<double>& values);
 std::vector<double> metric_series(const std::vector<PerfRecord>& history,
                                   std::string_view key);
 
-struct TrendGateOptions {
-  /// Baseline = median of up to this many records preceding the newest.
-  std::size_t window = 8;
-  /// Default relative regression tolerance (newest vs baseline).
-  double tolerance = 0.10;
-  /// Per-metric tolerance overrides, exact flat key -> tolerance.
-  std::vector<std::pair<std::string, double>> tolerance_overrides;
-  /// Gate latency-histogram .sum keys too (wall clock, not effort, so
-  /// off by default).
-  bool include_timing = false;
-  /// Gate the record-level wall_ms as well (timing; off by default).
-  bool gate_wall_ms = false;
-  /// When > 0, additionally fail a metric whose fitted Theil–Sen slope,
-  /// accumulated over the window, exceeds this relative fraction of the
-  /// baseline — catches sub-tolerance creep before the median gate can.
-  double slope_tolerance = 0.0;
-};
+/// Baseline = median of up to this many records preceding the newest.
+inline constexpr std::size_t kTrendWindow = 8;
+/// Relative regression tolerance, newest vs baseline, for every gated
+/// key. Wall clock (wall_ms, latency .sum keys) never gates.
+inline constexpr double kTrendTolerance = 0.10;
 
 /// One gated metric's verdict.
 struct MetricTrend {
@@ -108,7 +95,6 @@ struct TrendReport {
 /// present anywhere in the baseline window but missing from the newest
 /// record fails (schema drift, reported as MISSING); a key new in the
 /// newest record has no baseline and is skipped.
-TrendReport trend_gate(const std::vector<PerfRecord>& history,
-                       const TrendGateOptions& options = {});
+TrendReport trend_gate(const std::vector<PerfRecord>& history);
 
 }  // namespace subscale::perfdb

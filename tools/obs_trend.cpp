@@ -6,12 +6,11 @@
 /// `diff` applies the same rule to two records, OLD as the baseline.
 ///
 ///   obs_trend append --db DIR [--ts SECONDS] [--rev REV] BENCH.json...
-///   obs_trend gate   --db DIR --bench NAME [--window N] [--tolerance F]
-///                    [--metric-tolerance KEY=F]... [--include-timing]
-///                    [--wall] [--slope F]
+///   obs_trend gate   --db DIR --bench NAME
+///                    [--metric-min KEY=F]... [--metric-max KEY=F]...
 ///   obs_trend show   --db DIR --bench NAME [--metric KEY]
 ///   obs_trend list   --db DIR
-///   obs_trend diff   [--tolerance F] [--include-timing] OLD.json NEW.json
+///   obs_trend diff   OLD.json NEW.json
 ///   obs_trend schema BENCH.json...
 ///
 /// `append` ingests BENCH_<name>.json documents (bench/common.h output)
@@ -19,9 +18,10 @@
 /// appends directly when SUBSCALE_PERFDB_DIR is set, so `append` mostly
 /// serves check.sh smokes and manual backfills. `gate` is the CI entry
 /// point; `show` prints per-metric rollup stats and the Theil–Sen trend;
-/// `list` names the benches with history. `diff` fails when a gated key
-/// grows by more than the tolerance (default 10%), appears from zero,
-/// or goes missing. `schema` fails a record whose "obs" block is
+/// `list` names the benches with history. `gate` and `diff` fail when a
+/// gated key grows by more than 10% over its baseline (the median of up
+/// to 8 prior runs for `gate`), appears from zero, or goes missing;
+/// wall clock never gates. `schema` fails a record whose "obs" block is
 /// missing or empty, holds a key outside the schema table, or lacks one
 /// of the cross-PR trajectory keys.
 ///
@@ -48,10 +48,10 @@
 
 namespace {
 
+using subscale::perfdb::kTrendTolerance;
 using subscale::perfdb::MetricTrend;
 using subscale::perfdb::PerfDb;
 using subscale::perfdb::PerfRecord;
-using subscale::perfdb::TrendGateOptions;
 using subscale::perfdb::TrendReport;
 using subscale::perfdb::WindowStats;
 
@@ -60,14 +60,11 @@ int usage() {
       stderr,
       "usage: obs_trend append --db DIR [--ts SECONDS] [--rev REV] "
       "BENCH.json...\n"
-      "       obs_trend gate   --db DIR --bench NAME [--window N]\n"
-      "                        [--tolerance F] [--metric-tolerance KEY=F]...\n"
-      "                        [--include-timing] [--wall] [--slope F]\n"
+      "       obs_trend gate   --db DIR --bench NAME\n"
       "                        [--metric-min KEY=F]... [--metric-max KEY=F]...\n"
       "       obs_trend show   --db DIR --bench NAME [--metric KEY]\n"
       "       obs_trend list   --db DIR\n"
-      "       obs_trend diff   [--tolerance F] [--include-timing] "
-      "OLD.json NEW.json\n"
+      "       obs_trend diff   OLD.json NEW.json\n"
       "       obs_trend schema BENCH.json...\n");
   return 2;
 }
@@ -175,7 +172,6 @@ int check_budgets(
 }
 
 int cmd_gate(const std::string& db_dir, const std::string& bench,
-             const TrendGateOptions& options,
              const std::vector<std::pair<std::string, double>>& metric_mins,
              const std::vector<std::pair<std::string, double>>& metric_maxs) {
   PerfDb db(db_dir);
@@ -209,7 +205,7 @@ int cmd_gate(const std::string& db_dir, const std::string& bench,
         bench.c_str(), history.size(), budgeted ? ", budgets OK" : "");
     return 0;
   }
-  const TrendReport report = subscale::perfdb::trend_gate(history, options);
+  const TrendReport report = subscale::perfdb::trend_gate(history);
   print_verdicts(report);
   const int budget_violations =
       check_budgets(history.back(), metric_mins, metric_maxs);
@@ -218,13 +214,13 @@ int cmd_gate(const std::string& db_dir, const std::string& bench,
         "obs_trend: %zu regression(s), %d budget violation(s) vs rolling "
         "baseline (%zu metrics gated over %zu records, tolerance %.0f%%)\n",
         report.regressions, budget_violations, report.compared,
-        report.records, 100.0 * options.tolerance);
+        report.records, 100.0 * kTrendTolerance);
     return 1;
   }
   std::printf(
       "obs_trend: OK (%zu metrics gated over %zu records, tolerance "
       "%.0f%%%s)\n",
-      report.compared, report.records, 100.0 * options.tolerance,
+      report.compared, report.records, 100.0 * kTrendTolerance,
       budgeted ? ", budgets OK" : "");
   return 0;
 }
@@ -279,24 +275,23 @@ int cmd_show(const std::string& db_dir, const std::string& bench,
 
 /// The pairwise gate: trend_gate over the two-record history
 /// {OLD, NEW}, so OLD alone is the baseline.
-int cmd_diff(const std::string& old_path, const std::string& new_path,
-             const TrendGateOptions& options) {
+int cmd_diff(const std::string& old_path, const std::string& new_path) {
   std::vector<PerfRecord> history(2);
   if (!load_bench(old_path, history[0]) ||
       !load_bench(new_path, history[1])) {
     return 2;
   }
-  const TrendReport report = subscale::perfdb::trend_gate(history, options);
+  const TrendReport report = subscale::perfdb::trend_gate(history);
   print_verdicts(report);
   if (!report.ok()) {
     std::printf("obs_trend: %zu regression(s) over tolerance %.0f%% (%zu "
                 "keys compared)\n",
-                report.regressions, 100.0 * options.tolerance,
+                report.regressions, 100.0 * kTrendTolerance,
                 report.compared);
     return 1;
   }
   std::printf("obs_trend: OK (%zu keys compared, tolerance %.0f%%)\n",
-              report.compared, 100.0 * options.tolerance);
+              report.compared, 100.0 * kTrendTolerance);
   return 0;
 }
 
@@ -363,7 +358,6 @@ int main(int argc, char** argv) {
   std::string only_metric;
   std::string rev;
   std::uint64_t ts = static_cast<std::uint64_t>(std::time(nullptr));
-  TrendGateOptions options;
   std::vector<std::pair<std::string, double>> metric_mins;
   std::vector<std::pair<std::string, double>> metric_maxs;
   std::vector<std::string> paths;
@@ -402,38 +396,6 @@ int main(int argc, char** argv) {
       const char* v = need_value("--rev");
       if (v == nullptr) return 2;
       rev = v;
-    } else if (arg == "--window") {
-      const char* v = need_value("--window");
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "obs_trend: bad --window %s\n", v);
-        return 2;
-      }
-      options.window = static_cast<std::size_t>(n);
-    } else if (arg == "--tolerance") {
-      const char* v = need_value("--tolerance");
-      if (v == nullptr) return 2;
-      if (!parse_double(v, options.tolerance) ||
-          !(options.tolerance >= 0.0)) {
-        std::fprintf(stderr, "obs_trend: bad --tolerance %s\n", v);
-        return 2;
-      }
-    } else if (arg == "--metric-tolerance") {
-      const char* v = need_value("--metric-tolerance");
-      if (v == nullptr) return 2;
-      const std::string spec = v;
-      const std::size_t eq = spec.find('=');
-      double tol = 0.0;
-      if (eq == std::string::npos || eq == 0 ||
-          !parse_double(spec.c_str() + eq + 1, tol) || !(tol >= 0.0)) {
-        std::fprintf(stderr,
-                     "obs_trend: --metric-tolerance wants KEY=F, got %s\n",
-                     v);
-        return 2;
-      }
-      options.tolerance_overrides.emplace_back(spec.substr(0, eq), tol);
     } else if (arg == "--metric-min" || arg == "--metric-max") {
       const char* v = need_value(arg.c_str());
       if (v == nullptr) return 2;
@@ -448,18 +410,6 @@ int main(int argc, char** argv) {
       }
       (arg == "--metric-min" ? metric_mins : metric_maxs)
           .emplace_back(spec.substr(0, eq), bound);
-    } else if (arg == "--include-timing") {
-      options.include_timing = true;
-    } else if (arg == "--wall") {
-      options.gate_wall_ms = true;
-    } else if (arg == "--slope") {
-      const char* v = need_value("--slope");
-      if (v == nullptr) return 2;
-      if (!parse_double(v, options.slope_tolerance) ||
-          !(options.slope_tolerance >= 0.0)) {
-        std::fprintf(stderr, "obs_trend: bad --slope %s\n", v);
-        return 2;
-      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "obs_trend: unknown flag %s\n", arg.c_str());
       return 2;
@@ -473,7 +423,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "obs_trend: diff wants OLD.json NEW.json\n");
       return usage();
     }
-    return cmd_diff(paths[0], paths[1], options);
+    return cmd_diff(paths[0], paths[1]);
   }
   if (cmd == "schema") {
     if (paths.empty()) {
@@ -499,7 +449,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "obs_trend: gate wants --bench\n");
       return usage();
     }
-    return cmd_gate(db_dir, bench, options, metric_mins, metric_maxs);
+    return cmd_gate(db_dir, bench, metric_mins, metric_maxs);
   }
   if (cmd == "show") {
     if (bench.empty()) {
