@@ -1,10 +1,12 @@
 // Library-performance microbenchmarks (google-benchmark): the numerical
-// kernels behind the reproduction — banded LU, compact-model evaluation,
-// VTC solves, FO1 transients, a V_min search, and a full TCAD Gummel bias
-// point.
+// kernels behind the reproduction — banded LU and LDLᵀ, compact-model
+// evaluation, VTC solves, FO1 transients, a V_min search, and a full TCAD
+// Gummel bias point.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
@@ -33,11 +35,12 @@ compact::DeviceSpec spec_90() {
 
 // Banded LU at the paper shapes: the 90 nm device's 943-node system at
 // the band of either mesh numbering (41 numbering along x, 23 along the
-// shorter y axis) as a dense random band, and as the device-shaped
-// 41 x 23 stencil (linalg::stencil_banded: identity oxide and contact
-// rows, sparse row interchanges), selected by the third argument. The
-// blocked elimination in BandedLu is pinned bitwise to the textbook loop
-// nest in ReferenceBandedLu (tier-1: test_linalg
+// shorter y axis) as a dense random band, as the device-shaped 41 x 23
+// continuity stencil (linalg::stencil_banded: identity oxide and contact
+// rows, sparse row interchanges), and as the symmetric Poisson stencil
+// (linalg::poisson_stencil_banded), selected by the third argument (0, 1,
+// 2). The blocked elimination in BandedLu is pinned bitwise to the
+// textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
 // BandedReference.BlockedEliminationMatchesReferenceBitwise); both
 // benchmarks repeat that check before timing, so a silent numerical
 // drift cannot be misread as a win.
@@ -75,9 +78,10 @@ linalg::BandedMatrix checked_bench_banded(const benchmark::State& state,
                                           std::vector<double>& b) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t bw = static_cast<std::size_t>(state.range(1));
-  linalg::BandedMatrix a = state.range(2) == 0
-                               ? make_bench_banded(n, bw)
-                               : linalg::stencil_banded(n / bw, bw, 7);
+  linalg::BandedMatrix a =
+      state.range(2) == 0   ? make_bench_banded(n, bw)
+      : state.range(2) == 1 ? linalg::stencil_banded(n / bw, bw, 7)
+                            : linalg::poisson_stencil_banded(n, bw, 7);
   b.assign(n, 1.0);
   check_bitwise(linalg::BandedLu(a).solve(b),
                 linalg::ReferenceBandedLu(a).solve(b), "banded lu");
@@ -95,7 +99,44 @@ void BM_BandedLuFactorSolve(benchmark::State& state) {
 BENCHMARK(BM_BandedLuFactorSolve)
     ->Args({943, 41, 0})
     ->Args({943, 23, 0})
-    ->Args({943, 23, 1});
+    ->Args({943, 23, 1})
+    ->Args({943, 23, 2});
+
+// The LDLᵀ that solve_poisson factors with, on the symmetric Poisson
+// stencil: the other half of the pair BM_BandedLuFactorSolve/943/23/2
+// times. The two solutions are cross-checked to test_linalg's 1e-12
+// relative bound (BandedLdlt.MatchesBandedLuOnPoissonStencil) before
+// timing. Each iteration copies the matrix, as BandedLu's does.
+void BM_BandedLdltFactorSolve(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t bw = static_cast<std::size_t>(state.range(1));
+  const linalg::BandedMatrix general =
+      linalg::poisson_stencil_banded(n, bw, 7);
+  const linalg::SymmetricBandedMatrix a = linalg::lower_triangle(general);
+  const std::vector<double> b(n, 1.0);
+  const auto solve = [&] {
+    linalg::SymmetricBandedMatrix ldlt = a;
+    linalg::banded_ldlt_factor_in_place(ldlt);
+    std::vector<double> x = b;
+    linalg::banded_ldlt_solve(ldlt, x);
+    return x;
+  };
+  const std::vector<double> x = solve();
+  const std::vector<double> x_lu = linalg::BandedLu(general).solve(b);
+  double scale = 0.0;
+  double err = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    scale = std::max(scale, std::abs(x_lu[i]));
+    err = std::max(err, std::abs(x[i] - x_lu[i]));
+  }
+  if (!(err <= 1e-12 * scale)) {
+    std::fprintf(stderr, "LDLT MISMATCH: max |x - x_lu| = %.3g of %.3g\n",
+                 err, scale);
+    std::abort();
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(solve());
+}
+BENCHMARK(BM_BandedLdltFactorSolve)->Args({943, 23});
 
 void BM_BandedLuReferenceSolve(benchmark::State& state) {
   std::vector<double> b;

@@ -10,8 +10,8 @@ namespace {
 
 /// y[i] -= x[i] * a for i in [0, n): the one inner loop of the banded
 /// elimination and of the forward solve. The operands never overlap
-/// (two band columns at least 2*kl + ku apart, or a band column and the
-/// solution vector), and `__restrict` says so; with that and the 4-wide
+/// (two distinct band columns, or a band column and the solution
+/// vector), and `__restrict` says so; with that and the 4-wide
 /// body GCC's -O2 vectorizer emits packed mulpd/subpd, where two
 /// possibly aliasing columns of one array kept the plain loop scalar.
 /// Every element still gets exactly one IEEE multiply and one subtract
@@ -264,6 +264,78 @@ void banded_lu_solve(const BandedMatrix& lu,
       acc -= lu.storage(kk, c) * x[c];
     }
     x[kk] = acc / lu.storage(kk, kk);
+  }
+}
+
+SymmetricBandedMatrix::SymmetricBandedMatrix(std::size_t n, std::size_t kl)
+    : n_(n), kl_(kl), ab_((kl + 1) * n, 0.0) {
+  if (n == 0) {
+    throw std::invalid_argument("SymmetricBandedMatrix: n must be > 0");
+  }
+}
+
+std::size_t SymmetricBandedMatrix::offset(std::size_t r, std::size_t c) const {
+  if (r >= n_ || c > r || r - c > kl_) {
+    throw std::out_of_range(
+        "SymmetricBandedMatrix::at: entry outside the lower band");
+  }
+  return c * (kl_ + 1) + (r - c);
+}
+
+void SymmetricBandedMatrix::set_zero() {
+  std::fill(ab_.begin(), ab_.end(), 0.0);
+}
+
+void banded_ldlt_factor_in_place(SymmetricBandedMatrix& a) {
+  const std::size_t n = a.n_;
+  const std::size_t ldab = a.kl_ + 1;
+  double* ab = a.ab_.data();
+  // Right-looking, column by column: column k's entries below the pivot
+  // become L's multipliers l = a / d, and each later column c of the
+  // band loses l_c * d times the multipliers from row c down, which is
+  // the rank-1 update A22 -= d l lᵀ restricted to the lower triangle
+  // (LAPACK dpbtf2's shape, with D in place of the square roots). Both
+  // the column and the update are unit-stride, so `divide` and
+  // `sub_scaled` carry them as they carry the LU. Without pivoting
+  // nothing fills outside the band.
+  for (std::size_t k = 0; k < n; ++k) {
+    double* colk = ab + k * ldab;  // colk[i] = (k+i, k)
+    const double d = colk[0];
+    if (d == 0.0 || !std::isfinite(d)) {
+      throw std::runtime_error("BandedLdlt: zero or non-finite pivot");
+    }
+    const std::size_t nr = std::min(n - 1, k + a.kl_) - k;
+    divide(colk + 1, d, nr);
+    for (std::size_t i = 1; i <= nr; ++i) {
+      const double u = colk[i] * d;  // (k+i, k) before the division
+      if (u == 0.0) continue;
+      double* colc = ab + (k + i) * ldab;  // colc[j] = (k+i+j, k+i)
+      sub_scaled(colc, colk + i, u, nr - i + 1);
+    }
+  }
+}
+
+void banded_ldlt_solve(const SymmetricBandedMatrix& ldlt,
+                       std::vector<double>& x) {
+  const std::size_t n = ldlt.n_;
+  if (x.size() != n) {
+    throw std::invalid_argument("banded_ldlt_solve: size mismatch");
+  }
+  const std::size_t ldab = ldlt.kl_ + 1;
+  const double* ab = ldlt.ab_.data();
+  // L y = b column by column, as the LU's forward pass; then
+  // D Lᵀ x = y row by row from the bottom, where row k of Lᵀ is column k
+  // of L, so each step is a unit-stride dot product over the band.
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t nr = std::min(n - 1, k + ldlt.kl_) - k;
+    sub_scaled(x.data() + k + 1, ab + k * ldab + 1, x[k], nr);
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    const std::size_t nr = std::min(n - 1, k + ldlt.kl_) - k;
+    const double* colk = ab + k * ldab;
+    double acc = x[k] / colk[0];
+    for (std::size_t i = 1; i <= nr; ++i) acc -= colk[i] * x[k + i];
+    x[k] = acc;
   }
 }
 

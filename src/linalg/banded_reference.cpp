@@ -158,4 +158,65 @@ BandedMatrix stencil_banded(std::size_t nx, std::size_t ny, unsigned seed) {
   return a;
 }
 
+BandedMatrix poisson_stencil_banded(std::size_t n, std::size_t bw,
+                                    unsigned seed) {
+  constexpr std::size_t kOxideRows = 3;
+  if (bw < kOxideRows + 2 || n < 4 * bw) {
+    throw std::invalid_argument("poisson_stencil_banded: grid too small");
+  }
+  const std::size_t columns = (n + bw - 1) / bw;
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto dirichlet = [&](std::size_t r) {
+    const std::size_t i = r / bw;
+    const std::size_t j = r % bw;
+    return j + 1 == bw ||
+           (j == 0 && i >= columns / 4 && i < columns - columns / 4);
+  };
+  // One conductance per edge, to r + 1 and to r + bw: permittivity
+  // (oxide 3.9, silicon 11.7) times a cell aspect ratio in [0.05, 20].
+  const auto conductance = [&](std::size_t r) {
+    const double eps = r % bw < kOxideRows ? 3.9 : 11.7;
+    return eps * std::pow(10.0, 2.6 * unit(rng) - 1.3);
+  };
+  std::vector<double> k_y(n), k_x(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    k_y[r] = conductance(r);
+    k_x[r] = conductance(r);
+  }
+
+  BandedMatrix a(n, bw, bw);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (dirichlet(r)) {
+      a.at(r, r) = 1.0;
+      continue;
+    }
+    double diag = 0.0;
+    const auto couple = [&](std::size_t nb, double k) {
+      diag -= k;
+      if (!dirichlet(nb)) a.at(r, nb) = k;
+    };
+    const std::size_t j = r % bw;
+    if (j > 0) couple(r - 1, k_y[r - 1]);
+    if (j + 1 < bw && r + 1 < n) couple(r + 1, k_y[r]);
+    if (r >= bw) couple(r - bw, k_x[r - bw]);
+    if (r + bw < n) couple(r + bw, k_x[r]);
+    if (j >= kOxideRows) diag -= 11.7 * std::pow(10.0, 11.0 * unit(rng) - 10.0);
+    a.at(r, r) = diag;
+  }
+  return a;
+}
+
+SymmetricBandedMatrix lower_triangle(const BandedMatrix& a) {
+  const std::size_t n = a.size();
+  const std::size_t kl = a.lower_bandwidth();
+  SymmetricBandedMatrix s(n, kl);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = c; r <= std::min(n - 1, c + kl); ++r) {
+      s.at(r, c) = a.at(r, c);
+    }
+  }
+  return s;
+}
+
 }  // namespace subscale::linalg

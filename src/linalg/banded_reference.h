@@ -10,7 +10,8 @@
 /// differential kernel tests in tests/test_linalg.cpp and bench_kernels
 /// enforce exactly that. This class exists for those tests and as the
 /// baseline side of the blocked-vs-reference benchmark; production code
-/// should use BandedLu.
+/// should use BandedLu. The device-shaped test matrices below are shared
+/// by the same tests and benchmarks.
 
 #include <cstddef>
 #include <vector>
@@ -55,5 +56,25 @@ class ReferenceBandedLu {
 /// Deterministic in `seed`.
 BandedMatrix stencil_banded(std::size_t nx, std::size_t ny,
                             unsigned seed);
+
+/// A system shaped like Poisson's Newton Jacobian in solve_poisson, for
+/// the LDLᵀ kernel tests and benchmarks: a 5-point stencil on n nodes
+/// numbered in columns of `bw` (node r couples to r +- 1 inside its
+/// column and to r +- bw; the last column is partial when bw does not
+/// divide n), so kl = ku = bw. The top three rows of every column are
+/// oxide, the bottom row and the middle half of the top row are
+/// Dirichlet nodes: identity rows whose columns are dropped, as
+/// solve_poisson drops them. Every other row is -(sum of its edge
+/// conductances) - (a charge term spanning 1e-10 to 10 conductances) on
+/// the diagonal and +conductance off it, each edge's one value used in
+/// both of its rows. The matrix is exactly symmetric, and its free block
+/// negative definite and diagonally dominant. Returned in general band
+/// storage so BandedLu can factor it too; lower_triangle() gives the
+/// LDLᵀ's input. Deterministic in `seed`.
+BandedMatrix poisson_stencil_banded(std::size_t n, std::size_t bw,
+                                    unsigned seed);
+
+/// The lower triangle of `a`, at a's lower bandwidth.
+SymmetricBandedMatrix lower_triangle(const BandedMatrix& a);
 
 }  // namespace subscale::linalg
