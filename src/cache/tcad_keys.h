@@ -52,7 +52,10 @@ namespace subscale::cache {
 /// v7: the solver and retrograde-well settings that only ever took one
 /// value became constants and left the hashed field set; the states
 /// they converge to are bitwise those of v6.
-inline constexpr std::uint64_t kTcadKeySchema = 7;
+/// v8: Poisson's Newton system is factored by a symmetric LDLᵀ instead
+/// of the pivoting LU, which moves converged values in the last digits,
+/// so no v7 record is a bitwise replay any more.
+inline constexpr std::uint64_t kTcadKeySchema = 8;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")

@@ -243,6 +243,7 @@ inline constexpr const char* kGummelContinuity = "tcad.gummel.continuity";
 inline constexpr const char* kMeshContCoarse = "tcad.meshcont.coarse_solve";
 inline constexpr const char* kMeshContProlong = "tcad.meshcont.prolong";
 inline constexpr const char* kBandedLuSolve = "linalg.banded_lu.solve";
+inline constexpr const char* kBandedLdltSolve = "linalg.banded_ldlt.solve";
 inline constexpr const char* kCacheLookup = "cache.lookup";
 inline constexpr const char* kCachePublish = "cache.publish";
 inline constexpr const char* kOrchUnit = "orch.unit";

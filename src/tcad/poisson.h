@@ -5,8 +5,9 @@
 /// discretization of div(eps grad psi) = -q (p - n + N) with Boltzmann
 /// carriers evaluated from frozen quasi-Fermi potentials (the inner
 /// problem of a Gummel iteration). Dirichlet at contacts, natural
-/// Neumann elsewhere; solved with damped Newton and a banded direct
-/// factorization (bandwidth = TensorMesh2d::bandwidth(), min(nx, ny)).
+/// Neumann elsewhere; solved with damped Newton and a symmetric banded
+/// LDLᵀ factorization (bandwidth = TensorMesh2d::bandwidth(),
+/// min(nx, ny)).
 
 #include <map>
 #include <string>
@@ -40,7 +41,7 @@ struct PoissonResult {
 
 /// Solve for psi in place. `biases` maps contact name -> applied voltage.
 /// phi_n/phi_p are per-node quasi-Fermi potentials (used in silicon).
-/// A non-null `profiler` records one "linalg.banded_lu.solve" span per
+/// A non-null `profiler` records one "linalg.banded_ldlt.solve" span per
 /// Newton iteration (the direct-solver leaf of the TCAD span tree).
 PoissonResult solve_poisson(const DeviceStructure& dev,
                             const std::map<std::string, double>& biases,
