@@ -196,18 +196,27 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
     a.at(idx, idx) = diag;
   }
 
+  ContinuityResult result;
   {
     const obs::ScopedSpan lu_span(profiler,
                                   obs::names::spans::kBandedLuSolve);
-    linalg::banded_lu_factor_in_place(a, ws.ipiv_, ws.row_scale_);
+    try {
+      linalg::banded_lu_factor_in_place(a, ws.ipiv_, ws.row_scale_);
+    } catch (const std::runtime_error&) {
+      // A zero or non-finite row or pivot (a NaN potential or density
+      // makes every coefficient of its rows NaN): `density` is left as
+      // it came in, and the caller restores a good state.
+      result.status = SolveStatus::kNonFinite;
+      return result;
+    }
     density = rhs;
     linalg::banded_lu_solve(a, ws.ipiv_, ws.row_scale_, density);
   }
   // The linear solve can undershoot in sharply graded regions; clamp to a
   // tiny positive floor so logs and SRH terms stay defined. A NaN/Inf
-  // (singular pivot from a degenerate potential) is counted and reset so
-  // it cannot poison the Gummel state — the caller sees it in the result.
-  ContinuityResult result;
+  // that the factorization let through (a non-finite right-hand side, or
+  // a NaN entry the pivot search stepped over) is counted and reset so it
+  // cannot poison the Gummel state — the caller sees it in the result.
   const double floor = 1e-20 * ni;
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
     if (!dev.is_silicon(idx)) {
