@@ -35,6 +35,9 @@ inline constexpr MeshOptions kCoarseMesh{.surface_spacing = 0.6e-9,
 
 class DeviceStructure {
  public:
+  /// Throws std::invalid_argument, naming the contact, when a source or
+  /// drain node does not carry the source/drain doping type or a bulk
+  /// node the body type (an ohmic contact on the wrong silicon).
   DeviceStructure(const compact::DeviceSpec& spec,
                   const MeshOptions& options = {});
 
