@@ -6,12 +6,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common.h"
 #include "compact/mosfet.h"
+#include "exec/run_context.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "physics/units.h"
 #include "tcad/device_sim.h"
-#include "exec/run_context.h"
 #include "tcad/extract.h"
 
 using namespace subscale;
@@ -28,8 +31,22 @@ int main() {
       doping::Polarity::kNfet, 65, 2.10, 1.52e18, 3.63e18, 1.2, 1.0);
   const compact::CompactMosfet fet(spec);
 
+  // Poisson Newton iterations per Gummel outer iteration over the sweep,
+  // the Newton budget tools/check.sh gates: the deltas of the bench
+  // registry's two counters across id_vg, so the equilibrium, the DIBL
+  // points and the cold solves below stay out of it.
+  const auto newton_and_outer = [] {
+    const obs::MetricsRegistry* reg = obs::default_registry();
+    if (reg == nullptr) return std::pair<double, double>{0.0, 0.0};
+    const obs::MetricsSnapshot snap = reg->snapshot();
+    return std::pair<double, double>{
+        static_cast<double>(snap.counter(obs::names::kPoissonNewtonIterations)),
+        static_cast<double>(snap.counter(obs::names::kGummelOuterIterations))};
+  };
   tcad::TcadDevice dev(spec);
+  const auto [newton_before, outer_before] = newton_and_outer();
   const tcad::SweepResult sweep = dev.id_vg(0.25, 0.0, 0.45, 12);
+  const auto [newton_after, outer_after] = newton_and_outer();
   const auto& resilience = sweep.report;
   std::printf("sweep resilience: %zu/%zu bias points converged\n",
               resilience.attempted - resilience.failures.size(),
@@ -44,6 +61,13 @@ int main() {
   }
   std::printf("solver effort: %zu Gummel outer iterations over %zu points\n",
               gummel_iters, sweep.timings.size());
+  if (outer_after > outer_before) {  // zero when the sweep was replayed
+    const double newton_per_outer =
+        (newton_after - newton_before) / (outer_after - outer_before);
+    std::printf("Poisson Newton iterations per outer iteration: %.2f\n",
+                newton_per_outer);
+    rec.metric("poisson_newton_per_outer", newton_per_outer);
+  }
   const auto ex = tcad::extract_from_sweep(sweep);
 
   io::TextTable t({"quantity", "TCAD (2-D DD)", "compact (calibrated)"});

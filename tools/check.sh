@@ -160,6 +160,24 @@ if [[ -z "$sanitize" ]]; then
   fi
   echo "obs_trend: cold-solve budget gate enforced"
 
+  # Poisson Newton budget. bench_tcad_validation records the Poisson
+  # Newton iterations per Gummel outer iteration over its sweep
+  # (deterministic counters). The ceiling sits ~1.25x above the measured
+  # 3.10, so a Newton that stops converging quadratically (a Jacobian
+  # that drifts from the true one, a step clamp that binds on every
+  # iteration) fails here; the 0.5 V clamp's 3.70 still passes, and the
+  # exact count ObsTcad.SweepPublishesCounters pins is what holds the
+  # clamp. An impossible budget must trip the same gate.
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max poisson_newton_per_outer=3.9
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max poisson_newton_per_outer=1 \
+      > /dev/null; then
+    echo "check.sh: Poisson Newton budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: Poisson Newton budget gate enforced"
+
   # VTC Newton budget. bench_fig04 records the Newton iterations per
   # inverter output-node solve (circuits.vtc.* counters, deterministic).
   # The ceiling sits ~1.25x above the measured 7.29, far below the ~43
