@@ -71,6 +71,7 @@ enum class GatePolicy { kGated, kExempt };
   X(kGummelIterationsPerSolve, "tcad.gummel.iterations_per_solve", kIterationHistogram, kGated) \
   X(kPoissonNewtonIterations, "tcad.poisson.newton_iterations", kCounter, kGated) \
   X(kContinuitySolves, "tcad.continuity.solves", kCounter, kGated)            \
+  X(kContinuityClampedNodes, "tcad.continuity.clamped_nodes", kCounter, kGated) \
   /* tcad layer — mesh continuation */                                        \
   X(kMeshContLevels, "tcad.meshcont.levels", kCounter, kGated)                \
   X(kMeshContProlongations, "tcad.meshcont.prolongations", kCounter, kGated)  \

@@ -67,6 +67,8 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
     ins_.poisson_newton_iterations =
         &sink->counter(names::kPoissonNewtonIterations);
     ins_.continuity_solves = &sink->counter(names::kContinuitySolves);
+    ins_.continuity_clamped_nodes =
+        &sink->counter(names::kContinuityClampedNodes);
     ins_.last_residual = &sink->gauge(names::kGummelLastResidual);
     ins_.iterations_per_solve = &sink->histogram(
         names::kGummelIterationsPerSolve, obs::buckets::kIterations);
@@ -463,6 +465,9 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     }();
     sample.continuity_max_density = std::max(rn.max_density, rp.max_density);
     if (ins_.continuity_solves != nullptr) ins_.continuity_solves->add(2);
+    if (ins_.continuity_clamped_nodes != nullptr) {
+      ins_.continuity_clamped_nodes->add(rn.clamped_nodes + rp.clamped_nodes);
+    }
     SolveStatus rn_status = rn.status;
     if (fault_fires(SolveStage::kContinuity, it, biases)) {
       rn_status = SolveStatus::kNonFinite;

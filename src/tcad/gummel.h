@@ -194,6 +194,7 @@ class DriftDiffusionSolver {
     obs::Counter* failed_solves = nullptr;
     obs::Counter* poisson_newton_iterations = nullptr;
     obs::Counter* continuity_solves = nullptr;
+    obs::Counter* continuity_clamped_nodes = nullptr;
     obs::Gauge* last_residual = nullptr;
     obs::Histogram* iterations_per_solve = nullptr;
   };
