@@ -37,22 +37,28 @@ compact::DeviceSpec spec_90() {
 // the band of either mesh numbering (41 numbering along x, 23 along the
 // shorter y axis) as a dense random band, as the device-shaped 41 x 23
 // continuity stencil (linalg::stencil_banded: identity oxide and contact
-// rows, sparse row interchanges), and as the symmetric Poisson stencil
+// rows, contact columns dropped), and as the symmetric Poisson stencil
 // (linalg::poisson_stencil_banded), selected by the third argument (0, 1,
 // 2). The blocked elimination in BandedLu is pinned bitwise to the
 // textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
 // BandedReference.BlockedEliminationMatchesReferenceBitwise); both
 // benchmarks repeat that check before timing, so a silent numerical
-// drift cannot be misread as a win.
+// drift cannot be misread as a win. The random band is column-diagonally
+// dominant, as the unpivoted LU requires: entries in [-1, 1] off the
+// diagonal, and each diagonal entry the column's off-diagonal sum plus 1.
 linalg::BandedMatrix make_bench_banded(std::size_t n, std::size_t bw) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   linalg::BandedMatrix a(n, bw, bw);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(n - 1, i + bw);
-         ++j) {
-      a.at(i, j) = (i == j) ? 8.0 + dist(rng) : dist(rng);
+  for (std::size_t c = 0; c < n; ++c) {
+    double off = 0.0;
+    for (std::size_t r = (c > bw ? c - bw : 0); r <= std::min(n - 1, c + bw);
+         ++r) {
+      if (r == c) continue;
+      a.at(r, c) = dist(rng);
+      off += std::abs(a.at(r, c));
     }
+    a.at(c, c) = off + 1.0;
   }
   return a;
 }

@@ -5,9 +5,11 @@
 /// mesh produces matrices whose bandwidth equals the number of nodes along
 /// the faster-varying mesh axis, which TensorMesh2d makes the shorter one
 /// (TensorMesh2d::bandwidth(), min(nx, ny)); a banded direct solve is both
-/// fast (O(n*bw^2)) and far more robust than iterative methods. The
-/// pivoting LU takes the strongly nonsymmetric continuity systems; the
-/// LDLᵀ takes Poisson's symmetric definite Newton Jacobian.
+/// fast (O(n*bw^2)) and far more robust than iterative methods. Neither
+/// factorization pivots or scales rows: the LU takes the continuity
+/// systems, which are column-diagonally dominant once their contact
+/// columns are moved to the right-hand side (DESIGN §23), and the LDLᵀ
+/// takes Poisson's symmetric definite Newton Jacobian (§22).
 
 #include <cstddef>
 #include <vector>
@@ -17,32 +19,24 @@ namespace subscale::linalg {
 class BandedMatrix;
 class SymmetricBandedMatrix;
 
-/// LU factorization of a banded matrix in place, with row equilibration
-/// and partial pivoting (LAPACK dgbtrf/dgbtrs behaviour plus dgbequ-style
-/// row scaling — drift-diffusion systems mix row magnitudes across ~25
-/// orders, which plain partial pivoting cannot survive). On return `a`'s
-/// band storage holds the factors, ipiv[k] the row swapped with row k at
-/// step k, and row_scale[r] row r's equilibration factor. Throws
-/// std::runtime_error on a zero or non-finite row (before any row is
-/// scaled) or a singular pivot (with `a` partly factored); refill every
-/// entry, the fill rows included (set_zero), before reusing it.
-/// Allocates nothing when ipiv and row_scale already hold a.size()
-/// entries.
-void banded_lu_factor_in_place(BandedMatrix& a,
-                               std::vector<std::size_t>& ipiv,
-                               std::vector<double>& row_scale);
+/// LU factorization of a banded matrix in place, without pivoting or
+/// row scaling, so it is only for matrices whose elimination needs
+/// neither, such as a column-diagonally dominant one (every multiplier
+/// then satisfies |l| <= 1; DESIGN §23.1). On return `a`'s diagonal and
+/// super-diagonals hold U and its sub-diagonals the multipliers of the
+/// unit-lower L. Throws std::runtime_error on a zero or non-finite
+/// pivot, with `a` partly factored; refill every entry (set_zero)
+/// before reusing it. Allocates nothing.
+void banded_lu_factor_in_place(BandedMatrix& a);
 
 /// Solve A x = b in place from banded_lu_factor_in_place's output: `x`
 /// holds b on entry and the solution on return. Allocates nothing.
-void banded_lu_solve(const BandedMatrix& lu,
-                     const std::vector<std::size_t>& ipiv,
-                     const std::vector<double>& row_scale,
-                     std::vector<double>& x);
+void banded_lu_solve(const BandedMatrix& lu, std::vector<double>& x);
 
 /// LDLᵀ factorization of a symmetric banded matrix in place: no pivoting
 /// and no row scaling, so it is only for matrices whose elimination needs
 /// neither, such as a symmetric definite one of either sign (Poisson's
-/// Newton Jacobian, DESIGN §22); a general band goes through
+/// Newton Jacobian, DESIGN §22); a nonsymmetric one goes through
 /// banded_lu_factor_in_place. On return `a`'s diagonal holds D and its
 /// sub-diagonals hold the multipliers of the unit-lower L. Throws
 /// std::runtime_error on a zero or non-finite pivot, with `a` partly
@@ -56,8 +50,9 @@ void banded_ldlt_factor_in_place(SymmetricBandedMatrix& a);
 void banded_ldlt_solve(const SymmetricBandedMatrix& ldlt,
                        std::vector<double>& x);
 
-/// Banded matrix in LAPACK-style band storage with room for fill-in from
-/// partial pivoting: (2*kl + ku + 1) x n.
+/// Banded matrix in LAPACK-style band storage, (kl + ku + 1) x n,
+/// column-major, column c holding rows c - ku .. c + kl. The LU does not
+/// pivot, so nothing fills outside the band and no extra rows are kept.
 class BandedMatrix {
  public:
   /// \param n  matrix dimension
@@ -85,32 +80,27 @@ class BandedMatrix {
   std::vector<double> multiply(const std::vector<double>& x) const;
 
  private:
-  friend void banded_lu_factor_in_place(BandedMatrix&,
-                                        std::vector<std::size_t>&,
-                                        std::vector<double>&);
-  friend void banded_lu_solve(const BandedMatrix&,
-                              const std::vector<std::size_t>&,
-                              const std::vector<double>&,
-                              std::vector<double>&);
+  friend void banded_lu_factor_in_place(BandedMatrix&);
+  friend void banded_lu_solve(const BandedMatrix&, std::vector<double>&);
   std::size_t n_;
   std::size_t kl_;
   std::size_t ku_;
-  std::size_t ldab_;          // rows of band storage = 2*kl + ku + 1
+  std::size_t ldab_;          // rows of band storage = kl + ku + 1
   std::vector<double> ab_;    // column-major band storage
 
   double& storage(std::size_t r, std::size_t c) {
-    // Row index within band storage: kl + ku + r - c.
-    return ab_[c * ldab_ + (kl_ + ku_ + r - c)];
+    // Row index within band storage: ku + r - c.
+    return ab_[c * ldab_ + (ku_ + r - c)];
   }
   double storage(std::size_t r, std::size_t c) const {
-    return ab_[c * ldab_ + (kl_ + ku_ + r - c)];
+    return ab_[c * ldab_ + (ku_ + r - c)];
   }
 };
 
 /// Symmetric banded matrix stored by its lower triangle, LAPACK's 'L'
 /// band layout: (kl + 1) x n, column-major, column c holding rows
-/// c .. c + kl. The LDLᵀ needs no room for fill, so this is about a third
-/// of BandedMatrix's 2*kl + ku + 1 rows at ku = kl.
+/// c .. c + kl: about half of BandedMatrix's kl + ku + 1 rows at
+/// ku = kl.
 class SymmetricBandedMatrix {
  public:
   /// \param n  matrix dimension
@@ -137,10 +127,11 @@ class SymmetricBandedMatrix {
 
 /// An owning banded LU factorization (banded_lu_factor_in_place on a
 /// copy), for callers that factor once; solvers that refactor every
-/// iteration keep the matrix, pivots and scales in their own workspace.
+/// iteration keep the matrix in their own workspace.
 class BandedLu {
  public:
-  /// Factorizes a copy of `a`. Throws std::runtime_error if singular.
+  /// Factorizes a copy of `a`. Throws std::runtime_error on a zero or
+  /// non-finite pivot.
   explicit BandedLu(BandedMatrix a);
 
   /// Solve A x = b.
@@ -148,8 +139,6 @@ class BandedLu {
 
  private:
   BandedMatrix lu_;
-  std::vector<std::size_t> ipiv_;
-  std::vector<double> row_scale_;
 };
 
 }  // namespace subscale::linalg

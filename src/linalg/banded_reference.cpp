@@ -11,53 +11,20 @@ ReferenceBandedLu::ReferenceBandedLu(const BandedMatrix& a)
     : n_(a.size()),
       kl_(a.lower_bandwidth()),
       ku_(a.upper_bandwidth()),
-      dense_(n_ * n_, 0.0),
-      ipiv_(n_),
-      row_scale_(n_, 1.0) {
+      dense_(n_ * n_, 0.0) {
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t c_lo = (r > kl_) ? r - kl_ : 0;
     const std::size_t c_hi = std::min(n_ - 1, r + ku_);
     for (std::size_t c = c_lo; c <= c_hi; ++c) at(r, c) = a.at(r, c);
   }
 
-  // Row equilibration: scale every row so its largest entry is ~1.
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t c_lo = (r > kl_) ? r - kl_ : 0;
-    const std::size_t c_hi = std::min(n_ - 1, r + ku_);
-    double max_abs = 0.0;
-    for (std::size_t c = c_lo; c <= c_hi; ++c) {
-      max_abs = std::max(max_abs, std::abs(at(r, c)));
-    }
-    if (max_abs == 0.0 || !std::isfinite(max_abs)) {
-      throw std::runtime_error("ReferenceBandedLu: zero or non-finite row");
-    }
-    row_scale_[r] = 1.0 / max_abs;
-    for (std::size_t c = c_lo; c <= c_hi; ++c) at(r, c) *= row_scale_[r];
-  }
-
-  const std::size_t ku_eff = kl_ + ku_;
   for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t r_hi = std::min(n_ - 1, k + kl_);
-    std::size_t pivot_row = k;
-    double pivot_mag = std::abs(at(k, k));
-    for (std::size_t r = k + 1; r <= r_hi; ++r) {
-      const double mag = std::abs(at(r, k));
-      if (mag > pivot_mag) {
-        pivot_mag = mag;
-        pivot_row = r;
-      }
-    }
-    if (pivot_mag == 0.0 || !std::isfinite(pivot_mag)) {
-      throw std::runtime_error("ReferenceBandedLu: singular matrix");
-    }
-    ipiv_[k] = pivot_row;
-    const std::size_t c_hi = std::min(n_ - 1, k + ku_eff);
-    if (pivot_row != k) {
-      for (std::size_t c = k; c <= c_hi; ++c) {
-        std::swap(at(k, c), at(pivot_row, c));
-      }
-    }
     const double pivot = at(k, k);
+    if (pivot == 0.0 || !std::isfinite(pivot)) {
+      throw std::runtime_error("ReferenceBandedLu: zero or non-finite pivot");
+    }
+    const std::size_t r_hi = std::min(n_ - 1, k + kl_);
+    const std::size_t c_hi = std::min(n_ - 1, k + ku_);
     for (std::size_t r = k + 1; r <= r_hi; ++r) at(r, k) /= pivot;
     // Row-outer trailing update; skips the same zero-u columns as the
     // vectorized version so both perform identical element operations.
@@ -76,19 +43,15 @@ std::vector<double> ReferenceBandedLu::solve(const std::vector<double>& b) const
   if (b.size() != n_) {
     throw std::invalid_argument("ReferenceBandedLu::solve: size mismatch");
   }
-  const std::size_t ku_eff = kl_ + ku_;
   std::vector<double> x = b;
-  for (std::size_t r = 0; r < n_; ++r) x[r] *= row_scale_[r];
-
   for (std::size_t k = 0; k < n_; ++k) {
-    if (ipiv_[k] != k) std::swap(x[k], x[ipiv_[k]]);
     const std::size_t r_hi = std::min(n_ - 1, k + kl_);
     for (std::size_t r = k + 1; r <= r_hi; ++r) {
       x[r] -= at(r, k) * x[k];
     }
   }
   for (std::size_t kk = n_; kk-- > 0;) {
-    const std::size_t c_hi = std::min(n_ - 1, kk + ku_eff);
+    const std::size_t c_hi = std::min(n_ - 1, kk + ku_);
     double acc = x[kk];
     for (std::size_t c = kk + 1; c <= c_hi; ++c) {
       acc -= at(kk, c) * x[c];
@@ -106,11 +69,14 @@ BandedMatrix stencil_banded(std::size_t nx, std::size_t ny, unsigned seed) {
   const std::size_t n = nx * ny;
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::uniform_int_distribution<int> decade(-12, 12);
   const auto node = [ny](std::size_t i, std::size_t j) { return i * ny + j; };
-  const auto fixed = [&](std::size_t i, std::size_t j) {
-    return j < kOxideRows || j + 1 == ny ||
+  const auto contact = [&](std::size_t i, std::size_t j) {
+    return j + 1 == ny ||
            (j == kOxideRows && (i < nx / 4 || i >= nx - nx / 4));
+  };
+  // B(x) = x / (e^x - 1); the drops stay far from expm1's overflow.
+  const auto bernoulli = [](double x) {
+    return x == 0.0 ? 1.0 : x / std::expm1(x);
   };
   // Per edge, from node (i, j) to (i+1, j) and to (i, j+1): a conductance
   // and a potential drop in thermal voltages, read negated from the far
@@ -131,16 +97,16 @@ BandedMatrix stencil_banded(std::size_t nx, std::size_t ny, unsigned seed) {
   for (std::size_t i = 0; i < nx; ++i) {
     for (std::size_t j = 0; j < ny; ++j) {
       const std::size_t r = node(i, j);
-      if (fixed(i, j)) {
+      if (j < kOxideRows || contact(i, j)) {
         a.at(r, r) = 1.0;
         continue;
       }
-      const double scale = std::pow(10.0, decade(rng));
-      double diag = -1e-3 * unit(rng);  // recombination
+      double diag = 1e-3 * unit(rng);  // recombination
       const auto couple = [&](std::size_t nb, double k, double drop) {
-        if (nb % ny < kOxideRows) return;  // no flux into the oxide
-        a.at(r, nb) = scale * (k * std::exp(-0.5 * drop));
-        diag -= k * std::exp(0.5 * drop);
+        const std::size_t nb_j = nb % ny;
+        if (nb_j < kOxideRows) return;  // no flux into the oxide
+        diag += k * bernoulli(drop);
+        if (!contact(nb / ny, nb_j)) a.at(r, nb) = -(k * bernoulli(-drop));
       };
       if (i > 0) {
         const std::size_t w = node(i - 1, j);
@@ -152,7 +118,7 @@ BandedMatrix stencil_banded(std::size_t nx, std::size_t ny, unsigned seed) {
         couple(s, k_y[s], -drop_y[s]);
       }
       if (j + 1 < ny) couple(node(i, j + 1), k_y[r], drop_y[r]);
-      a.at(r, r) = scale * diag;
+      a.at(r, r) = diag;
     }
   }
   return a;

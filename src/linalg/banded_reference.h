@@ -20,9 +20,9 @@
 
 namespace subscale::linalg {
 
-/// Reference banded LU with row equilibration and partial pivoting,
-/// operating on a dense copy restricted to the band. Mirrors BandedLu's
-/// numerical behaviour operation-for-operation.
+/// Reference banded LU without pivoting or row scaling, operating on a
+/// dense copy restricted to the band. Mirrors BandedLu's numerical
+/// behaviour operation-for-operation.
 class ReferenceBandedLu {
  public:
   explicit ReferenceBandedLu(const BandedMatrix& a);
@@ -35,25 +35,27 @@ class ReferenceBandedLu {
   std::size_t kl_;
   std::size_t ku_;
   std::vector<double> dense_;  // row-major n x n; out-of-band entries stay 0
-  std::vector<std::size_t> ipiv_;
-  std::vector<double> row_scale_;
 
   double& at(std::size_t r, std::size_t c) { return dense_[r * n_ + c]; }
   double at(std::size_t r, std::size_t c) const { return dense_[r * n_ + c]; }
 };
 
 /// A system shaped like the TCAD continuity matrices, for the kernel
-/// tests and benchmarks: a 5-point stencil on an nx x ny grid numbered
-/// along y (node i*ny + j, so kl = ku = ny). The top three grid rows are
-/// oxide, whose rows are identity rows that no other row couples to; the
-/// outer quarters of the next (surface) row and the whole bottom row are
-/// contacts, identity rows that their neighbours do couple to. Every
-/// other row carries Scharfetter–Gummel-like couplings over random
-/// potential drops (about one edge in thirty steep) and is scaled by a
-/// random power of ten in [1e-12, 1e12]. Like the device matrices, it
-/// swaps rows at a minority of the elimination steps, and fill from an
-/// earlier swap is still live at later steps that do not swap.
-/// Deterministic in `seed`.
+/// tests and benchmarks: the hole rows of a Scharfetter–Gummel 5-point
+/// stencil on an nx x ny grid numbered along y (node i*ny + j, so
+/// kl = ku = ny). The top three grid rows are oxide, identity rows that
+/// no other row couples to; the outer quarters of the next (surface)
+/// row and the whole bottom row are ohmic contacts, identity rows whose
+/// columns are dropped, as solve_continuity moves them to the
+/// right-hand side. Every other row holds, per edge to a silicon
+/// neighbour, k B(d) on the diagonal and -k B(-d) at the neighbour
+/// (unless it is a contact), with one random conductance k and one
+/// potential drop d in thermal voltages per edge (about one edge in
+/// thirty steep), read negated from the far end; and a recombination
+/// term on the diagonal. Each edge's k B(d) thus appears once off the
+/// diagonal and once on its column's diagonal, so the matrix is a
+/// column-diagonally dominant M-matrix, strictly so wherever the
+/// recombination term or a contact edge is. Deterministic in `seed`.
 BandedMatrix stencil_banded(std::size_t nx, std::size_t ny,
                             unsigned seed);
 
