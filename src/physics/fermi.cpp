@@ -4,21 +4,20 @@
 
 namespace subscale::physics {
 
-double bernoulli(double x) {
+BernoulliPair bernoulli_pair(double x) {
   const double ax = std::abs(x);
+  double b = 0.0;  // B(|x|)
   if (ax < 1e-10) {
-    return 1.0 - x / 2.0;  // B(x) ~ 1 - x/2 + x^2/12
+    b = 1.0 - ax / 2.0;  // B(x) ~ 1 - x/2 + x^2/12
+  } else if (ax < 1e-4) {
+    b = 1.0 - ax / 2.0 + ax * ax / 12.0;
+  } else if (ax > 700.0) {
+    b = ax * std::exp(-ax);  // exp(x) overflows; B(x) -> x e^{-x}
+  } else {
+    b = ax / std::expm1(ax);
   }
-  if (ax < 1e-4) {
-    return 1.0 - x / 2.0 + x * x / 12.0;
-  }
-  if (x > 700.0) {
-    return x * std::exp(-x);  // exp(x) overflows; B(x) -> x e^{-x}
-  }
-  if (x < -700.0) {
-    return -x;  // exp(x) -> 0; B(x) -> -x
-  }
-  return x / std::expm1(x);
+  const double b_minus = b + ax;  // B(-|x|)
+  return x < 0.0 ? BernoulliPair{b_minus, b} : BernoulliPair{b, b_minus};
 }
 
 double electron_density(double psi, double phi_n, double ni, double vt) {

@@ -7,9 +7,17 @@
 
 namespace subscale::physics {
 
-/// The Bernoulli function B(x) = x / (exp(x) - 1), with a numerically
-/// stable series branch near x = 0 and an overflow-safe large-|x| branch.
-double bernoulli(double x);
+/// The Bernoulli function B(x) = x / (exp(x) - 1) at x and at -x.
+struct BernoulliPair {
+  double at_x;        ///< B(x)
+  double at_minus_x;  ///< B(-x)
+};
+
+/// B(x) and B(-x), the pair a Scharfetter–Gummel edge needs, from one
+/// evaluation at |x| (one expm1) and the identity B(-|x|) = B(|x|) + |x|.
+/// B(|x|) has a series branch near 0 and an overflow-safe branch past
+/// |x| = 700, where B(-|x|) comes out as |x| exactly.
+BernoulliPair bernoulli_pair(double x);
 
 /// Electron density n = ni * exp((psi - phi_n)/vT) under Boltzmann
 /// statistics, with potentials referenced to the intrinsic level [m^-3].

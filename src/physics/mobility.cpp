@@ -78,10 +78,13 @@ double caughey_thomas_mobility_vsat(Carrier carrier,
   if (low_field_mobility <= 0.0) {
     throw std::invalid_argument("caughey_thomas_mobility: mu0 <= 0");
   }
-  const double beta = (carrier == Carrier::kElectron) ? 2.0 : 1.0;
-  const double e = std::abs(parallel_field);
-  const double x = low_field_mobility * e / vsat;
-  return low_field_mobility / std::pow(1.0 + std::pow(x, beta), 1.0 / beta);
+  // (1 + x^beta)^(1/beta) in closed form: beta = 2 for electrons, 1 for
+  // holes.
+  const double x = low_field_mobility * std::abs(parallel_field) / vsat;
+  if (carrier == Carrier::kElectron) {
+    return low_field_mobility / std::sqrt(1.0 + x * x);
+  }
+  return low_field_mobility / (1.0 + x);
 }
 
 double caughey_thomas_mobility(Carrier carrier, double low_field_mobility,

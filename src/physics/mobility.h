@@ -20,7 +20,8 @@ double saturation_velocity(Carrier carrier, double temperature_kelvin);
 
 /// Caughey–Thomas field-dependent mobility [m^2/Vs] at saturation
 /// velocity `vsat` [m/s]:
-/// mu(E) = mu0 / (1 + (mu0*E/vsat)^beta)^(1/beta), beta=2 (n), 1 (p).
+/// mu(E) = mu0 / (1 + (mu0*E/vsat)^beta)^(1/beta), beta=2 (n), 1 (p),
+/// evaluated in closed form (a sqrt for electrons, a quotient for holes).
 /// Callers evaluating many edges at one temperature compute
 /// saturation_velocity once and call this form.
 double caughey_thomas_mobility_vsat(Carrier carrier,

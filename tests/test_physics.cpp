@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "physics/constants.h"
 #include "physics/fermi.h"
@@ -156,6 +159,37 @@ TEST(Mobility, CaugheyThomasReducesWithField) {
               0.05 * 1.07e5);
 }
 
+TEST(Mobility, CaugheyThomasClosedFormMatchesPowForm) {
+  // beta = 2 (electrons) is mu0 / sqrt(1 + x^2) and beta = 1 (holes)
+  // mu0 / (1 + x), x = mu0 E / vsat: within 2 ULP of the general
+  // mu0 / (1 + x^beta)^(1/beta) through std::pow, from a negligible
+  // field to deep saturation and for either sign of E.
+  const auto ulps = [](double a, double b) {
+    return std::abs(a - b) /
+           (std::nextafter(b, std::numeric_limits<double>::infinity()) - b);
+  };
+  for (const sp::Carrier carrier :
+       {sp::Carrier::kElectron, sp::Carrier::kHole}) {
+    const double beta = carrier == sp::Carrier::kElectron ? 2.0 : 1.0;
+    const double vsat = sp::saturation_velocity(carrier, 300.0);
+    for (const double mu0 : {0.005, 0.047, 0.14}) {
+      for (double e = 1.0; e < 1e10; e *= 1.3) {
+        for (const double field : {e, -e}) {
+          const double x = mu0 * e / vsat;
+          const double pow_form =
+              mu0 / std::pow(1.0 + std::pow(x, beta), 1.0 / beta);
+          const double closed =
+              sp::caughey_thomas_mobility_vsat(carrier, mu0, field, vsat);
+          EXPECT_LE(ulps(closed, pow_form), 2.0)
+              << "beta " << beta << " mu0 " << mu0 << " E " << field;
+        }
+      }
+      EXPECT_EQ(sp::caughey_thomas_mobility_vsat(carrier, mu0, 0.0, vsat),
+                mu0);
+    }
+  }
+}
+
 TEST(Mobility, SaturationVelocityTemperature) {
   EXPECT_NEAR(sp::saturation_velocity(sp::Carrier::kElectron, 300.0), 1.07e5,
               1e3);
@@ -175,22 +209,54 @@ TEST(Mobility, SurfaceDegradationBounded) {
 // ---- fermi / Bernoulli --------------------------------------------------------
 
 TEST(Fermi, BernoulliAtZero) {
-  EXPECT_DOUBLE_EQ(sp::bernoulli(0.0), 1.0);
-  EXPECT_NEAR(sp::bernoulli(1e-12), 1.0, 1e-11);
+  const sp::BernoulliPair zero = sp::bernoulli_pair(0.0);
+  EXPECT_EQ(zero.at_x, 1.0);
+  EXPECT_EQ(zero.at_minus_x, 1.0);
+  EXPECT_NEAR(sp::bernoulli_pair(1e-12).at_x, 1.0, 1e-11);
+  EXPECT_NEAR(sp::bernoulli_pair(1e-12).at_minus_x, 1.0, 1e-11);
 }
 
 TEST(Fermi, BernoulliIdentity) {
-  // B(-x) = B(x) + x for all x.
+  // B(-x) = B(x) + x for all x, and the pair at -x is the pair at x
+  // swapped, bit for bit, so both ends of an edge see the same values.
   for (double x : {1e-8, 1e-4, 0.1, 1.0, 5.0, 50.0, 800.0}) {
-    EXPECT_NEAR(sp::bernoulli(-x), sp::bernoulli(x) + x,
-                1e-12 * std::max(1.0, x))
+    const sp::BernoulliPair b = sp::bernoulli_pair(x);
+    EXPECT_NEAR(b.at_minus_x, b.at_x + x, 1e-12 * std::max(1.0, x))
         << "x = " << x;
+    const sp::BernoulliPair swapped = sp::bernoulli_pair(-x);
+    EXPECT_EQ(swapped.at_x, b.at_minus_x) << "x = " << x;
+    EXPECT_EQ(swapped.at_minus_x, b.at_x) << "x = " << x;
   }
 }
 
 TEST(Fermi, BernoulliLargeArguments) {
-  EXPECT_NEAR(sp::bernoulli(800.0), 0.0, 1e-300);
-  EXPECT_NEAR(sp::bernoulli(-800.0), 800.0, 1e-9);
+  EXPECT_NEAR(sp::bernoulli_pair(800.0).at_x, 0.0, 1e-300);
+  EXPECT_EQ(sp::bernoulli_pair(800.0).at_minus_x, 800.0);
+  EXPECT_EQ(sp::bernoulli_pair(-800.0).at_x, 800.0);
+}
+
+TEST(Fermi, BernoulliPairMatchesExpm1Quotient) {
+  // Against x / expm1(x) evaluated at x and at -x separately, on both
+  // signs from the series branches to just past the +-700 branch point,
+  // where x / expm1(x) is still finite. Both sides round a few times,
+  // so allow 4 ULP of the reference.
+  const auto quotient = [](double x) { return x / std::expm1(x); };
+  const auto expect_close = [](double got, double want, double x,
+                               const char* which) {
+    const double ulp = std::numeric_limits<double>::epsilon() * want;
+    EXPECT_LE(std::abs(got - want), 4.0 * ulp)
+        << which << " at x = " << x << ": " << got << " vs " << want;
+  };
+  std::vector<double> xs = {1e-9,  5e-5,  2e-4,  699.9,
+                            700.0, 700.5, 705.0, 709.0};
+  for (double x = 1e-3; x < 700.0; x *= 1.07) xs.push_back(x);
+  for (const double ax : xs) {
+    for (const double x : {ax, -ax}) {
+      const sp::BernoulliPair b = sp::bernoulli_pair(x);
+      expect_close(b.at_x, quotient(x), x, "B(x)");
+      expect_close(b.at_minus_x, quotient(-x), x, "B(-x)");
+    }
+  }
 }
 
 TEST(Fermi, CarrierDensities) {
