@@ -31,22 +31,31 @@ int main() {
       doping::Polarity::kNfet, 65, 2.10, 1.52e18, 3.63e18, 1.2, 1.0);
   const compact::CompactMosfet fet(spec);
 
-  // Poisson Newton iterations per Gummel outer iteration over the sweep,
-  // the Newton budget tools/check.sh gates: the deltas of the bench
-  // registry's two counters across id_vg, so the equilibrium, the DIBL
-  // points and the cold solves below stay out of it.
-  const auto newton_and_outer = [] {
+  // Two budgets tools/check.sh gates over the sweep, from the deltas of
+  // the bench registry's counters across id_vg, so the equilibrium, the
+  // DIBL points and the cold solves below stay out of them: Poisson
+  // Newton iterations per Gummel outer iteration, and the continuity
+  // densities raised to the density floor.
+  struct Effort {
+    double newton = 0.0;
+    double outer = 0.0;
+    double clamped = 0.0;
+  };
+  const auto effort = [] {
     const obs::MetricsRegistry* reg = obs::default_registry();
-    if (reg == nullptr) return std::pair<double, double>{0.0, 0.0};
+    if (reg == nullptr) return Effort{};
     const obs::MetricsSnapshot snap = reg->snapshot();
-    return std::pair<double, double>{
-        static_cast<double>(snap.counter(obs::names::kPoissonNewtonIterations)),
-        static_cast<double>(snap.counter(obs::names::kGummelOuterIterations))};
+    const auto count = [&snap](const char* name) {
+      return static_cast<double>(snap.counter(name));
+    };
+    return Effort{count(obs::names::kPoissonNewtonIterations),
+                  count(obs::names::kGummelOuterIterations),
+                  count(obs::names::kContinuityClampedNodes)};
   };
   tcad::TcadDevice dev(spec);
-  const auto [newton_before, outer_before] = newton_and_outer();
+  const Effort before = effort();
   const tcad::SweepResult sweep = dev.id_vg(0.25, 0.0, 0.45, 12);
-  const auto [newton_after, outer_after] = newton_and_outer();
+  const Effort after = effort();
   const auto& resilience = sweep.report;
   std::printf("sweep resilience: %zu/%zu bias points converged\n",
               resilience.attempted - resilience.failures.size(),
@@ -61,12 +70,16 @@ int main() {
   }
   std::printf("solver effort: %zu Gummel outer iterations over %zu points\n",
               gummel_iters, sweep.timings.size());
-  if (outer_after > outer_before) {  // zero when the sweep was replayed
+  if (after.outer > before.outer) {  // zero when the sweep was replayed
     const double newton_per_outer =
-        (newton_after - newton_before) / (outer_after - outer_before);
+        (after.newton - before.newton) / (after.outer - before.outer);
+    const double clamped = after.clamped - before.clamped;
     std::printf("Poisson Newton iterations per outer iteration: %.2f\n",
                 newton_per_outer);
+    std::printf("continuity densities raised to the floor: %.0f\n",
+                clamped);
     rec.metric("poisson_newton_per_outer", newton_per_outer);
+    rec.metric("continuity_clamped_nodes", clamped);
   }
   const auto ex = tcad::extract_from_sweep(sweep);
 

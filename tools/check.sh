@@ -178,6 +178,22 @@ if [[ -z "$sanitize" ]]; then
   fi
   echo "obs_trend: Poisson Newton budget gate enforced"
 
+  # Density-floor budget. bench_tcad_validation also records the
+  # continuity densities its sweep raised to the 1e-20 n_i floor. Every
+  # continuity system is an M-matrix with a right-hand side of one sign,
+  # so the count is 0; a factorization or assembly that breaks the
+  # column dominance (the row-equilibrated, pivoting LU clamped
+  # thousands) fails here. A negative budget must trip the same gate.
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max continuity_clamped_nodes=0
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max continuity_clamped_nodes=-1 \
+      > /dev/null; then
+    echo "check.sh: density-floor budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: density-floor budget gate enforced"
+
   # VTC Newton budget. bench_fig04 records the Newton iterations per
   # inverter output-node solve (circuits.vtc.* counters, deterministic).
   # The ceiling sits ~1.25x above the measured 7.29, far below the ~43
