@@ -267,22 +267,23 @@ if [[ -z "$sanitize" ]]; then
   echo "bench_ext_parallel_study: parallel validation passed"
   rm -rf "$parallel_tmp"
 
-  # Golden regeneration: golden_gen must reproduce the five compact
-  # fixtures byte for byte. tcad_equivalence.json is left out: its
-  # committed copy predates the short-axis node numbering and does not
-  # regenerate byte-identical, so test_solver_equivalence holds the TCAD
-  # stack against it at the tier's bounds instead.
+  # Golden regeneration: golden_gen must reproduce the six compact
+  # fixtures (five device-level ones and the circuit figures in
+  # circuits_paper.json) byte for byte. tcad_equivalence.json is left
+  # out: its committed copy predates the short-axis node numbering and
+  # does not regenerate byte-identical, so test_solver_equivalence holds
+  # the TCAD stack against it at the tier's bounds instead.
   golden_tmp="$(mktemp -d)"
   "$build_dir/tools/golden_gen" "$golden_tmp" > /dev/null
   for fixture in table2_supervth table3_subvth fig02_ss_ionioff \
-      fig09_lpoly_ss nanowire_idvg; do
+      fig09_lpoly_ss nanowire_idvg circuits_paper; do
     cmp "$repo_root/tests/golden/$fixture.json" \
         "$golden_tmp/$fixture.json" || {
       echo "check.sh: golden_gen no longer reproduces $fixture.json" >&2
       exit 1
     }
   done
-  echo "golden_gen: the five compact fixtures regenerate byte-identical"
+  echo "golden_gen: the six compact fixtures regenerate byte-identical"
   rm -rf "$golden_tmp"
 
   # Orchestrator resume smoke: a forked-worker study, then a rerun
