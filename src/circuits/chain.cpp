@@ -10,39 +10,34 @@
 
 namespace subscale::circuits {
 
-ChainEnergyResult chain_energy(const InverterDevices& devices, double vdd,
-                               const ChainSpec& spec) {
-  if (spec.stages == 0) {
-    throw std::invalid_argument("chain_energy: need at least one stage");
-  }
+ChainEnergyResult chain_energy(const InverterDevices& devices, double vdd) {
   const InverterDevices inv = devices.at_vdd(vdd);
 
   ChainEnergyResult r;
   r.vdd = vdd;
-  r.stage_delay =
-      fo1_delay(inv, {.self_load_factor = spec.self_load_factor}).tp;
-  r.cycle_time = static_cast<double>(spec.stages) * r.stage_delay;
+  r.stage_delay = fo1_delay(inv).tp;
+  r.cycle_time = static_cast<double>(kChainStages) * r.stage_delay;
 
   // Static current: alternate logic levels down the chain, summed stage
   // by stage (two distinct currents, each evaluated once).
   const double leak_high = inverter_leakage(inv, /*input_high=*/true);
   const double leak_low = inverter_leakage(inv, /*input_high=*/false);
   double i_leak = 0.0;
-  for (std::size_t s = 0; s < spec.stages; ++s) {
+  for (std::size_t s = 0; s < kChainStages; ++s) {
     i_leak += (s % 2) == 0 ? leak_high : leak_low;
   }
   r.leakage_current = i_leak;
 
-  const double c_stage = inv.stage_capacitance(spec.self_load_factor);
-  r.e_dynamic = spec.activity * static_cast<double>(spec.stages) * c_stage *
-                vdd * vdd;
+  const double c_stage = inv.stage_capacitance();
+  r.e_dynamic = kChainActivity * static_cast<double>(kChainStages) *
+                c_stage * vdd * vdd;
   r.e_leakage = i_leak * vdd * r.cycle_time;
   r.e_total = r.e_dynamic + r.e_leakage;
   return r;
 }
 
 double simulate_chain_delay(const InverterDevices& devices, double vdd,
-                            std::size_t stages, double self_load_factor) {
+                            std::size_t stages) {
   if (stages == 0) {
     throw std::invalid_argument("simulate_chain_delay: stages == 0");
   }
@@ -53,7 +48,7 @@ double simulate_chain_delay(const InverterDevices& devices, double vdd,
 
   std::vector<NodeId> outs;
   NodeId prev = in;
-  const double c_load = inv.stage_capacitance(self_load_factor);
+  const double c_load = inv.stage_capacitance();
   for (std::size_t s = 0; s < stages; ++s) {
     const NodeId out = circuit.add_node("n" + std::to_string(s));
     circuit.add_mosfet(inv.nfet, out, prev, circuit.ground());

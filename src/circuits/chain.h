@@ -14,16 +14,13 @@
 
 namespace subscale::circuits {
 
-struct ChainSpec {
-  std::size_t stages = 30;
-  double activity = 0.1;
-  double self_load_factor = 0.5;
-};
+inline constexpr std::size_t kChainStages = 30;
+inline constexpr double kChainActivity = 0.1;  ///< switching activity alpha
 
 struct ChainEnergyResult {
   double vdd = 0.0;
   double stage_delay = 0.0;     ///< simulated FO1 t_p at this vdd [s]
-  double cycle_time = 0.0;      ///< stages * t_p [s]
+  double cycle_time = 0.0;      ///< kChainStages * t_p [s]
   double leakage_current = 0.0; ///< whole-chain static current [A]
   double e_dynamic = 0.0;       ///< [J]
   double e_leakage = 0.0;       ///< [J]
@@ -31,14 +28,12 @@ struct ChainEnergyResult {
 };
 
 /// Evaluate energy per cycle at the supply `vdd`.
-ChainEnergyResult chain_energy(const InverterDevices& devices, double vdd,
-                               const ChainSpec& spec = {});
+ChainEnergyResult chain_energy(const InverterDevices& devices, double vdd);
 
 /// Full-transient cross-check: propagate one edge down an N-stage chain
 /// with the real circuit engine and return the total propagation time
 /// (should match stages * fo1 stage delay to within discretization).
 double simulate_chain_delay(const InverterDevices& devices, double vdd,
-                            std::size_t stages,
-                            double self_load_factor = 0.5);
+                            std::size_t stages);
 
 }  // namespace subscale::circuits

@@ -9,9 +9,16 @@
 
 namespace subscale::circuits {
 
+namespace {
+
+constexpr double kResidualTolerance = 1e-15;  ///< [A]; sub-pA circuits
+constexpr std::size_t kMaxIterations = 300;
+constexpr double kMaxStep = 0.3;  ///< Newton voltage-step clamp [V]
+
+}  // namespace
+
 DcResult solve_dc(const Circuit& circuit,
-                  const std::vector<double>& initial_guess,
-                  const DcOptions& options) {
+                  const std::vector<double>& initial_guess) {
   NodalSystem system(circuit);
   const std::size_t n = system.size();
   std::vector<double> x(n, 0.0);
@@ -27,10 +34,10 @@ DcResult solve_dc(const Circuit& circuit,
         [&](const std::vector<double>& xs, std::vector<double>& f,
             linalg::DenseMatrix& jac) { system.evaluate(xs, f, jac); },
         x, workspace,
-        {.max_iterations = options.max_iterations,
-         .residual_tolerance = options.residual_tolerance,
+        {.max_iterations = kMaxIterations,
+         .residual_tolerance = kResidualTolerance,
          .step_tolerance = 1e-15,
-         .max_step = options.max_step});
+         .max_step = kMaxStep});
   }
   if (obs::MetricsRegistry* reg = obs::default_registry(); reg != nullptr) {
     reg->counter(obs::names::kDcSolves).add();

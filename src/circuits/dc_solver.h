@@ -11,12 +11,6 @@
 
 namespace subscale::circuits {
 
-struct DcOptions {
-  double residual_tolerance = 1e-15;  ///< [A] — sub-pA circuits need this
-  std::size_t max_iterations = 300;
-  double max_step = 0.3;  ///< Newton voltage-step clamp [V]
-};
-
 struct DcResult {
   /// Full voltage vector indexed by NodeId (fixed nodes hold their value).
   std::vector<double> voltages;
@@ -28,8 +22,7 @@ struct DcResult {
 /// Solve the DC operating point. `initial_guess`, if non-empty, must have
 /// one entry per node; free-node entries seed the Newton iteration.
 DcResult solve_dc(const Circuit& circuit,
-                  const std::vector<double>& initial_guess = {},
-                  const DcOptions& options = {});
+                  const std::vector<double>& initial_guess = {});
 
 /// Total current delivered by a fixed node (rail) at the given solution:
 /// the current flowing out of the rail into the devices [A]. Useful for

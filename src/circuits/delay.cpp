@@ -11,6 +11,9 @@ namespace subscale::circuits {
 
 namespace {
 
+/// Step budget of one transition before it counts as never crossing.
+constexpr std::size_t kMaxSteps = 200000;
+
 /// Simulate one output transition and return the 50 % crossing time.
 /// `rising_input` selects the input step direction (true -> output falls).
 double transition_delay(const InverterDevices& inv, bool rising_input,
@@ -22,7 +25,7 @@ double transition_delay(const InverterDevices& inv, bool rising_input,
   const NodeId out = circuit.add_node("out");
   circuit.add_mosfet(inv.nfet, out, in, circuit.ground());
   circuit.add_mosfet(inv.pfet, out, in, rail);
-  const double cl = inv.stage_capacitance(options.self_load_factor);
+  const double cl = inv.stage_capacitance();
   circuit.add_capacitor(out, circuit.ground(), cl);
 
   const DcResult dc = solve_dc(circuit);
@@ -45,7 +48,7 @@ double transition_delay(const InverterDevices& inv, bool rising_input,
   const double v_half = 0.5 * vdd;
   double v_prev = sim.voltage(out);
   double t_prev = 0.0;
-  for (std::size_t step = 0; step < options.max_steps; ++step) {
+  for (std::size_t step = 0; step < kMaxSteps; ++step) {
     sim.step(dt);
     const double v_now = sim.voltage(out);
     const bool crossed = rising_input ? (v_prev > v_half && v_now <= v_half)
@@ -71,9 +74,8 @@ DelayResult fo1_delay(const InverterDevices& inv, const DelayOptions& options) {
   return result;
 }
 
-double analytical_delay(const InverterDevices& inv, double kd,
-                        double self_load_factor) {
-  const double cl = inv.stage_capacitance(self_load_factor);
+double analytical_delay(const InverterDevices& inv, double kd) {
+  const double cl = inv.stage_capacitance();
   const double ion_n = inv.nfet->drain_current(inv.vdd, inv.vdd);
   const double ion_p = inv.pfet->drain_current(inv.vdd, inv.vdd);
   const double ion = 0.5 * (ion_n + ion_p);
@@ -82,7 +84,7 @@ double analytical_delay(const InverterDevices& inv, double kd,
 
 double fit_kd(const InverterDevices& inv, const DelayOptions& options) {
   const double simulated = fo1_delay(inv, options).tp;
-  const double unit = analytical_delay(inv, 1.0, options.self_load_factor);
+  const double unit = analytical_delay(inv, 1.0);
   return simulated / unit;
 }
 

@@ -16,9 +16,7 @@ struct DelayResult {
 };
 
 struct DelayOptions {
-  double self_load_factor = 0.5;  ///< drain-junction cap / gate cap
   std::size_t steps_per_tau = 60; ///< BE resolution per RC estimate
-  std::size_t max_steps = 200000;
 };
 
 /// Simulated FO1 delay: one inverter driving the gate capacitance of an
@@ -29,8 +27,7 @@ DelayResult fo1_delay(const InverterDevices& inv,
 /// Analytical delay t_p = k_d C_L V_dd / I_on(V_dd, V_dd) (paper Eq. 4);
 /// in subthreshold this reduces to Eq. 5's exponential form because
 /// I_on is Eq. 1's weak-inversion current.
-double analytical_delay(const InverterDevices& inv, double kd,
-                        double self_load_factor = 0.5);
+double analytical_delay(const InverterDevices& inv, double kd);
 
 /// Fit k_d so the analytical delay matches the simulated one at this
 /// operating point (the paper's "fitting parameter").

@@ -13,6 +13,10 @@
 
 namespace subscale::circuits {
 
+/// Drain-junction self-loading of a stage, as a fraction of its gate and
+/// wire load (the paper's FO1, chain and ring circuits all use it).
+inline constexpr double kSelfLoadFactor = 0.5;
+
 struct InverterDevices {
   std::shared_ptr<const compact::DeviceModel> nfet;
   std::shared_ptr<const compact::DeviceModel> pfet;
@@ -36,8 +40,8 @@ struct InverterDevices {
   }
   /// Total switched capacitance per stage: (FO1 gate load + wire load),
   /// plus drain-junction self-loading as a fraction of both.
-  double stage_capacitance(double self_load_factor = 0.5) const {
-    return (1.0 + self_load_factor) *
+  double stage_capacitance() const {
+    return (1.0 + kSelfLoadFactor) *
            (fanout_capacitance() + wire_capacitance());
   }
 

@@ -8,6 +8,13 @@
 
 namespace subscale::circuits {
 
+namespace {
+
+constexpr std::size_t kSettlePeriods = 2;  ///< discarded start-up periods
+constexpr std::size_t kMeasurePeriods = 3;
+
+}  // namespace
+
 RingResult simulate_ring(const InverterDevices& inv,
                          const RingOptions& options) {
   if (options.stages < 3 || options.stages % 2 == 0) {
@@ -21,7 +28,7 @@ RingResult simulate_ring(const InverterDevices& inv,
   for (std::size_t s = 0; s < options.stages; ++s) {
     nodes[s] = circuit.add_node("r" + std::to_string(s));
   }
-  const double c_load = inv.stage_capacitance(options.self_load_factor);
+  const double c_load = inv.stage_capacitance();
   for (std::size_t s = 0; s < options.stages; ++s) {
     const NodeId in = nodes[(s + options.stages - 1) % options.stages];
     const NodeId out = nodes[s];
@@ -46,8 +53,7 @@ RingResult simulate_ring(const InverterDevices& inv,
   const double v_half = 0.5 * vdd;
 
   std::vector<double> rising_times;
-  const std::size_t needed =
-      options.settle_periods + options.measure_periods + 1;
+  const std::size_t needed = kSettlePeriods + kMeasurePeriods + 1;
   double v_prev = sim.voltage(probe);
   double t_prev = 0.0;
   const std::size_t max_steps =
@@ -67,10 +73,9 @@ RingResult simulate_ring(const InverterDevices& inv,
     throw std::runtime_error("simulate_ring: oscillation did not settle");
   }
 
-  const std::size_t first = options.settle_periods;
-  const double span = rising_times.back() - rising_times[first];
+  const double span = rising_times.back() - rising_times[kSettlePeriods];
   RingResult result;
-  result.period = span / static_cast<double>(options.measure_periods);
+  result.period = span / static_cast<double>(kMeasurePeriods);
   result.frequency = 1.0 / result.period;
   result.stage_delay =
       result.period / (2.0 * static_cast<double>(options.stages));

@@ -15,14 +15,12 @@ struct RingResult {
 };
 
 struct RingOptions {
-  std::size_t stages = 5;          ///< must be odd and >= 3
-  double self_load_factor = 0.5;
-  std::size_t settle_periods = 2;  ///< discard start-up periods
-  std::size_t measure_periods = 3;
+  std::size_t stages = 5;  ///< must be odd and >= 3
 };
 
 /// Simulate the ring and extract the oscillation period from successive
-/// rising crossings of V_dd/2 at one node.
+/// rising crossings of V_dd/2 at one node: two start-up periods are
+/// discarded and the next three averaged.
 RingResult simulate_ring(const InverterDevices& devices,
                          const RingOptions& options = {});
 

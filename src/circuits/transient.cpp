@@ -8,11 +8,17 @@
 
 namespace subscale::circuits {
 
+namespace {
+
+constexpr double kNewtonTolerance = 1e-15;  ///< [A]
+constexpr std::size_t kMaxNewtonIterations = 200;
+constexpr double kMaxStep = 0.3;  ///< Newton voltage clamp per iteration [V]
+
+}  // namespace
+
 TransientSim::TransientSim(Circuit& circuit,
-                           std::vector<double> initial_voltages,
-                           const TransientOptions& options)
+                           std::vector<double> initial_voltages)
     : circuit_(circuit),
-      options_(options),
       v_(std::move(initial_voltages)),
       nodes_(circuit.node_count()),
       mosfets_(circuit.mosfets().size()),
@@ -55,10 +61,10 @@ void TransientSim::step(double dt) {
       [&](const std::vector<double>& x, std::vector<double>& f,
           linalg::DenseMatrix& jac) { system_.evaluate(x, f, jac); },
       x_, workspace_,
-      {.max_iterations = options_.max_newton_iterations,
-       .residual_tolerance = options_.newton_tolerance,
+      {.max_iterations = kMaxNewtonIterations,
+       .residual_tolerance = kNewtonTolerance,
        .step_tolerance = 1e-16,
-       .max_step = options_.max_step});
+       .max_step = kMaxStep});
   ++steps_;
   iterations_ += newton.iterations;
   if (!newton.converged) {

@@ -16,12 +16,6 @@
 
 namespace subscale::circuits {
 
-struct TransientOptions {
-  double newton_tolerance = 1e-15;  ///< [A]
-  std::size_t max_newton_iterations = 200;
-  double max_step = 0.3;  ///< Newton voltage clamp per iteration [V]
-};
-
 /// Integrates the circuit's node equations in time. Inputs are changed by
 /// calling Circuit::set_fixed_voltage between steps (the circuit is held
 /// by reference and not owned). The circuit's topology is compiled into a
@@ -32,8 +26,7 @@ class TransientSim {
  public:
   /// \param initial_voltages  full per-node voltage vector (e.g. from
   ///        solve_dc); fixed nodes are re-imposed at each step.
-  TransientSim(Circuit& circuit, std::vector<double> initial_voltages,
-               const TransientOptions& options = {});
+  TransientSim(Circuit& circuit, std::vector<double> initial_voltages);
   TransientSim(const TransientSim&) = delete;
   TransientSim& operator=(const TransientSim&) = delete;
   ~TransientSim();
@@ -54,7 +47,6 @@ class TransientSim {
 
  private:
   Circuit& circuit_;
-  TransientOptions options_;
   std::vector<double> v_;
   double time_ = 0.0;
   // The topology the system was compiled from.

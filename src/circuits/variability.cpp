@@ -23,6 +23,11 @@ double MismatchModel::sigma_vth(const compact::DeviceSpec& spec) const {
 
 namespace {
 
+constexpr double kKd = 0.69;  ///< analytical-delay fitting constant
+/// Samples per RNG shard: changing it changes the sample set, like
+/// changing the seed.
+constexpr std::size_t kShardSize = 32;
+
 /// Rebuild a device model with a shifted threshold (the calibration's
 /// delta_vth is exactly an additive V_th term on every backend, so
 /// mismatch composes with it directly, whatever the device physics).
@@ -41,9 +46,6 @@ DelayVariabilityResult delay_variability(const InverterDevices& inv,
   if (options.samples < 2) {
     throw std::invalid_argument("delay_variability: need >= 2 samples");
   }
-  if (options.shard_size < 1) {
-    throw std::invalid_argument("delay_variability: shard_size must be >= 1");
-  }
   const double sigma_n = mismatch.sigma_vth(inv.nfet->spec());
   const double sigma_p = mismatch.sigma_vth(inv.pfet->spec());
 
@@ -51,14 +53,13 @@ DelayVariabilityResult delay_variability(const InverterDevices& inv,
   // stream: the sample at a given global index is the same no matter
   // how many threads ran the Monte Carlo (or which one ran the shard).
   const std::size_t n_shards =
-      (options.samples + options.shard_size - 1) / options.shard_size;
+      (options.samples + kShardSize - 1) / kShardSize;
   std::vector<double> delays(options.samples);
   const auto run_shard = [&](std::size_t shard) {
     std::mt19937_64 rng(exec::seed_stream(options.seed, shard));
     std::normal_distribution<double> gauss(0.0, 1.0);
-    const std::size_t begin = shard * options.shard_size;
-    const std::size_t end =
-        std::min(options.samples, begin + options.shard_size);
+    const std::size_t begin = shard * kShardSize;
+    const std::size_t end = std::min(options.samples, begin + kShardSize);
     for (std::size_t s = begin; s < end; ++s) {
       InverterDevices sample = inv;
       sample.nfet = shifted(*inv.nfet, sigma_n * gauss(rng));
@@ -72,10 +73,8 @@ DelayVariabilityResult delay_variability(const InverterDevices& inv,
         // makes the delay distribution lognormal).
         const double cl = sample.stage_capacitance();
         const double v = sample.vdd;
-        const double tphl =
-            options.kd * cl * v / sample.nfet->drain_current(v, v);
-        const double tplh =
-            options.kd * cl * v / sample.pfet->drain_current(v, v);
+        const double tphl = kKd * cl * v / sample.nfet->drain_current(v, v);
+        const double tplh = kKd * cl * v / sample.pfet->drain_current(v, v);
         tp = 0.5 * (tphl + tplh);
       }
       delays[s] = tp;

@@ -46,17 +46,15 @@ struct VariabilityOptions {
   std::size_t samples = 400;
   std::uint64_t seed = 20070604;  ///< deterministic by default
   /// If true, each sample runs the backward-Euler transient; otherwise
-  /// the analytical Eq. 4/5 delay with the sampled V_th shifts is used
-  /// (three orders of magnitude faster, same distribution shape).
+  /// the analytical Eq. 4/5 delay (k_d = 0.69) with the sampled V_th
+  /// shifts is used (three orders of magnitude faster, same distribution
+  /// shape).
   bool simulate_transient = false;
-  double kd = 0.69;  ///< analytical-delay fitting constant
-  /// Samples per RNG shard. Each shard draws from its own stream
-  /// (exec::seed_stream(seed, shard)), so the sampled V_th shifts — and
-  /// therefore every statistic — are bitwise-identical at any thread
-  /// count. Changing shard_size changes the sample set (like changing
-  /// the seed); changing `exec` never does.
-  std::size_t shard_size = 32;
-  exec::ExecPolicy exec{};  ///< Monte-Carlo fan-out across shards
+  /// Monte-Carlo fan-out across shards of 32 samples. Each shard draws
+  /// from its own stream (exec::seed_stream(seed, shard)), so the sampled
+  /// V_th shifts, and therefore every statistic, are bitwise-identical at
+  /// any thread count.
+  exec::ExecPolicy exec{};
 };
 
 /// Monte-Carlo FO1 delay variability of an inverter whose N and P

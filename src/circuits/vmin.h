@@ -8,11 +8,6 @@
 
 #include "circuits/chain.h"
 
-namespace subscale::cache {
-class SolveCache;
-SolveCache* default_cache();
-}  // namespace subscale::cache
-
 namespace subscale::circuits {
 
 struct VminResult {
@@ -20,25 +15,9 @@ struct VminResult {
   ChainEnergyResult at_vmin;  ///< full breakdown at the optimum
 };
 
-struct VminOptions {
-  double v_lo = 0.10;  ///< search bracket [V]
-  double v_hi = 0.70;
-  double v_tolerance = 1e-3;
-  std::size_t scan_points = 13;  ///< coarse scan before refinement
-  /// Solve cache for memoizing chain-energy evaluations across runs
-  /// (opt::EvalMemo, keyed on the device pair + chain + bracket). Null
-  /// falls back to cache::default_cache().
-  cache::SolveCache* cache = nullptr;
-
-  cache::SolveCache* cache_sink() const {
-    return cache != nullptr ? cache : cache::default_cache();
-  }
-};
-
-/// Golden-section (with coarse scan) minimization of chain energy over
-/// the supply voltage.
-VminResult find_vmin(const InverterDevices& devices,
-                     const ChainSpec& chain = {},
-                     const VminOptions& options = {});
+/// Golden-section (after a 13-point coarse scan) minimization of chain
+/// energy over the supply, on [0.10, 0.70] V to 1 mV. The devices' own
+/// rail is immaterial: each candidate re-rates them.
+VminResult find_vmin(const InverterDevices& devices);
 
 }  // namespace subscale::circuits

@@ -742,7 +742,7 @@ cc::Circuit inverter_line(const cc::InverterDevices& inv, std::size_t stages,
   const cc::NodeId first = ring ? 2 : 3;
   if (!ring) c.add_fixed_node("in", input_voltage);
   for (std::size_t s = 0; s < stages; ++s) c.add_node("n" + std::to_string(s));
-  const double c_load = inv.stage_capacitance(0.5);
+  const double c_load = inv.stage_capacitance();
   for (std::size_t s = 0; s < stages; ++s) {
     const cc::NodeId in = s > 0 ? first + s - 1 : ring ? first + stages - 1 : 2;
     c.add_mosfet(inv.nfet, first + s, in, c.ground());
@@ -755,7 +755,7 @@ cc::Circuit inverter_line(const cc::InverterDevices& inv, std::size_t stages,
 double tau(const cc::InverterDevices& inv, bool nfet_drive) {
   const double i_drive =
       (nfet_drive ? inv.nfet : inv.pfet)->drain_current(inv.vdd, 0.5 * inv.vdd);
-  return inv.stage_capacitance(0.5) * inv.vdd / i_drive;
+  return inv.stage_capacitance() * inv.vdd / i_drive;
 }
 
 /// The parent fo1_delay at `steps_per_tau` (default options otherwise).
@@ -780,7 +780,7 @@ double chain_energy(const cc::InverterDevices& devices, double vdd) {
   for (std::size_t s = 0; s < 30; ++s) {
     i_leak += cc::inverter_leakage(inv, s % 2 == 0);
   }
-  return 0.1 * 30.0 * inv.stage_capacitance(0.5) * vdd * vdd +
+  return 0.1 * 30.0 * inv.stage_capacitance() * vdd * vdd +
          i_leak * vdd * (30.0 * fo1_delay(inv, 60));
 }
 
@@ -835,7 +835,7 @@ cc::Circuit stack_circuit(const cc::InverterDevices& inv) {
   c.add_mosfet(inv.pfet, out, a, pmid);
   c.add_mosfet(inv.nfet, out, a, nmid);
   c.add_mosfet(inv.nfet, nmid, a, c.ground());
-  const double c_load = inv.stage_capacitance(0.5);
+  const double c_load = inv.stage_capacitance();
   c.add_capacitor(a, out, 0.3 * c_load);
   c.add_capacitor(out, c.ground(), c_load);
   c.add_capacitor(c.ground(), nmid, 0.1 * c_load);
