@@ -17,7 +17,7 @@ int main() {
       "sub-V_th SNM nearly constant; +19 % over super-V_th at 32nm",
       "double-digit SNM advantage at 32nm; sub-V_th SNM nearly flat",
       [](bench::Record& rec) {
-  const double vdd = bench::study().options().vdd_subthreshold;
+  const double vdd = core::kVddSubthreshold;
   io::Series snm_super("snm_super"), snm_sub("snm_sub");
   io::TextTable t(
       {"node", "SNM super [mV]", "SNM sub [mV]", "sub advantage"});

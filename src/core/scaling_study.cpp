@@ -26,58 +26,28 @@ bool parse_strategy(const std::string& name, Strategy& out) {
 
 ScalingStudy::ScalingStudy(const compact::Calibration& calib,
                            const StudyOptions& options)
-    : calib_(calib), options_(options) {
-  options_.run.validate();
-  options_.card.validate();
-  nodes_ = options_.card.resolved_nodes();
-  // Fold the card's device environment and leakage anchor into the
-  // strategy layers still at their defaults (an explicit per-strategy
-  // value keeps priority, mirroring the exec folding below). Note a
-  // caller explicitly re-stating a default value is indistinguishable
-  // from "unset" — defaults are the fold trigger by design.
-  const auto is_default_env = [](const compact::DeviceEnv& e) {
-    const compact::DeviceEnv d{};
-    return e.backend == d.backend && e.temperature == d.temperature &&
-           e.nw_radius_nm == d.nw_radius_nm;
-  };
-  if (is_default_env(options_.super.env)) {
-    options_.super.env = options_.card.env;
-  }
-  if (is_default_env(options_.sub.env)) {
-    options_.sub.env = options_.card.env;
-  }
-  if (options_.sub.ioff_pa_um == scaling::SubVthOptions{}.ioff_pa_um) {
-    options_.sub.ioff_pa_um = options_.card.subvth_ioff_pa_um;
-  }
-  // Fold the study-wide thread count into the strategy layers that are
-  // still on auto; an explicit per-strategy count keeps priority.
-  if (options_.run.exec.threads != 0) {
-    if (options_.super.exec.threads == 0) {
-      options_.super.exec = options_.run.exec;
-    }
-    if (options_.sub.exec.threads == 0) {
-      options_.sub.exec = options_.run.exec;
-    }
-  }
-  // Same folding for the solve cache: a study-wide cache reaches the
-  // design layer unless the caller already set one there. (TCAD
-  // validation picks it up separately through TcadDevice's RunContext.)
-  if (options_.run.cache != nullptr && options_.sub.cache == nullptr) {
-    options_.sub.cache = options_.run.cache;
-  }
+    : calib_(calib) {
+  options.run.validate();
+  options.card.validate();
+  nodes_ = options.card.resolved_nodes();
+  super_options_ = {.env = options.card.env, .exec = options.run.exec};
+  sub_options_ = {.ioff_pa_um = options.card.subvth_ioff_pa_um,
+                  .env = options.card.env,
+                  .exec = options.run.exec,
+                  .cache = options.run.cache_sink()};
 }
 
 const std::vector<scaling::DesignedDevice>& ScalingStudy::super_devices()
     const {
   std::call_once(super_once_, [this] {
-    super_ = scaling::supervth_roadmap(nodes_, calib_, options_.super);
+    super_ = scaling::supervth_roadmap(nodes_, calib_, super_options_);
   });
   return super_;
 }
 
 const std::vector<scaling::SubVthDevice>& ScalingStudy::sub_devices() const {
   std::call_once(sub_once_, [this] {
-    sub_ = scaling::subvth_roadmap(nodes_, options_.sub, calib_);
+    sub_ = scaling::subvth_roadmap(nodes_, sub_options_, calib_);
   });
   return sub_;
 }

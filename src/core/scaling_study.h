@@ -20,22 +20,19 @@
 
 namespace subscale::core {
 
+/// The paper's sub-V_th test supply (Figs. 4/5/10/11) [V].
+inline constexpr double kVddSubthreshold = 0.25;
+
 struct StudyOptions {
   /// The technology deck: node list, device backend, temperature, and
   /// the sub-V_th leakage anchor. The default reproduces the paper's
-  /// deck bitwise (it IS scaling::paper_nodes()). The card's env and
-  /// leakage anchor are folded into super/sub at construction unless
-  /// the caller already overrode those fields explicitly.
+  /// deck bitwise (it IS scaling::paper_nodes()). Both strategies design
+  /// with the card's env, and the sub-V_th one at its leakage anchor.
   cards::TechnologyCard card = cards::paper_bulk_lstp();
-  scaling::SuperVthOptions super;
-  scaling::SubVthOptions sub;
-  double vdd_subthreshold = 0.25;  ///< the paper's sub-V_th test supply [V]
-  /// Study-wide execution/telemetry context. An explicit thread count
-  /// here is folded into super.exec / sub.exec at construction when
-  /// those are still auto; a per-strategy explicit count always wins.
-  /// Full precedence: explicit per-layer > RunContext > SUBSCALE_THREADS
-  /// > hardware auto-detect (the env/auto steps live in
-  /// ExecPolicy::resolved_threads()).
+  /// Study-wide execution/telemetry context. Its exec policy drives both
+  /// strategies' design fan-out (0 threads defers to SUBSCALE_THREADS,
+  /// then the hardware; see ExecPolicy::resolved_threads()), and its
+  /// cache_sink() is the sub-V_th design memo's cache.
   exec::RunContext run{};
 };
 
@@ -88,7 +85,6 @@ class ScalingStudy {
       const StudyOptions& options = {});
 
   const compact::Calibration& calibration() const { return calib_; }
-  const StudyOptions& options() const { return options_; }
 
   std::size_t node_count() const { return nodes_.size(); }
   const scaling::NodeInput& node(std::size_t i) const { return nodes_.at(i); }
@@ -100,8 +96,8 @@ class ScalingStudy {
   const std::vector<scaling::SubVthDevice>& sub_devices() const;
 
   /// Balanced inverters on the designed devices. `vdd` overrides the
-  /// operating rail (pass node(i).vdd for nominal, or
-  /// options().vdd_subthreshold for the paper's 250 mV points).
+  /// operating rail (pass node(i).vdd for nominal, or kVddSubthreshold
+  /// for the paper's 250 mV points).
   circuits::InverterDevices super_inverter(std::size_t i, double vdd) const;
   circuits::InverterDevices sub_inverter(std::size_t i, double vdd) const;
 
@@ -115,8 +111,9 @@ class ScalingStudy {
 
  private:
   compact::Calibration calib_;
-  StudyOptions options_;
   std::vector<scaling::NodeInput> nodes_;  ///< card's resolved node list
+  scaling::SuperVthOptions super_options_;
+  scaling::SubVthOptions sub_options_;
   mutable std::once_flag super_once_;
   mutable std::once_flag sub_once_;
   mutable std::vector<scaling::DesignedDevice> super_;

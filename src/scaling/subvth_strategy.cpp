@@ -18,12 +18,18 @@ namespace {
 
 namespace u = subscale::units;
 
+/// Drain bias of the I_off definition and the spec's default operating
+/// scale [V].
+constexpr double kVdsRef = 0.3;
+/// The L_poly search spans [min, kLpolyMaxFactor x min].
+constexpr double kLpolyMaxFactor = 3.5;
+
 double ioff_at(const NodeInput& node, double lpoly_nm,
-               const doping::MosfetDopingLevels& levels, double vds_ref,
+               const doping::MosfetDopingLevels& levels,
                const compact::Calibration& calib,
                const compact::DeviceEnv& env) {
   const compact::DeviceSpec spec =
-      make_node_spec(node, lpoly_nm, levels, vds_ref, env);
+      make_node_spec(node, lpoly_nm, levels, kVdsRef, env);
   return compact::make_device_model(spec, calib)->ioff();
 }
 
@@ -46,8 +52,7 @@ compact::DeviceSpec optimize_subvth_doping(const NodeInput& node,
       doping::MosfetDopingLevels trial = levels;
       trial.nsub = nsub;
       trial.np_halo = ratio * nsub;
-      return std::log(ioff_at(node, lpoly_nm, trial, options.vds_ref, calib,
-                              options.env));
+      return std::log(ioff_at(node, lpoly_nm, trial, calib, options.env));
     };
     const auto scale_root = opt::solve_monotone_log(
         leak_of_scale, std::log(ioff_target), levels.nsub, u::per_cm3(3e16),
@@ -73,9 +78,9 @@ compact::DeviceSpec optimize_subvth_doping(const NodeInput& node,
       doping::MosfetDopingLevels trial = levels;
       trial.np_halo = np;
       const compact::DeviceSpec spec =
-          make_node_spec(node, lpoly_nm, trial, options.vds_ref, options.env);
+          make_node_spec(node, lpoly_nm, trial, kVdsRef, options.env);
       const auto c =
-          compact::threshold_components(spec, calib, options.vds_ref);
+          compact::threshold_components(spec, calib, kVdsRef);
       return c.dvth_halo - c.dvth_sce;
     };
     if (flatness(0.0) < 0.0) {
@@ -93,7 +98,7 @@ compact::DeviceSpec optimize_subvth_doping(const NodeInput& node,
     ratio = levels.np_halo / levels.nsub;
   }
 
-  return make_node_spec(node, lpoly_nm, levels, options.vds_ref, options.env);
+  return make_node_spec(node, lpoly_nm, levels, kVdsRef, options.env);
 }
 
 namespace {
@@ -143,13 +148,11 @@ SubVthDevice design_subvth_device(const NodeInput& node,
   // study replays each L_poly design objective bitwise instead of
   // re-running the doping co-optimization (the inert memo on a null
   // cache degrades to the bare objective).
-  const opt::EvalMemo memo(
-      options.cache_sink(),
-      cache::subvth_design_key(node, options, calib));
+  const opt::EvalMemo memo(options.cache,
+                           cache::subvth_design_key(node, options, calib));
   const opt::ScalarMinimum best = opt::scan_then_golden(
-      scan_batch, objective, node.lpoly_nm,
-      options.lpoly_max_factor * node.lpoly_nm, options.lpoly_scan_points,
-      0.2 /* nm resolution */, memo);
+      scan_batch, objective, node.lpoly_nm, kLpolyMaxFactor * node.lpoly_nm,
+      options.lpoly_scan_points, 0.2 /* nm resolution */, memo);
 
   SubVthDevice out;
   out.lpoly_opt_nm = best.x;
@@ -162,7 +165,7 @@ SubVthDevice design_subvth_device(const NodeInput& node,
   out.device.nsub_cm3 = u::to_per_cm3(out.device.spec.levels.nsub);
   out.device.nhalo_net_cm3 = u::to_per_cm3(out.device.spec.levels.nsub +
                                            out.device.spec.levels.np_halo);
-  out.device.vth_sat_mv = u::to_mV(fet->vth(options.vds_ref));
+  out.device.vth_sat_mv = u::to_mV(fet->vth(kVdsRef));
   out.device.ioff_pa_um =
       u::to_pA_per_um(fet->ioff() / out.device.spec.width);
   out.device.ss_mv_dec = fet->subthreshold_swing() * 1e3;

@@ -21,16 +21,13 @@
 
 namespace subscale::cache {
 class SolveCache;
-SolveCache* default_cache();
 }  // namespace subscale::cache
 
 namespace subscale::scaling {
 
 struct SubVthOptions {
   double ioff_pa_um = 100.0;  ///< fixed leakage across all generations
-  double vds_ref = 0.3;       ///< drain bias for the I_off definition and
-                              ///< the spec's default operating scale [V]
-  double lpoly_max_factor = 3.5;  ///< search L_poly in [min, factor*min]
+  /// Coarse-scan size of the L_poly search over [min, 3.5 x min].
   std::size_t lpoly_scan_points = 17;
   std::size_t split_iterations = 5;  ///< scale/split fixed-point sweeps
   /// Card-level device environment (backend kind, temperature, wire
@@ -46,17 +43,10 @@ struct SubVthOptions {
   /// nodes, scan per node) degrades the inner level to inline execution
   /// instead of oversubscribing.
   exec::ExecPolicy exec{};
-  /// Solve cache for memoizing the per-candidate design objective
-  /// (see opt::EvalMemo). Null falls back to cache::default_cache()
-  /// (the env-installed process default; typically null too), exactly
-  /// like RunContext::cache_sink(). ScalingStudy folds its own
-  /// RunContext cache in here, so a study-wide cache reaches the
-  /// design layer without a second knob.
+  /// Solve cache for memoizing the per-candidate design objective (see
+  /// opt::EvalMemo); null means none. ScalingStudy passes its
+  /// RunContext::cache_sink() here.
   cache::SolveCache* cache = nullptr;
-
-  cache::SolveCache* cache_sink() const {
-    return cache != nullptr ? cache : cache::default_cache();
-  }
 };
 
 /// Co-optimize doping at a fixed gate length (I_off constraint + flat
@@ -79,7 +69,7 @@ double delay_factor(const compact::DeviceSpec& spec,
 
 /// A designed sub-V_th device plus Table-3-style values.
 struct SubVthDevice {
-  DesignedDevice device;          ///< report row (I_off at vds_ref)
+  DesignedDevice device;          ///< report row (I_off at V_ds = 0.3 V)
   double lpoly_opt_nm = 0.0;      ///< the energy-optimal gate length
   double energy_factor_raw = 0.0; ///< C_L S_S^2 (unnormalized)
   double delay_factor_raw = 0.0;  ///< C_L S_S / I_off (unnormalized)

@@ -14,6 +14,10 @@ namespace {
 
 namespace u = subscale::units;
 
+constexpr double kNsubLoCm3 = 5e16;  ///< doping search window
+constexpr double kNsubHiCm3 = 5e19;
+constexpr double kLongChannelFactor = 6.0;  ///< "long" device: this x L_poly
+
 /// I_off [A] of the device assembled from the node + doping choice, with
 /// the gate length overridden (long- vs short-channel probes).
 double ioff_of(const NodeInput& node, double lpoly_nm, double nsub,
@@ -35,13 +39,13 @@ DesignedDevice design_supervth_device(const NodeInput& node,
   const double ioff_target = u::pA_per_um(node.ileak_max_pa_um) * 1e-6;
 
   // Step 1: substrate doping from the long-channel device (no halo).
-  const double long_lpoly = options.long_channel_factor * node.lpoly_nm;
+  const double long_lpoly = kLongChannelFactor * node.lpoly_nm;
   const auto long_leak = [&](double nsub) {
     return std::log(ioff_of(node, long_lpoly, nsub, 0.0, calib, options.env));
   };
   const auto nsub_root = opt::solve_monotone_log(
       long_leak, std::log(ioff_target), u::per_cm3(1.5e18),
-      u::per_cm3(options.nsub_lo_cm3), u::per_cm3(options.nsub_hi_cm3));
+      u::per_cm3(kNsubLoCm3), u::per_cm3(kNsubHiCm3));
   if (!nsub_root.converged) {
     throw std::runtime_error(
         "design_supervth_device: long-channel leakage target unreachable");
