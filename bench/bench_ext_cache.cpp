@@ -73,12 +73,12 @@ int main() {
   options.nodes = {0, 1};
   options.run.exec = exec::ExecPolicy::serial();
 
-  // Uncached baseline: explicit null-cache context (ignores any env
-  // default the harness installed).
-  cache::SolveCache off{cache::CacheOptions{}};
+  // Uncached baseline: no cache at all, not even an env default the
+  // harness installed.
   std::vector<core::TcadNodeValidation> baseline, cold, warm;
-  options.run.cache = &off;
+  options.run.no_cache = true;
   const double baseline_ms = timed_validation(options, baseline);
+  options.run.no_cache = false;
 
   double cold_ms = 0.0;
   double warm_ms = 0.0;
