@@ -317,7 +317,7 @@ inline int run(const char* name, const char* title, const char* paper_claim,
   detail::bench_registry();  // install telemetry before the body runs
   detail::bench_profiler();  // and the span profiler, if opted in
   // Honor SUBSCALE_CACHE / SUBSCALE_CACHE_DIR (no-op when unset): the
-  // env-installed cache becomes the process default every layer's
+  // env-installed cache becomes the process default RunContext::
   // cache_sink() resolves to, and its traffic lands in the "obs" block
   // as the cache.* counters.
   subscale::cache::install_env_cache();

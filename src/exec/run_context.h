@@ -6,11 +6,11 @@
 /// SweepOptions (`strict`), TcadValidationOptions (`strict` + `exec`),
 /// StudyOptions and bare ExecPolicy parameters:
 ///
-///   * `exec`    — thread policy. Resolution precedence is documented
-///                 and tested: explicit per-layer ExecPolicy >
-///                 StudyOptions-level RunContext > SUBSCALE_THREADS >
-///                 hardware auto (see ExecPolicy::resolved_threads and
-///                 ScalingStudy's constructor).
+///   * `exec`    — thread policy: an explicit count, else
+///                 SUBSCALE_THREADS, else hardware auto (see
+///                 ExecPolicy::resolved_threads; ExecPolicy.* in
+///                 tests/test_exec.cpp). ScalingStudy hands its
+///                 context's policy to both design strategies.
 ///   * `metrics` — telemetry sink. Null means "fall back to the
 ///                 process-wide obs::default_registry()", which is
 ///                 itself null unless installed — the zero-overhead
@@ -24,7 +24,8 @@
 ///                 cache::default_cache() (itself null unless installed,
 ///                 e.g. via cache::install_env_cache() from
 ///                 SUBSCALE_CACHE_DIR), mirroring `metrics`. Components
-///                 resolve it once at construction.
+///                 resolve it once at construction through
+///                 cache_sink(), the one place that rule lives.
 ///   * `strict`  — throw on the first solver failure instead of
 ///                 recording it and continuing.
 ///

@@ -116,14 +116,16 @@ ContinuityResult solve_continuity(const DeviceStructure& dev,
                                   SgWorkspace* workspace = nullptr);
 
 /// Scharfetter–Gummel edge current (per metre of device width) flowing
-/// from node a to node b for the given carrier [A/m]. Used both by the
-/// assembly and by terminal-current integration.
+/// from node a to node b for the given carrier [A/m], as the terminal-
+/// current integration sums it. The assembly does not call it: it forms
+/// each edge's coefficients once per solve in SgWorkspace (DESIGN.md
+/// §21.3) from the same Masetti and Caughey–Thomas mobility.
 double edge_current(const DeviceStructure& dev, physics::Carrier carrier,
                     const std::vector<double>& psi,
                     const std::vector<double>& density, std::size_t node_a,
                     std::size_t node_b, double dist, double area);
 
-/// Edge mobility used by both routines [m^2/Vs].
+/// Edge mobility edge_current uses [m^2/Vs].
 double edge_mobility(const DeviceStructure& dev, physics::Carrier carrier,
                      const std::vector<double>& psi, std::size_t node_a,
                      std::size_t node_b, double dist);
