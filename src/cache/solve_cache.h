@@ -55,12 +55,12 @@ namespace subscale::cache {
 
 /// What a record holds; stored in the header and checked on lookup so a
 /// key collision across kinds (or a caller bug) reads as a miss, never
-/// as a misparse.
+/// as a misparse. 4 is retired (it held opt-layer scalars); the values
+/// are on disk, so none is renumbered.
 enum class PayloadKind : std::uint32_t {
   kSweep = 1,      ///< a full TcadDevice::id_vg result
   kState = 2,      ///< solver state (biases, psi, n, p) at one bias point
   kBiasIndex = 3,  ///< per-device list of cached bias-state points
-  kScalar = 4,     ///< one memoized objective evaluation (opt layer)
   kUnit = 5,       ///< one orchestrator work-unit result (src/orch)
 };
 

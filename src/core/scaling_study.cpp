@@ -33,8 +33,7 @@ ScalingStudy::ScalingStudy(const compact::Calibration& calib,
   super_options_ = {.env = options.card.env, .exec = options.run.exec};
   sub_options_ = {.ioff_pa_um = options.card.subvth_ioff_pa_um,
                   .env = options.card.env,
-                  .exec = options.run.exec,
-                  .cache = options.run.cache_sink()};
+                  .exec = options.run.exec};
 }
 
 const std::vector<scaling::DesignedDevice>& ScalingStudy::super_devices()

@@ -31,8 +31,9 @@ struct StudyOptions {
   cards::TechnologyCard card = cards::paper_bulk_lstp();
   /// Study-wide execution/telemetry context. Its exec policy drives both
   /// strategies' design fan-out (0 threads defers to SUBSCALE_THREADS,
-  /// then the hardware; see ExecPolicy::resolved_threads()), and its
-  /// cache_sink() is the sub-V_th design memo's cache.
+  /// then the hardware; see ExecPolicy::resolved_threads()). The designs
+  /// are pure compact-model arithmetic and never touch a solve cache,
+  /// so `cache` and `no_cache` change nothing here.
   exec::RunContext run{};
 };
 

@@ -3,13 +3,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cache/study_keys.h"
 #include "compact/device_model.h"
 #include "compact/vth_model.h"
 #include "exec/parallel.h"
 #include "opt/bisection.h"
 #include "opt/golden_section.h"
-#include "opt/memo.h"
 #include "physics/units.h"
 
 namespace subscale::scaling {
@@ -144,15 +142,9 @@ SubVthDevice design_subvth_device(const NodeInput& node,
         xs.size(), [&](std::size_t i) { return objective(xs[i]); },
         options.exec));
   };
-  // Memoize candidate evaluations against the solve cache: a repeated
-  // study replays each L_poly design objective bitwise instead of
-  // re-running the doping co-optimization (the inert memo on a null
-  // cache degrades to the bare objective).
-  const opt::EvalMemo memo(options.cache,
-                           cache::subvth_design_key(node, options, calib));
   const opt::ScalarMinimum best = opt::scan_then_golden(
       scan_batch, objective, node.lpoly_nm, kLpolyMaxFactor * node.lpoly_nm,
-      options.lpoly_scan_points, 0.2 /* nm resolution */, memo);
+      options.lpoly_scan_points, 0.2 /* nm resolution */);
 
   SubVthDevice out;
   out.lpoly_opt_nm = best.x;

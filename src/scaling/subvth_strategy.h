@@ -19,10 +19,6 @@
 #include "scaling/supervth_strategy.h"
 #include "scaling/technology.h"
 
-namespace subscale::cache {
-class SolveCache;
-}  // namespace subscale::cache
-
 namespace subscale::scaling {
 
 struct SubVthOptions {
@@ -43,10 +39,6 @@ struct SubVthOptions {
   /// nodes, scan per node) degrades the inner level to inline execution
   /// instead of oversubscribing.
   exec::ExecPolicy exec{};
-  /// Solve cache for memoizing the per-candidate design objective (see
-  /// opt::EvalMemo); null means none. ScalingStudy passes its
-  /// RunContext::cache_sink() here.
-  cache::SolveCache* cache = nullptr;
 };
 
 /// Co-optimize doping at a fixed gate length (I_off constraint + flat

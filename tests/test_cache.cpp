@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,12 +18,9 @@
 #include "cache/hash.h"
 #include "cache/lease.h"
 #include "cache/solve_cache.h"
-#include "cache/study_keys.h"
 #include "cache/tcad_keys.h"
 #include "compact/device_spec.h"
 #include "exec/run_context.h"
-#include "opt/memo.h"
-#include "scaling/technology.h"
 #include "tcad/device_sim.h"
 
 namespace fs = std::filesystem;
@@ -238,57 +234,6 @@ TEST(CacheTcadKeys, DerivedKeysAreDistinct) {
   EXPECT_NE(sca::sweep_key(dev, 0.30, 0.0, 0.45, 10), sweep);
 }
 
-TEST(CacheStudyKeys, CalibrationAndNodePerturbTheKey) {
-  const auto& node = subscale::scaling::paper_nodes()[0];
-  const subscale::scaling::SubVthOptions options;
-  const sc::Calibration calib = sc::paper_calibration();
-  const sca::HashKey base =
-      sca::subvth_design_key(node, options, calib);
-  EXPECT_EQ(sca::subvth_design_key(node, options, calib), base);
-
-  sc::Calibration c = calib;
-  c.c_wire *= 1.01;
-  EXPECT_NE(sca::subvth_design_key(node, options, c), base);
-
-  subscale::scaling::SubVthOptions o = options;
-  o.ioff_pa_um *= 2.0;
-  EXPECT_NE(sca::subvth_design_key(node, o, calib), base);
-
-  // The exec policy is NOT hashed: thread count cannot change results.
-  o = options;
-  o.exec = se::ExecPolicy{7};
-  EXPECT_EQ(sca::subvth_design_key(node, o, calib), base);
-}
-
-TEST(CacheStudyKeys, DeviceEnvDiscriminatesCardsBackendsTemperatures) {
-  // Two cards that differ only in environment must never share a
-  // design-objective memo: each env axis perturbs the 128-bit key.
-  const auto& node = subscale::scaling::paper_nodes()[0];
-  const sc::Calibration calib = sc::paper_calibration();
-  const subscale::scaling::SubVthOptions bulk300;
-  const sca::HashKey base = sca::subvth_design_key(node, bulk300, calib);
-
-  subscale::scaling::SubVthOptions o = bulk300;
-  o.env.backend = sc::BackendKind::kNanowireGaa;
-  const sca::HashKey nanowire = sca::subvth_design_key(node, o, calib);
-  EXPECT_NE(nanowire, base);
-
-  o = bulk300;
-  o.env.temperature = 350.0;
-  const sca::HashKey hot = sca::subvth_design_key(node, o, calib);
-  EXPECT_NE(hot, base);
-  EXPECT_NE(hot, nanowire);
-
-  o = bulk300;
-  o.env.nw_radius_nm = 6.0;
-  EXPECT_NE(sca::subvth_design_key(node, o, calib), base);
-
-  // And the same env hashes identically (keys are pure functions).
-  o = bulk300;
-  o.env.temperature = 350.0;
-  EXPECT_EQ(sca::subvth_design_key(node, o, calib), hot);
-}
-
 // ---- byte codec robustness --------------------------------------------------
 
 TEST(CacheBytes, RoundTrip) {
@@ -350,12 +295,12 @@ TEST(SolveCache, MemoryRoundTrip) {
   sca::SolveCache cache{sca::CacheOptions{}};
   EXPECT_FALSE(cache.persistent());
   const sca::HashKey key = key_of(1);
-  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kScalar), nullptr);
+  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kState), nullptr);
 
-  cache.store(key, sca::PayloadKind::kScalar, some_bytes(24));
-  const auto hit = cache.lookup(key, sca::PayloadKind::kScalar);
+  cache.store(key, sca::PayloadKind::kState, some_bytes(24));
+  const auto hit = cache.lookup(key, sca::PayloadKind::kState);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->kind, sca::PayloadKind::kScalar);
+  EXPECT_EQ(hit->kind, sca::PayloadKind::kState);
   EXPECT_EQ(hit->bytes, some_bytes(24));
 
   // A kind mismatch is a miss, never a misparse.
@@ -372,7 +317,7 @@ TEST(SolveCache, FifoEvictionIsAccounted) {
   opt.max_entries_per_shard = 2;
   sca::SolveCache cache{opt};
   for (std::uint64_t i = 0; i < 64; ++i) {
-    cache.store(key_of(i), sca::PayloadKind::kScalar, some_bytes(8));
+    cache.store(key_of(i), sca::PayloadKind::kState, some_bytes(8));
   }
   const sca::SolveCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.stores, 64u);
@@ -381,7 +326,7 @@ TEST(SolveCache, FifoEvictionIsAccounted) {
   // Memory-only: an evicted record is gone for good.
   std::size_t present = 0;
   for (std::uint64_t i = 0; i < 64; ++i) {
-    if (cache.lookup(key_of(i), sca::PayloadKind::kScalar) != nullptr) {
+    if (cache.lookup(key_of(i), sca::PayloadKind::kState) != nullptr) {
       ++present;
     }
   }
@@ -422,9 +367,9 @@ TEST(SolveCache, StoreReplacesExistingRecord) {
   TempCacheDir dir;
   sca::SolveCache cache{disk_options(dir)};
   const sca::HashKey key = key_of(11);
-  cache.store(key, sca::PayloadKind::kScalar, some_bytes(8, 1));
-  cache.store(key, sca::PayloadKind::kScalar, some_bytes(8, 2));
-  const auto hit = cache.lookup(key, sca::PayloadKind::kScalar);
+  cache.store(key, sca::PayloadKind::kState, some_bytes(8, 1));
+  cache.store(key, sca::PayloadKind::kState, some_bytes(8, 2));
+  const auto hit = cache.lookup(key, sca::PayloadKind::kState);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->bytes, some_bytes(8, 2));
 }
@@ -541,11 +486,11 @@ TEST(SolveCacheFault, ReadFaultsCountDownThenHeal) {
   opt.fault.fail_reads = 2;
   sca::SolveCache cache{opt};
   const sca::HashKey key = key_of(21);
-  cache.store(key, sca::PayloadKind::kScalar, some_bytes(8));
-  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kScalar), nullptr);
-  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kScalar), nullptr);
+  cache.store(key, sca::PayloadKind::kState, some_bytes(8));
+  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kState), nullptr);
+  EXPECT_EQ(cache.lookup(key, sca::PayloadKind::kState), nullptr);
   // Budget exhausted: the record was never actually damaged.
-  EXPECT_NE(cache.lookup(key, sca::PayloadKind::kScalar), nullptr);
+  EXPECT_NE(cache.lookup(key, sca::PayloadKind::kState), nullptr);
   EXPECT_EQ(cache.stats().corrupt, 2u);
 }
 
@@ -556,14 +501,14 @@ TEST(SolveCacheFault, WriteFaultDropsThePublish) {
   const sca::HashKey key = key_of(22);
   {
     sca::SolveCache cache{opt};
-    cache.store(key, sca::PayloadKind::kScalar, some_bytes(8));
+    cache.store(key, sca::PayloadKind::kState, some_bytes(8));
     EXPECT_FALSE(fs::exists(cache.record_path(key)));
     // The next store heals and publishes.
-    cache.store(key, sca::PayloadKind::kScalar, some_bytes(8));
+    cache.store(key, sca::PayloadKind::kState, some_bytes(8));
     EXPECT_TRUE(fs::exists(cache.record_path(key)));
   }
   sca::SolveCache reader{disk_options(dir)};
-  EXPECT_NE(reader.lookup(key, sca::PayloadKind::kScalar), nullptr);
+  EXPECT_NE(reader.lookup(key, sca::PayloadKind::kState), nullptr);
 }
 
 // ---- options / resolution ---------------------------------------------------
@@ -591,75 +536,6 @@ TEST(RunContextCache, ExplicitCacheWinsOverDefault) {
   ctx.cache = &a;
   EXPECT_EQ(ctx.cache_sink(), &a);
   sca::set_default_cache(nullptr);
-}
-
-// ---- opt-layer memoization --------------------------------------------------
-
-TEST(EvalMemo, InertWithoutCache) {
-  const subscale::opt::EvalMemo memo;
-  EXPECT_FALSE(memo.active());
-  int calls = 0;
-  const auto f = memo.wrap([&](double x) {
-    ++calls;
-    return 2.0 * x;
-  });
-  EXPECT_EQ(f(3.0), 6.0);
-  EXPECT_EQ(f(3.0), 6.0);
-  EXPECT_EQ(calls, 2);  // no memoization without a cache
-}
-
-TEST(EvalMemo, RepeatedEvaluationsReplay) {
-  sca::SolveCache cache{sca::CacheOptions{}};
-  const subscale::opt::EvalMemo memo(&cache, key_of(31));
-  int calls = 0;
-  const auto f = memo.wrap([&](double x) {
-    ++calls;
-    return x * x + 0.25;
-  });
-  const double first = f(1.5);
-  const double again = f(1.5);
-  EXPECT_EQ(calls, 1);
-  // Bitwise: the replay returns the stored bits.
-  EXPECT_EQ(std::memcmp(&first, &again, sizeof(double)), 0);
-  EXPECT_EQ(f(2.5), 2.5 * 2.5 + 0.25);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(EvalMemo, DistinctDomainsDoNotAlias) {
-  sca::SolveCache cache{sca::CacheOptions{}};
-  const subscale::opt::EvalMemo memo_a(&cache, key_of(1));
-  const subscale::opt::EvalMemo memo_b(&cache, key_of(2));
-  int calls = 0;
-  const auto count = [&](double x) {
-    ++calls;
-    return x;
-  };
-  memo_a.eval(count, 1.0);
-  memo_b.eval(count, 1.0);  // same x, different domain: must recompute
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(EvalMemo, BatchComputesOnlyMisses) {
-  sca::SolveCache cache{sca::CacheOptions{}};
-  const subscale::opt::EvalMemo memo(&cache, key_of(41));
-  std::vector<double> computed;
-  const auto batch =
-      memo.wrap_batch([&](const std::vector<double>& xs) {
-        std::vector<double> values;
-        for (const double x : xs) {
-          computed.push_back(x);
-          values.push_back(3.0 * x);
-        }
-        return values;
-      });
-  const std::vector<double> all = batch({1.0, 2.0, 3.0});
-  EXPECT_EQ(all, (std::vector<double>{3.0, 6.0, 9.0}));
-  EXPECT_EQ(computed.size(), 3u);
-  computed.clear();
-  // 2.0 is cached; only the new points run.
-  const std::vector<double> mixed = batch({2.0, 4.0});
-  EXPECT_EQ(mixed, (std::vector<double>{6.0, 12.0}));
-  EXPECT_EQ(computed, (std::vector<double>{4.0}));
 }
 
 // ---- TCAD wiring ------------------------------------------------------------

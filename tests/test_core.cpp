@@ -127,27 +127,27 @@ TEST(ScalingStudy, StrategyOptionsComeFromTheCard) {
   }
 }
 
-TEST(ScalingStudy, NoCacheKeepsTheDesignOutOfTheDefaultCache) {
-  // run.no_cache opts the whole study out of the process default cache,
-  // the sub-V_th design memo included; without it, the design memoizes
-  // into that default.
+TEST(ScalingStudy, DesignNeverTouchesTheSolveCache) {
+  // Both roadmaps are pure compact-model arithmetic: designing them
+  // reads and writes neither the process default cache nor the run
+  // context's own cache.
   namespace sca = subscale::cache;
-  sca::SolveCache memory{sca::CacheOptions{}};
-  sca::set_default_cache(&memory);
+  sca::SolveCache fallback{sca::CacheOptions{}};
+  sca::SolveCache explicit_cache{sca::CacheOptions{}};
+  sca::set_default_cache(&fallback);
   sco::StudyOptions options;
-  options.run.no_cache = true;
-  sco::ScalingStudy(subscale::compact::paper_calibration(), options)
-      .sub_devices();
-  const sca::SolveCache::Stats off = memory.stats();
-  EXPECT_EQ(off.hits, 0u);
-  EXPECT_EQ(off.misses, 0u);
-  EXPECT_EQ(off.stores, 0u);
-
-  options.run.no_cache = false;
-  sco::ScalingStudy(subscale::compact::paper_calibration(), options)
-      .sub_devices();
-  EXPECT_GT(memory.stats().stores, 0u);
+  options.run.cache = &explicit_cache;
+  const sco::ScalingStudy designed(subscale::compact::paper_calibration(),
+                                   options);
+  designed.super_devices();
+  designed.sub_devices();
   sca::set_default_cache(nullptr);
+  for (const sca::SolveCache* cache : {&fallback, &explicit_cache}) {
+    const sca::SolveCache::Stats stats = cache->stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.stores, 0u);
+  }
 }
 
 TEST(ScalingStudy, TcadValidationDegradesGracefully) {
