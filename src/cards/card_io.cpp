@@ -45,7 +45,7 @@ double require_number(const io::JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-void write_node(io::Writer& w, const scaling::NodeInput& node) {
+void write_node(io::JsonWriter& w, const scaling::NodeInput& node) {
   w.begin_object();
   w.key("name");
   w.value(node.name);
@@ -77,7 +77,7 @@ scaling::NodeInput read_node(const io::JsonPtr& v, const std::string& where) {
   return node;
 }
 
-void write_recipe(io::Writer& w, const ScalingRecipe& r) {
+void write_recipe(io::JsonWriter& w, const ScalingRecipe& r) {
   w.begin_object();
   w.key("first_generation");
   w.value(static_cast<std::uint64_t>(r.first_generation));
@@ -124,7 +124,7 @@ ScalingRecipe read_recipe(const io::JsonPtr& v, const std::string& where) {
 
 }  // namespace
 
-void write_card(io::Writer& w, const TechnologyCard& card) {
+void write_card(io::JsonWriter& w, const TechnologyCard& card) {
   w.begin_object();
   w.key("schema");
   w.value(kCardSchemaTag);

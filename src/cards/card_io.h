@@ -23,7 +23,7 @@ inline constexpr const char* kCardSchemaTag = "subscale.card.v1";
 
 /// Emit the card into an open writer (a complete document: the card is
 /// the writer's root object).
-void write_card(io::Writer& w, const TechnologyCard& card);
+void write_card(io::JsonWriter& w, const TechnologyCard& card);
 
 /// The card as a standalone JSON document.
 std::string card_to_json(const TechnologyCard& card);

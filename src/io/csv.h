@@ -11,8 +11,9 @@
 namespace subscale::io {
 
 /// Render series sharing an x axis as CSV text: header "x,name1,name2,...",
-/// one row per x of the FIRST series; other series must have identical x
-/// values (throws std::invalid_argument otherwise).
+/// one row per x of the FIRST series, cells as %g with non-finite values
+/// as "null". Every series must have the first one's x values to 1e-12
+/// relative (throws std::invalid_argument otherwise, and on no series).
 std::string to_csv(const std::vector<Series>& series);
 
 /// Write CSV text to a file (throws std::runtime_error on I/O failure).

@@ -2,7 +2,8 @@
 
 namespace subscale::io {
 
-void write_chrome_trace(Writer& w, const obs::ProfileSnapshot& snapshot) {
+void write_chrome_trace(JsonWriter& w,
+                        const obs::ProfileSnapshot& snapshot) {
   w.begin_object();
   w.key("displayTimeUnit");
   w.value("ms");
@@ -44,7 +45,7 @@ void write_chrome_trace(Writer& w, const obs::ProfileSnapshot& snapshot) {
 }
 
 void write_convergence_document(
-    Writer& w, const std::vector<obs::SolveTrajectory>& solves) {
+    JsonWriter& w, const std::vector<obs::SolveTrajectory>& solves) {
   w.begin_object();
   w.key("solves");
   w.begin_array();

@@ -12,10 +12,7 @@
 /// track per recording thread. Drag the file into the viewer and the
 /// nesting recorded by obs::SpanProfiler renders as a flamegraph.
 ///
-/// Both emitters drive the generic io::Writer, but the trace format is
-/// only meaningful as JSON — handing a CsvWriter to write_chrome_trace
-/// throws from the writer (nested objects are not CSV-representable),
-/// which is the intended failure.
+/// Both emitters write JSON through io::JsonWriter.
 
 #include <vector>
 
@@ -29,7 +26,8 @@ namespace subscale::io {
 /// {"displayTimeUnit": "ms", "traceEvents": [{name, cat, ph, ts, dur,
 /// pid, tid, args: {depth, seq, parent}}, ...]}. Events keep the
 /// snapshot's (tid, t0, seq) order; pid is always 1 (one process).
-void write_chrome_trace(Writer& w, const obs::ProfileSnapshot& snapshot);
+void write_chrome_trace(JsonWriter& w,
+                        const obs::ProfileSnapshot& snapshot);
 
 /// Emit recorded convergence trajectories as one document:
 /// {"solves": [{vg, vd, converged, iteration: [...],
@@ -38,6 +36,6 @@ void write_chrome_trace(Writer& w, const obs::ProfileSnapshot& snapshot);
 /// Per-iteration fields are column arrays so a solve's residual decay
 /// plots directly; NaN samples (stage never reached) render as null.
 void write_convergence_document(
-    Writer& w, const std::vector<obs::SolveTrajectory>& solves);
+    JsonWriter& w, const std::vector<obs::SolveTrajectory>& solves);
 
 }  // namespace subscale::io

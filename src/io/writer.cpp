@@ -1,6 +1,5 @@
 #include "io/writer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -39,18 +38,6 @@ std::string format_double(double v) {
   }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Shortest decimal text for CSV cells (matches the old to_csv output,
-/// which used default ostream formatting: "2" not "2.0000000...").
-/// Non-finite values render as "null", matching the JSON backend, so a
-/// NaN in a curve cannot silently become platform-dependent "nan"/"inf"
-/// text that downstream CSV readers disagree on.
-std::string format_cell(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
@@ -151,131 +138,10 @@ std::string JsonWriter::str() const {
   return out_ + "\n";
 }
 
-// ---- CsvWriter ------------------------------------------------------------
-
-void CsvWriter::begin_object() {
-  if (depth_ != 0 || done_) {
-    throw std::invalid_argument(
-        "CsvWriter: only one top-level object of columns is representable");
-  }
-  depth_ = 1;
-}
-
-void CsvWriter::end_object() {
-  if (depth_ != 1) {
-    throw std::invalid_argument("CsvWriter: unbalanced end_object");
-  }
-  depth_ = 0;
-  done_ = true;
-}
-
-void CsvWriter::begin_array() {
-  if (depth_ != 1 || headers_.size() != columns_.size() + 1) {
-    // An array is only legal directly after a column key.
-    throw std::invalid_argument(
-        "CsvWriter: arrays must be object values (columns)");
-  }
-  columns_.emplace_back();
-  depth_ = 2;
-}
-
-void CsvWriter::end_array() {
-  if (depth_ != 2) {
-    throw std::invalid_argument("CsvWriter: unbalanced end_array");
-  }
-  depth_ = 1;
-}
-
-void CsvWriter::key(std::string_view k) {
-  if (depth_ != 1 || headers_.size() != columns_.size()) {
-    throw std::invalid_argument("CsvWriter: key outside the column object");
-  }
-  headers_.emplace_back(k);
-}
-
-void CsvWriter::cell(std::string text) {
-  if (depth_ != 2) {
-    throw std::invalid_argument(
-        "CsvWriter: scalar outside a column array (nested documents are "
-        "not CSV-representable)");
-  }
-  columns_.back().push_back(std::move(text));
-}
-
-void CsvWriter::value(double v) { cell(format_cell(v)); }
-
-void CsvWriter::value(std::uint64_t v) { cell(std::to_string(v)); }
-
-void CsvWriter::value(bool v) { cell(v ? "true" : "false"); }
-
-void CsvWriter::value(std::string_view v) { cell(std::string(v)); }
-
-std::string CsvWriter::str() const {
-  if (!done_ || depth_ != 0) {
-    throw std::logic_error("CsvWriter: document is not complete");
-  }
-  if (headers_.empty()) {
-    throw std::invalid_argument("CsvWriter: no columns");
-  }
-  const std::size_t rows = columns_.front().size();
-  for (const auto& col : columns_) {
-    if (col.size() != rows) {
-      throw std::invalid_argument("CsvWriter: columns have unequal lengths");
-    }
-  }
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c > 0) out += ',';
-    out += headers_[c];
-  }
-  out += '\n';
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c > 0) out += ',';
-      out += columns_[c][r];
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 // ---- document emitters ----------------------------------------------------
 
-void write_series_document(Writer& w, const std::vector<Series>& series) {
-  if (series.empty()) {
-    throw std::invalid_argument("write_series_document: no series");
-  }
-  const Series& first = series.front();
-  for (const Series& s : series) {
-    if (s.size() != first.size()) {
-      throw std::invalid_argument(
-          "write_series_document: series lengths differ");
-    }
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      // Same tolerance the CSV exporter always applied: the axes must
-      // agree to ~1e-12 relative, not bitwise.
-      const double x = first[i].x;
-      if (std::abs(s[i].x - x) > 1e-12 * std::max(1.0, std::abs(x))) {
-        throw std::invalid_argument(
-            "write_series_document: series x axes differ");
-      }
-    }
-  }
-  w.begin_object();
-  w.key("x");
-  w.begin_array();
-  for (std::size_t i = 0; i < first.size(); ++i) w.value(first[i].x);
-  w.end_array();
-  for (const Series& s : series) {
-    w.key(s.name());
-    w.begin_array();
-    for (std::size_t i = 0; i < s.size(); ++i) w.value(s[i].y);
-    w.end_array();
-  }
-  w.end_object();
-}
-
-void write_metrics_snapshot(Writer& w, const obs::MetricsSnapshot& snap) {
+void write_metrics_snapshot(JsonWriter& w,
+                            const obs::MetricsSnapshot& snap) {
   w.begin_object();
   for (const auto& [name, value] : snap.counters) {
     w.key(name);
@@ -291,23 +157,6 @@ void write_metrics_snapshot(Writer& w, const obs::MetricsSnapshot& snap) {
     w.key(h.name + ".sum");
     w.value(h.sum);
   }
-  w.end_object();
-}
-
-void write_table_document(Writer& w, const TextTable& table) {
-  w.begin_object();
-  w.key("headers");
-  w.begin_array();
-  for (const std::string& h : table.headers()) w.value(h);
-  w.end_array();
-  w.key("rows");
-  w.begin_array();
-  for (const auto& row : table.rows()) {
-    w.begin_array();
-    for (const std::string& cell : row) w.value(cell);
-    w.end_array();
-  }
-  w.end_array();
   w.end_object();
 }
 

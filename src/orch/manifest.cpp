@@ -100,7 +100,7 @@ Manifest build_manifest(const StudySpec& spec) {
 
 namespace {
 
-void write_mesh(io::Writer& w, const tcad::MeshOptions& m) {
+void write_mesh(io::JsonWriter& w, const tcad::MeshOptions& m) {
   w.begin_object();
   w.key("surface_spacing");
   w.value(m.surface_spacing);
@@ -113,7 +113,7 @@ void write_mesh(io::Writer& w, const tcad::MeshOptions& m) {
   w.end_object();
 }
 
-void write_gummel(io::Writer& w, const tcad::GummelOptions& g) {
+void write_gummel(io::JsonWriter& w, const tcad::GummelOptions& g) {
   w.begin_object();
   w.key("max_iterations");
   w.value(static_cast<std::uint64_t>(g.max_iterations));

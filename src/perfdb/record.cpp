@@ -44,7 +44,8 @@ std::string hex16(std::uint64_t v) {
 }
 
 void write_sorted_pairs(
-    io::Writer& w, const std::vector<std::pair<std::string, double>>& pairs) {
+    io::JsonWriter& w,
+    const std::vector<std::pair<std::string, double>>& pairs) {
   std::vector<std::pair<std::string, double>> sorted = pairs;
   std::sort(sorted.begin(), sorted.end());
   w.begin_object();

@@ -183,7 +183,7 @@ bool parse_query(const std::string& text, Query& out, Error& error) {
 
 namespace {
 
-void write_error(io::Writer& w, const Error& error) {
+void write_error(io::JsonWriter& w, const Error& error) {
   w.key("error");
   w.begin_object();
   w.key("code");
@@ -195,7 +195,7 @@ void write_error(io::Writer& w, const Error& error) {
   w.end_object();
 }
 
-void write_sweep(io::Writer& w, const SweepPayload& p) {
+void write_sweep(io::JsonWriter& w, const SweepPayload& p) {
   w.key("node_name");
   w.value(p.node_name);
   w.key("lpoly_nm");
@@ -231,7 +231,7 @@ void write_sweep(io::Writer& w, const SweepPayload& p) {
   }
 }
 
-void write_design(io::Writer& w, const DesignPayload& p) {
+void write_design(io::JsonWriter& w, const DesignPayload& p) {
   w.key("node_name");
   w.value(p.node_name);
   w.key("lpoly_nm");
@@ -262,7 +262,7 @@ void write_design(io::Writer& w, const DesignPayload& p) {
   }
 }
 
-void write_figure(io::Writer& w, const FigurePayload& p) {
+void write_figure(io::JsonWriter& w, const FigurePayload& p) {
   w.key("figure");
   w.value(p.figure);
   w.key("x_label");
@@ -279,7 +279,7 @@ void write_figure(io::Writer& w, const FigurePayload& p) {
   w.end_array();
 }
 
-void write_metrics(io::Writer& w, const MetricsPayload& p) {
+void write_metrics(io::JsonWriter& w, const MetricsPayload& p) {
   w.key("enabled");
   w.value(p.enabled);
   w.key("counters");
@@ -369,7 +369,7 @@ void write_metrics(io::Writer& w, const MetricsPayload& p) {
   }
 }
 
-void write_info(io::Writer& w, const InfoPayload& p) {
+void write_info(io::JsonWriter& w, const InfoPayload& p) {
   w.key("proto");
   w.value(p.proto);
   w.key("card");

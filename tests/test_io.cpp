@@ -129,6 +129,15 @@ TEST(Csv, WritesFile) {
   std::remove(path.c_str());
 }
 
+TEST(Csv, NonFiniteCellsBecomeNull) {
+  si::Series v("v");
+  v.add(1, 1.5);
+  v.add(2, std::numeric_limits<double>::quiet_NaN());
+  v.add(3, std::numeric_limits<double>::infinity());
+  v.add(4, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(si::to_csv({v}), "x,v\n1,1.5\n2,null\n3,null\n4,null\n");
+}
+
 // ---- Writer ---------------------------------------------------------------------------
 
 TEST(JsonWriter, RendersNestedDocument) {
@@ -169,41 +178,6 @@ TEST(JsonWriter, RejectsMalformedDocuments) {
   EXPECT_THROW(keyless.key("k"), std::logic_error);
 }
 
-TEST(CsvWriter, SharesTheSeriesPathWithJson) {
-  si::Series a("a"), b("b");
-  a.add(1, 10);
-  a.add(2, 20);
-  b.add(1, -1);
-  b.add(2, -2);
-
-  si::CsvWriter csv;
-  si::write_series_document(csv, {a, b});
-  EXPECT_EQ(csv.str(), "x,a,b\n1,10,-1\n2,20,-2\n");
-
-  si::JsonWriter json;
-  si::write_series_document(json, {a, b});
-  EXPECT_NE(json.str().find("\"a\": [\n"), std::string::npos);
-}
-
-TEST(CsvWriter, RejectsNonColumnShapes) {
-  si::CsvWriter nested;
-  nested.begin_object();
-  nested.key("inner");
-  EXPECT_THROW(nested.begin_object(), std::invalid_argument);
-
-  si::CsvWriter ragged;
-  ragged.begin_object();
-  ragged.key("a");
-  ragged.begin_array();
-  ragged.value(1.0);
-  ragged.end_array();
-  ragged.key("b");
-  ragged.begin_array();
-  ragged.end_array();
-  ragged.end_object();
-  EXPECT_THROW(ragged.str(), std::invalid_argument);
-}
-
 TEST(MetricsJson, FlatSnapshotSchema) {
   so::MetricsRegistry reg;
   reg.counter("tcad.gummel.solves").add(3);
@@ -217,16 +191,6 @@ TEST(MetricsJson, FlatSnapshotSchema) {
   EXPECT_NE(out.find("\"tcad.gummel.last_residual\": "), std::string::npos);
   EXPECT_NE(out.find("\"tcad.sweep.point_ms.count\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"tcad.sweep.point_ms.sum\": 2"), std::string::npos);
-}
-
-TEST(TableJson, HeadersAndRows) {
-  si::TextTable t({"node", "value"});
-  t.add_row({"90nm", "1.3"});
-  si::JsonWriter w;
-  si::write_table_document(w, t);
-  const std::string out = w.str();
-  EXPECT_NE(out.find("\"headers\""), std::string::npos);
-  EXPECT_NE(out.find("\"90nm\""), std::string::npos);
 }
 
 // ---- escaping and non-finite edge cases -----------------------------------
@@ -247,20 +211,6 @@ TEST(JsonWriter, EscapesQuotesBackslashesAndControlChars) {
     EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
         << "raw control char in output";
   }
-}
-
-TEST(CsvWriter, NonFiniteCellsBecomeNull) {
-  si::CsvWriter w;
-  w.begin_object();
-  w.key("v");
-  w.begin_array();
-  w.value(1.5);
-  w.value(std::numeric_limits<double>::quiet_NaN());
-  w.value(std::numeric_limits<double>::infinity());
-  w.value(-std::numeric_limits<double>::infinity());
-  w.end_array();
-  w.end_object();
-  EXPECT_EQ(w.str(), "v\n1.5\nnull\nnull\nnull\n");
 }
 
 // ---- chrome trace export --------------------------------------------------
