@@ -8,6 +8,13 @@ namespace subscale::tcad {
 
 namespace {
 
+/// The S_S regression window, in decades of current above the sweep's
+/// minimum current.
+constexpr double kWindowLoDecades = 0.5;
+constexpr double kWindowHiDecades = 3.5;
+/// Constant-current V_th criterion [A/m] (0.1 uA/um).
+constexpr double kVthCurrent = 1e-1;
+
 /// V_g at which the sweep crosses `current` (log-linear interpolation).
 double crossing_voltage(const std::vector<IdVgPoint>& sweep, double current) {
   for (std::size_t k = 0; k + 1 < sweep.size(); ++k) {
@@ -24,8 +31,7 @@ double crossing_voltage(const std::vector<IdVgPoint>& sweep, double current) {
 
 }  // namespace
 
-SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep,
-                                   const ExtractOptions& options) {
+SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep) {
   if (sweep.size() < 5) {
     throw std::invalid_argument("extract_from_sweep: sweep too short");
   }
@@ -44,8 +50,8 @@ SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep,
 
   // S_S: regression of vg against log10(id) inside the decade window.
   const double log_min = std::log10(out.ioff);
-  const double lo = log_min + options.window_lo_decades;
-  const double hi = log_min + options.window_hi_decades;
+  const double lo = log_min + kWindowLoDecades;
+  const double hi = log_min + kWindowHiDecades;
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, syy = 0.0;
   std::size_t count = 0;
   for (const IdVgPoint& p : sweep) {
@@ -73,18 +79,17 @@ SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep,
       std::sqrt(denom) * std::sqrt(std::max(nn * syy - sy * sy, 1e-300));
   out.ss_r2 = (r_num / r_den) * (r_num / r_den);
 
-  out.vth_cc = crossing_voltage(sweep, options.vth_current);
+  out.vth_cc = crossing_voltage(sweep, kVthCurrent);
   return out;
 }
 
 double extract_dibl(const std::vector<IdVgPoint>& sweep_lo, double vd_lo,
-                    const std::vector<IdVgPoint>& sweep_hi, double vd_hi,
-                    const ExtractOptions& options) {
+                    const std::vector<IdVgPoint>& sweep_hi, double vd_hi) {
   if (vd_hi <= vd_lo) {
     throw std::invalid_argument("extract_dibl: vd_hi must exceed vd_lo");
   }
-  const double vth_lo = extract_from_sweep(sweep_lo, options).vth_cc;
-  const double vth_hi = extract_from_sweep(sweep_hi, options).vth_cc;
+  const double vth_lo = extract_from_sweep(sweep_lo).vth_cc;
+  const double vth_hi = extract_from_sweep(sweep_hi).vth_cc;
   return (vth_lo - vth_hi) / (vd_hi - vd_lo);
 }
 

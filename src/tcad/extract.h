@@ -20,33 +20,22 @@ struct SweepExtraction {
   double ss_r2 = 0.0;   ///< regression quality of the S_S fit
 };
 
-struct ExtractOptions {
-  /// Subthreshold window for the S_S regression, as decades of current
-  /// above the sweep's minimum current.
-  double window_lo_decades = 0.5;
-  double window_hi_decades = 3.5;
-  /// Constant-current criterion [A/m] for V_th (MEDICI-style extraction
-  /// uses a fixed current density; 1e-1 A/m = 0.1 uA/um).
-  double vth_current = 1e-1;
-};
-
-/// Extract parameters from an ascending-vg sweep with positive currents.
-/// Throws std::invalid_argument on unusable sweeps (too short, wrong
-/// ordering, non-positive currents).
-SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep,
-                                   const ExtractOptions& options = {});
+/// Extract parameters from an ascending-vg sweep with positive currents:
+/// S_S by regression over 0.5–3.5 decades above the sweep's minimum
+/// current, V_th at the constant-current criterion 0.1 A/m (0.1 uA/um,
+/// MEDICI-style). Throws std::invalid_argument on unusable sweeps (too
+/// short, wrong ordering, non-positive currents, no criterion crossing).
+SweepExtraction extract_from_sweep(const std::vector<IdVgPoint>& sweep);
 
 /// Convenience overload for the value-type sweep API: extracts from the
 /// converged points of a SweepResult.
-inline SweepExtraction extract_from_sweep(const SweepResult& sweep,
-                                          const ExtractOptions& options = {}) {
-  return extract_from_sweep(sweep.points, options);
+inline SweepExtraction extract_from_sweep(const SweepResult& sweep) {
+  return extract_from_sweep(sweep.points);
 }
 
 /// DIBL coefficient from two sweeps at low and high drain bias [V/V]:
 /// (V_th,lin - V_th,sat)/(vd_hi - vd_lo) using the constant-current V_th.
 double extract_dibl(const std::vector<IdVgPoint>& sweep_lo, double vd_lo,
-                    const std::vector<IdVgPoint>& sweep_hi, double vd_hi,
-                    const ExtractOptions& options = {});
+                    const std::vector<IdVgPoint>& sweep_hi, double vd_hi);
 
 }  // namespace subscale::tcad

@@ -360,13 +360,12 @@ TEST(Extract, ExactOnSyntheticExponential) {
     const double vg = 0.025 * k;
     sweep.push_back({vg, 1e-6 * std::pow(10.0, vg / 0.090)});
   }
-  st::ExtractOptions opt;
-  opt.vth_current = 1e-4;
-  const auto ex = st::extract_from_sweep(sweep, opt);
+  const auto ex = st::extract_from_sweep(sweep);
   EXPECT_NEAR(ex.ss, 0.090, 1e-6);
   EXPECT_NEAR(ex.ss_r2, 1.0, 1e-9);
-  // vth_cc: crossing of 1e-4 at vg = 0.090*log10(1e-4/1e-6) = 0.180.
-  EXPECT_NEAR(ex.vth_cc, 0.180, 1e-4);
+  // vth_cc: the 0.1 A/m criterion is crossed at
+  // vg = 0.090*log10(0.1/1e-6) = 0.450.
+  EXPECT_NEAR(ex.vth_cc, 0.450, 1e-4);
 }
 
 TEST(Extract, RejectsBadSweeps) {
@@ -386,16 +385,15 @@ TEST(Extract, DiblFromTwoSyntheticSweeps) {
     std::vector<st::IdVgPoint> sweep;
     for (int k = 0; k <= 20; ++k) {
       const double vg = 0.03 * k;
-      sweep.push_back({vg, 1e-7 * std::pow(10.0, (vg - vth) / 0.090)});
+      // The 0.1 A/m V_th criterion is crossed at vg = vth.
+      sweep.push_back({vg, 1e-1 * std::pow(10.0, (vg - vth) / 0.090)});
     }
     return sweep;
   };
-  st::ExtractOptions opt;
-  opt.vth_current = 1e-6;
   // 40 mV of roll-off over 0.95 V of drain bias -> DIBL = 42.1 mV/V.
-  const double dibl = st::extract_dibl(make(0.40), 0.05, make(0.36), 1.0, opt);
+  const double dibl = st::extract_dibl(make(0.40), 0.05, make(0.36), 1.0);
   EXPECT_NEAR(dibl, 0.04 / 0.95, 1e-6);
-  EXPECT_THROW(st::extract_dibl(make(0.4), 1.0, make(0.4), 0.05, opt),
+  EXPECT_THROW(st::extract_dibl(make(0.4), 1.0, make(0.4), 0.05),
                std::invalid_argument);
 }
 
@@ -694,20 +692,16 @@ TEST(TcadPaperTrend, LongerGateImprovesSwing) {
   // longer gate improves S_S. (Gates much shorter than the node's
   // feature set punch through entirely in the literal 2-D structure, so
   // the comparison runs on the well-behaved side: 90nm vs 65nm gates.)
-  st::ExtractOptions window;
-  window.window_lo_decades = 0.3;
-  window.window_hi_decades = 2.2;
-
   sc::DeviceSpec short_spec = nfet_90();  // lpoly = 65nm
   st::TcadDevice short_dev(short_spec, st::kCoarseMesh);
   const auto short_ex =
-      st::extract_from_sweep(short_dev.id_vg(0.25, 0.0, 0.40, 11), window);
+      st::extract_from_sweep(short_dev.id_vg(0.25, 0.0, 0.40, 11));
 
   sc::DeviceSpec long_spec = nfet_90();
   long_spec.geometry.lpoly = 90e-9;  // same features, longer gate
   st::TcadDevice long_dev(long_spec, st::kCoarseMesh);
   const auto long_ex =
-      st::extract_from_sweep(long_dev.id_vg(0.25, 0.0, 0.40, 11), window);
+      st::extract_from_sweep(long_dev.id_vg(0.25, 0.0, 0.40, 11));
 
   EXPECT_GT(short_ex.ss, long_ex.ss);
 }
