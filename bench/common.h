@@ -224,35 +224,20 @@ inline void write_record(const std::string& name, bool ok, double wall_ms,
   // from baselines by default but forensics can still see them.
   if (const char* db_dir = std::getenv("SUBSCALE_PERFDB_DIR");
       db_dir != nullptr && db_dir[0] != '\0') {
+    // The record is built from the BENCH text just written, the same
+    // path `obs_trend append` ingests a BENCH file through.
     subscale::perfdb::PerfRecord pr;
-    pr.bench = name;
-    pr.card = card().id;
+    std::string error;
+    if (!subscale::perfdb::record_from_bench_json(text, pr, &error)) {
+      std::fprintf(stderr, "bench: cannot read back %s: %s\n", path.c_str(),
+                   error.c_str());
+      return;
+    }
     if (const char* rev = std::getenv("SUBSCALE_GIT_REV");
         rev != nullptr) {
       pr.rev = rev;
     }
     pr.ts = static_cast<std::uint64_t>(std::time(nullptr));
-    pr.shape_ok = ok;
-    pr.interrupted = interrupted;
-    pr.wall_ms = wall_ms;
-    pr.threads = static_cast<std::uint64_t>(
-        subscale::exec::global_policy().resolved_threads());
-    pr.metrics = record.metrics();
-    if (subscale::obs::MetricsRegistry* reg = bench_registry();
-        reg != nullptr) {
-      const obs::MetricsSnapshot snap = reg->snapshot();
-      for (const auto& [key, value] : snap.counters) {
-        pr.obs.emplace_back(key, static_cast<double>(value));
-      }
-      for (const auto& [key, value] : snap.gauges) {
-        pr.obs.emplace_back(key, value);
-      }
-      for (const auto& h : snap.histograms) {
-        pr.obs.emplace_back(h.name + ".count",
-                            static_cast<double>(h.count));
-        pr.obs.emplace_back(h.name + ".sum", h.sum);
-      }
-    }
     subscale::perfdb::PerfDb db(db_dir);
     if (!db.append(pr)) {
       std::fprintf(stderr, "bench: perfdb append to %s failed\n",
