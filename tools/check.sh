@@ -44,6 +44,16 @@ else
   cmake_args+=("-DSUBSCALE_WERROR=ON")
 fi
 
+# The design layers (physics, doping, compact, opt, scaling, circuits)
+# are pure functions of their inputs: none of them may include a cache/
+# header. The solve cache serves TCAD devices, the serve daemon and the
+# orchestrator only. Any file listed here breaks that rule.
+if grep -rlE '^[[:space:]]*#[[:space:]]*include[[:space:]]*["<]cache/' \
+    "$repo_root"/src/{physics,doping,compact,opt,scaling,circuits}; then
+  echo "check.sh: a design-layer file above includes a cache/ header" >&2
+  exit 1
+fi
+
 cmake -B "$build_dir" -S "$repo_root" "${cmake_args[@]}"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" "${ctest_args[@]}"
