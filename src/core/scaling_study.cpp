@@ -88,10 +88,7 @@ std::vector<TcadNodeValidation> ScalingStudy::tcad_validation(
   }
 
   // One task per node, each with its own TcadDevice (mesh + solver
-  // state are per-task, nothing is shared across tasks). In strict
-  // mode the solver exception escapes the task, is captured by the
-  // runtime, and the lowest-index failure is rethrown below — the same
-  // failure a serial strict run surfaces first.
+  // state are per-task, nothing is shared across tasks).
   obs::MetricsRegistry* sink = options.run.sink();
   obs::SpanProfiler* prof = options.run.span_sink();
   const auto run_node = [&](std::size_t k) {
@@ -119,7 +116,6 @@ std::vector<TcadNodeValidation> ScalingStudy::tcad_validation(
         }
       }
     } catch (const std::exception& e) {
-      if (options.run.strict) throw;
       // Aggressive nodes (32nm-class literal structures) can fail to
       // mesh or to reach equilibrium at all; record and move on.
       result.error = e.what();

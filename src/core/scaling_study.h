@@ -55,13 +55,10 @@ struct TcadValidationOptions {
   std::size_t points = 10;
   tcad::MeshOptions mesh;
   tcad::GummelOptions gummel;
-  /// Execution + strictness + telemetry for the node fan-out (replaces
-  /// the old separate `strict`/`exec` knobs). run.exec drives the
-  /// per-node task fan-out; run.strict rethrows the first solver
-  /// failure (in node order) instead of recording and continuing;
-  /// run.metrics/run.profiler flow into every device and sweep. Results
-  /// are bitwise-identical at every thread count; {threads = 1} is the
-  /// exact serial path.
+  /// Execution and telemetry for the node fan-out. run.exec drives the
+  /// per-node task fan-out; run.metrics/run.profiler flow into every
+  /// device and sweep. Results are bitwise-identical at every thread
+  /// count; {threads = 1} is the exact serial path.
   exec::RunContext run{};
 };
 
@@ -105,8 +102,7 @@ class ScalingStudy {
   /// Cross-validate designed devices against the 2-D TCAD backend with
   /// graceful degradation: a node whose device fails to build or whose
   /// sweep loses points is reported (with structured diagnostics) and
-  /// the remaining nodes still run. In strict mode the first solver
-  /// failure propagates as tcad::SolverError.
+  /// the remaining nodes still run.
   std::vector<TcadNodeValidation> tcad_validation(
       const TcadValidationOptions& options = {}) const;
 

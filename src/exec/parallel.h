@@ -8,9 +8,8 @@
 ///   * results are ordered by task index, never by completion order;
 ///   * a task that throws yields a structured TaskError/TaskResult for
 ///     that index — with the original exception preserved as an
-///     std::exception_ptr so strict callers can rethrow it (keeping
-///     e.g. tcad::SolverError and its SolverReport intact) — while
-///     every other task still runs to completion;
+///     std::exception_ptr so callers can rethrow it with its type
+///     intact — while every other task still runs to completion;
 ///   * a resolved thread count of 1 executes the exact serial path:
 ///     fn(0), fn(1), ... inline on the calling thread, no pool;
 ///   * nested calls from inside a pool worker run inline (serially)
@@ -51,12 +50,12 @@ struct TaskError {
 /// contract. The span carries the recording thread's tid.
 std::vector<TaskError> parallel_for(
     std::size_t n, const std::function<void(std::size_t)>& fn,
-    const ExecPolicy& policy = global_policy(),
+    const ExecPolicy& policy = ExecPolicy{},
     obs::SpanProfiler* profiler = nullptr);
 
-/// Rethrow the lowest-index failure (no-op when there is none). This
-/// is what strict modes use: the first failure in index order is the
-/// same one the serial loop would have hit first.
+/// Rethrow the lowest-index failure (no-op when there is none): the
+/// first failure in index order is the same one the serial loop would
+/// have hit first.
 void rethrow_first(const std::vector<TaskError>& errors);
 
 /// Outcome of one mapped task: value on success, error otherwise.
@@ -74,7 +73,7 @@ struct TaskResult {
 template <typename T>
 std::vector<TaskResult<T>> parallel_map(
     std::size_t n, const std::function<T(std::size_t)>& fn,
-    const ExecPolicy& policy = global_policy(),
+    const ExecPolicy& policy = ExecPolicy{},
     obs::SpanProfiler* profiler = nullptr) {
   std::vector<TaskResult<T>> results(n);
   const std::vector<TaskError> errors = parallel_for(

@@ -1,18 +1,10 @@
 #include "exec/policy.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <thread>
 
 namespace subscale::exec {
-
-namespace {
-
-/// The default-policy thread count; 0 keeps the auto resolution.
-std::atomic<std::size_t> g_default_threads{0};
-
-}  // namespace
 
 std::size_t env_thread_override() {
   const char* raw = std::getenv("SUBSCALE_THREADS");
@@ -33,14 +25,6 @@ std::size_t ExecPolicy::resolved_threads() const {
   if (from_env > 0) return from_env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<std::size_t>(hw) : 1;
-}
-
-ExecPolicy global_policy() {
-  return ExecPolicy{g_default_threads.load(std::memory_order_relaxed)};
-}
-
-void set_global_policy(const ExecPolicy& policy) {
-  g_default_threads.store(policy.threads, std::memory_order_relaxed);
 }
 
 }  // namespace subscale::exec

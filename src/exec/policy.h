@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file policy.h
-/// Process-wide execution policy for the task runtime. Thread counts
-/// resolve in priority order: explicit option > SUBSCALE_THREADS
-/// environment variable > hardware concurrency. A resolved count of 1
-/// makes every parallel_* entry point degrade to the exact serial path
-/// (no pool, no locks, index order), which is the baseline of the
-/// determinism contract: results at any thread count must match the
-/// serial run bitwise.
+/// Execution policy for the task runtime. Thread counts resolve in
+/// priority order: explicit option > SUBSCALE_THREADS environment
+/// variable > hardware concurrency. A resolved count of 1 makes every
+/// parallel_* entry point degrade to the exact serial path (no pool, no
+/// locks, index order), which is the baseline of the determinism
+/// contract: results at any thread count must match the serial run
+/// bitwise.
 
 #include <cstddef>
 
@@ -27,13 +27,5 @@ struct ExecPolicy {
 /// Thread count requested by SUBSCALE_THREADS, or 0 when unset,
 /// empty, non-numeric, or zero (all of which mean "auto").
 std::size_t env_thread_override();
-
-/// The policy parallel_* entry points use when the caller passes none.
-/// Defaults to auto ({threads = 0}).
-ExecPolicy global_policy();
-
-/// Replace the process-wide default policy (e.g. a bench pinning the
-/// whole run to one thread). Thread-safe.
-void set_global_policy(const ExecPolicy& policy);
 
 }  // namespace subscale::exec

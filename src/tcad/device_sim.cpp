@@ -334,18 +334,11 @@ double TcadDevice::id_at(double vg, double vd) {
 
 SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
                               std::size_t points) {
-  return id_vg(vd, vg_start, vg_stop, points, run_);
-}
-
-SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
-                              std::size_t points,
-                              const exec::RunContext& ctx) {
   if (points < 2) {
     throw std::invalid_argument("id_vg: need at least 2 points");
   }
-  ctx.validate();
-  obs::MetricsRegistry* sink = ctx.sink();
-  obs::SpanProfiler* prof = ctx.span_sink();
+  obs::MetricsRegistry* sink = run_.sink();
+  obs::SpanProfiler* prof = run_.span_sink();
 
   cache::HashKey sweep_key{};
   if (cache_ != nullptr) {
@@ -393,7 +386,6 @@ SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
     if (sink != nullptr) {
       sink->counter(obs::names::kSweepPointsFailed).add(1);
     }
-    if (ctx.strict) throw SolverError(report);
     // The solver rolled back to the last converged bias point, so the
     // next point continues its ramp from there; this one is skipped.
     result.report.failures.push_back({vg, vd, report});

@@ -9,18 +9,15 @@
 /// the compact model); for a PFET the solver internally negates the
 /// applied voltages and the returned current.
 ///
-/// Robustness: a sweep does not abort on one hard bias point. By
-/// default a point whose continuation/retry budget is exhausted is
-/// recorded in the SweepResult's report (with the full SolverReport
-/// naming the failing stage) and the sweep continues from the
-/// last-good state; strict mode (RunContext::strict) restores
-/// throw-on-first-failure semantics.
+/// Robustness: a sweep does not abort on one hard bias point. A point
+/// whose continuation/retry budget is exhausted is recorded in the
+/// SweepResult's report (with the full SolverReport naming the failing
+/// stage) and the sweep continues from the last-good state.
 ///
 /// Telemetry: the RunContext passed at construction supplies the
 /// metrics sink and span profiler for the device's solver and for the
 /// sweep loop itself (per-point counters, the tcad.sweep.point span and
-/// latency histogram, and SweepResult::timings). An id_vg overload
-/// accepts a per-sweep context to override strictness for one call.
+/// latency histogram, and SweepResult::timings).
 ///
 /// Caching: the context's solve cache (RunContext::cache_sink()) is
 /// resolved once at construction, like the metrics sink. When present:
@@ -114,16 +111,9 @@ class TcadDevice {
   /// Gate sweep at fixed drain bias (ascending vg is fastest because
   /// each point continues from the previous one). Unrecoverable points
   /// are omitted from the returned curve and recorded in the result's
-  /// report — unless the device's RunContext is strict, in which case
-  /// the first one throws SolverError.
+  /// report.
   SweepResult id_vg(double vd, double vg_start, double vg_stop,
                     std::size_t points);
-
-  /// Same sweep under an explicit per-call context (strictness and
-  /// sweep-level telemetry only; the solver keeps the sink it was
-  /// constructed with).
-  SweepResult id_vg(double vd, double vg_start, double vg_stop,
-                    std::size_t points, const exec::RunContext& ctx);
 
   /// The cache this device resolved at construction (null = caching
   /// off) and its content key — test observability.

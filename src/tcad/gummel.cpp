@@ -197,13 +197,6 @@ bool DriftDiffusionSolver::adopt_state(
   return true;
 }
 
-void DriftDiffusionSolver::solve_bias(double vg, double vd, double vs,
-                                      double vb) {
-  if (!try_solve_bias(vg, vd, vs, vb).converged) {
-    throw SolverError(report_);
-  }
-}
-
 const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
                                                          double vd,
                                                          double vs,

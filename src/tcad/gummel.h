@@ -8,8 +8,8 @@
 /// are ramped in bounded steps, and a step that fails to converge is
 /// rolled back to the last-good state and retried with a halved step
 /// and tightened under-relaxation, down to the fixed floors below. Every
-/// solve produces a SolverReport (see solver_status.h); only the strict
-/// entry points throw.
+/// solve produces a SolverReport (see solver_status.h); only the
+/// equilibrium solves, which have no state to fall back to, throw.
 
 #include <limits>
 #include <map>
@@ -97,14 +97,10 @@ class DriftDiffusionSolver {
   void solve_equilibrium();
 
   /// Ramp contacts from the previously solved bias point to the given
-  /// biases (volts at gate/drain/source/bulk) and solve. Strict: throws
-  /// SolverError when the ramp gives up; the solver state is left at
-  /// the last successfully converged bias point either way.
-  void solve_bias(double vg, double vd, double vs = 0.0, double vb = 0.0);
-
-  /// Non-throwing variant: returns the report (also retrievable later
-  /// via last_report()). On failure the state is rolled back to the
-  /// last-good bias point, so a sweep can skip the point and continue.
+  /// biases (volts at gate/drain/source/bulk) and solve. Returns the
+  /// report (also retrievable later via last_report()). On failure the
+  /// state is rolled back to the last-good bias point, so a sweep can
+  /// skip the point and continue.
   const SolverReport& try_solve_bias(double vg, double vd, double vs = 0.0,
                                      double vb = 0.0);
 

@@ -7,8 +7,9 @@
 /// want to know *which* stage failed, at *which* bias point, after how
 /// many iterations and at what residual — not a bare runtime_error
 /// string. SolverReport records all of that; SolverError carries it
-/// through the throwing (strict-mode) paths. Production sweeps consume
-/// reports, skip the bad point, and keep going.
+/// through the calls that have no partial result to return
+/// (solve_equilibrium, TcadDevice::id_at). Sweeps consume reports, skip
+/// the bad point, and keep going.
 
 #include <cstddef>
 #include <map>

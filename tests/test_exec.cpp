@@ -50,14 +50,6 @@ TEST(ExecPolicy, InvalidEnvironmentFallsBackToHardware) {
   ::unsetenv("SUBSCALE_THREADS");
 }
 
-TEST(ExecPolicy, GlobalPolicyIsReplaceable) {
-  const ex::ExecPolicy before = ex::global_policy();
-  ex::set_global_policy(ex::ExecPolicy{2});
-  EXPECT_EQ(ex::global_policy().resolved_threads(), 2u);
-  ex::set_global_policy(before);
-  EXPECT_EQ(ex::global_policy().threads, before.threads);
-}
-
 // ---------------------------------------------------------------------
 // TaskPool
 // ---------------------------------------------------------------------
@@ -274,22 +266,6 @@ TEST(ParallelDeterminism, TcadValidationMatchesSerialBitwise) {
   opt.run.exec = ex::ExecPolicy{4};
   const auto pooled = study().tcad_validation(opt);
   expect_identical(serial, pooled);
-}
-
-TEST(ParallelDeterminism, TcadValidationStrictThrowsThroughThePool) {
-  // Strict mode must deliver the original tcad::SolverError (not a
-  // flattened copy) even when the failing node ran on a pool worker.
-  namespace st = subscale::tcad;
-  sco::TcadValidationOptions opt;
-  opt.nodes = {0};
-  opt.points = 6;
-  opt.mesh = st::kCoarseMesh;
-  opt.gummel.fault.stage = st::SolveStage::kPoisson;
-  opt.gummel.fault.count = 1'000'000'000;
-  opt.gummel.fault.min_bias = 0.0;
-  opt.run.strict = true;
-  opt.run.exec = ex::ExecPolicy{4};
-  EXPECT_THROW(study().tcad_validation(opt), st::SolverError);
 }
 
 TEST(ParallelDeterminism, VariabilityMonteCarloMatchesSerialBitwise) {

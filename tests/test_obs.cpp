@@ -281,12 +281,6 @@ TEST(RunContext, SinkPrefersExplicitRegistryThenDefault) {
   EXPECT_EQ(ctx.sink(), &explicit_reg);
 }
 
-TEST(RunContext, SerialHelper) {
-  const se::RunContext ctx = se::RunContext::serial();
-  EXPECT_EQ(ctx.resolved_threads(), 1u);
-  EXPECT_FALSE(ctx.strict);
-}
-
 // ---- layer instrumentation ------------------------------------------------
 
 TEST(ObsTcad, SweepPublishesCounters) {

@@ -322,7 +322,7 @@ TEST(ContinuityAssembly, MatchesPerNodeReferenceBitwise) {
   const st::DeviceStructure dev(nfet_90());
   st::DriftDiffusionSolver solver(dev);
   solver.solve_equilibrium();
-  solver.solve_bias(0.6, 0.5);
+  ASSERT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
   const std::vector<double>& psi = solver.psi();
   st::SgWorkspace workspace;
   for (const sp::Carrier carrier :
@@ -523,9 +523,13 @@ TEST(SolverResilience, ExhaustedRetriesReportStageAndBias) {
   // State rolled back to the last converged point: currents are finite.
   EXPECT_TRUE(std::isfinite(solver.terminal_current("drain")));
 
-  // Strict entry point: same failure, thrown with the report attached.
+  // TcadDevice::id_at has no partial result to return: under the same
+  // fault options it throws the same failure, with the report attached.
+  st::TcadDevice device(
+      nfet_90(), st::kCoarseMesh,
+      faulted_options(st::SolveStage::kPoisson, 1'000'000'000));
   try {
-    solver.solve_bias(0.20, 0.25);
+    device.id_at(0.20, 0.25);
     FAIL() << "expected SolverError";
   } catch (const st::SolverError& e) {
     EXPECT_FALSE(e.report().converged);
@@ -575,11 +579,6 @@ TEST(SolverResilience, SweepSkipsUnrecoverablePointAndContinues) {
     EXPECT_GE(rec.wall_ms, 0.0);
   }
   EXPECT_EQ(converged, 9u);
-
-  // Strict mode (RunContext) turns the same skip into a throw.
-  se::RunContext strict_ctx;
-  strict_ctx.strict = true;
-  EXPECT_THROW(dev.id_vg(0.25, 0.0, 0.45, 10, strict_ctx), st::SolverError);
 }
 
 TEST(SolverResilience, EquilibriumFaultRecoversWithTightenedDamping) {
