@@ -1,6 +1,5 @@
 #include "serve/admission.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace subscale::serve {
@@ -13,14 +12,6 @@ void AdmissionOptions::validate() const {
   if (per_client_inflight == 0) {
     throw std::invalid_argument(
         "AdmissionOptions: per_client_inflight must be >= 1");
-  }
-  if (latency_target_ms < 0.0) {
-    throw std::invalid_argument(
-        "AdmissionOptions: latency_target_ms must be >= 0");
-  }
-  if (smoothing <= 0.0 || smoothing > 1.0) {
-    throw std::invalid_argument(
-        "AdmissionOptions: smoothing must be in (0, 1]");
   }
 }
 
@@ -48,15 +39,7 @@ Admission AdmissionController::on_arrival(const std::string& client) {
   // the whole queue.
   const std::size_t mine = per_client_[client];
   if (mine >= options_.per_client_inflight) return Admission::kThrottled;
-  std::size_t capacity = options_.queue_capacity;
-  if (options_.latency_target_ms > 0.0 && ewma_seeded_ &&
-      ewma_ms_ > options_.latency_target_ms) {
-    const double squeezed = static_cast<double>(options_.queue_capacity) *
-                            options_.latency_target_ms / ewma_ms_;
-    capacity = std::max<std::size_t>(
-        1, static_cast<std::size_t>(squeezed));
-  }
-  if (inflight_ >= capacity) {
+  if (inflight_ >= options_.queue_capacity) {
     if (mine == 0) per_client_.erase(client);
     return Admission::kOverloaded;
   }
@@ -65,23 +48,13 @@ Admission AdmissionController::on_arrival(const std::string& client) {
   return Admission::kAdmit;
 }
 
-void AdmissionController::on_complete(const std::string& client,
-                                      double latency_ms) {
+void AdmissionController::on_complete(const std::string& client) {
   std::lock_guard<std::mutex> lock(mu_);
   if (inflight_ > 0) --inflight_;
   auto it = per_client_.find(client);
   if (it != per_client_.end()) {
     if (it->second > 0) --it->second;
     if (it->second == 0) per_client_.erase(it);  // bound the map by clients
-  }
-  if (options_.latency_target_ms > 0.0 && latency_ms >= 0.0) {
-    if (!ewma_seeded_) {
-      ewma_ms_ = latency_ms;
-      ewma_seeded_ = true;
-    } else {
-      ewma_ms_ = options_.smoothing * latency_ms +
-                 (1.0 - options_.smoothing) * ewma_ms_;
-    }
   }
 }
 
@@ -95,22 +68,6 @@ std::size_t AdmissionController::client_inflight(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = per_client_.find(client);
   return it == per_client_.end() ? 0 : it->second;
-}
-
-double AdmissionController::smoothed_latency_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ewma_seeded_ ? ewma_ms_ : 0.0;
-}
-
-std::size_t AdmissionController::effective_capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.latency_target_ms <= 0.0 || !ewma_seeded_ ||
-      ewma_ms_ <= options_.latency_target_ms) {
-    return options_.queue_capacity;
-  }
-  const double squeezed = static_cast<double>(options_.queue_capacity) *
-                          options_.latency_target_ms / ewma_ms_;
-  return std::max<std::size_t>(1, static_cast<std::size_t>(squeezed));
 }
 
 }  // namespace subscale::serve

@@ -8,7 +8,7 @@
 /// answered with a structured error frame, never silently dropped, so
 /// clients can back off and retry.
 ///
-/// Three independent mechanisms compose, checked in this order:
+/// Two always-on bounds compose, checked in this order:
 ///
 ///   1. Per-client fairness cap — a client may have at most
 ///      `per_client_inflight` requests outstanding. A flooding client
@@ -17,21 +17,9 @@
 ///      starvation defence; it needs no history or tuning.)
 ///
 ///   2. Global capacity bound — total in-flight (queued + executing)
-///      may not exceed the effective capacity; beyond it requests get
+///      may not exceed `queue_capacity`; beyond it requests get
 ///      kOverloaded. This bounds daemon memory no matter how many
 ///      distinct clients pile on.
-///
-///   3. Latency governor (Ratekeeper idiom: observe a health signal,
-///      derive a throughput allowance, squeeze admission toward it) —
-///      when `latency_target_ms > 0`, completed-request latencies feed
-///      an EWMA, and effective capacity shrinks multiplicatively as the
-///      EWMA exceeds target:
-///          capacity = clamp(queue_capacity * target / ewma, 1, cap)
-///      A 2× latency overshoot halves the queue; recovery is automatic
-///      as the EWMA drains back under target. Gauge-driven, not
-///      queue-driven: the signal is observed service health, so the
-///      controller also reacts when solves get slow without the queue
-///      being long yet.
 ///
 /// The controller is a pure decision kernel — no clocks, no threads, no
 /// sockets. The server feeds it arrivals/completions; tests feed it
@@ -49,10 +37,6 @@ struct AdmissionOptions {
   std::size_t queue_capacity = 64;
   /// Max in-flight per client id before throttling that client.
   std::size_t per_client_inflight = 8;
-  /// Latency the governor steers toward; 0 disables the governor.
-  double latency_target_ms = 0.0;
-  /// EWMA smoothing factor in (0, 1]; higher = faster reaction.
-  double smoothing = 0.2;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
@@ -74,19 +58,12 @@ class AdmissionController {
   /// the request in-flight; the caller MUST pair it with on_complete.
   Admission on_arrival(const std::string& client);
 
-  /// Release one in-flight slot for `client` and feed the request's
-  /// service latency to the governor (ignored when the governor is
-  /// off). Safe ordering: book-keeping is internal, call from any
-  /// thread.
-  void on_complete(const std::string& client, double latency_ms);
+  /// Release one in-flight slot for `client`. Safe ordering:
+  /// book-keeping is internal, call from any thread.
+  void on_complete(const std::string& client);
 
   std::size_t inflight() const;
   std::size_t client_inflight(const std::string& client) const;
-  /// Current latency EWMA (0 until the first completion).
-  double smoothed_latency_ms() const;
-  /// Capacity after the governor's squeeze (== queue_capacity when the
-  /// governor is off or latency is under target).
-  std::size_t effective_capacity() const;
 
   const AdmissionOptions& options() const { return options_; }
 
@@ -96,8 +73,6 @@ class AdmissionController {
   mutable std::mutex mu_;
   std::size_t inflight_ = 0;
   std::map<std::string, std::size_t> per_client_;
-  double ewma_ms_ = 0.0;
-  bool ewma_seeded_ = false;
 };
 
 }  // namespace subscale::serve

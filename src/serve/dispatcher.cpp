@@ -355,10 +355,6 @@ Result Dispatcher::compute_metrics(const Query& query) {
     p.has_admission = true;
     p.admission.inflight = a.inflight();
     p.admission.capacity = a.options().queue_capacity;
-    p.admission.effective_capacity = a.effective_capacity();
-    p.admission.smoothed_latency_ms = a.smoothed_latency_ms();
-    p.admission.governor = a.options().latency_target_ms > 0.0;
-    p.admission.latency_target_ms = a.options().latency_target_ms;
   }
   if (obs::SpanProfiler* prof = options_.run.span_sink(); prof != nullptr) {
     const obs::ProfileSnapshot snap = prof->snapshot();

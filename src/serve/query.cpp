@@ -333,14 +333,6 @@ void write_metrics(io::JsonWriter& w, const MetricsPayload& p) {
     w.value(p.admission.inflight);
     w.key("capacity");
     w.value(p.admission.capacity);
-    w.key("effective_capacity");
-    w.value(p.admission.effective_capacity);
-    w.key("smoothed_latency_ms");
-    w.value(p.admission.smoothed_latency_ms);
-    w.key("governor");
-    w.value(p.admission.governor);
-    w.key("latency_target_ms");
-    w.value(p.admission.latency_target_ms);
     w.end_object();
   }
   if (p.has_profiler) {
@@ -599,13 +591,6 @@ bool parse_result(const std::string& text, Result& out, std::string* error) {
             static_cast<std::uint64_t>(a->number_at("inflight", 0.0));
         p.admission.capacity =
             static_cast<std::uint64_t>(a->number_at("capacity", 0.0));
-        p.admission.effective_capacity = static_cast<std::uint64_t>(
-            a->number_at("effective_capacity", 0.0));
-        p.admission.smoothed_latency_ms =
-            a->number_at("smoothed_latency_ms", 0.0);
-        p.admission.governor = a->bool_at("governor", false);
-        p.admission.latency_target_ms =
-            a->number_at("latency_target_ms", 0.0);
       }
       if (const io::JsonPtr pr = body->get("profiler"); pr != nullptr) {
         p.has_profiler = true;
@@ -698,14 +683,6 @@ std::string metrics_to_prometheus(const MetricsPayload& payload) {
                 std::to_string(payload.admission.inflight));
     prom_scalar(out, "subscale_admission_capacity", "gauge",
                 std::to_string(payload.admission.capacity));
-    prom_scalar(out, "subscale_admission_effective_capacity", "gauge",
-                std::to_string(payload.admission.effective_capacity));
-    prom_scalar(out, "subscale_admission_smoothed_latency_ms", "gauge",
-                prom_value(payload.admission.smoothed_latency_ms));
-    prom_scalar(out, "subscale_admission_governor", "gauge",
-                payload.admission.governor ? "1" : "0");
-    prom_scalar(out, "subscale_admission_latency_target_ms", "gauge",
-                prom_value(payload.admission.latency_target_ms));
   }
   if (payload.has_profiler) {
     prom_scalar(out, "subscale_profiler_spans", "counter",

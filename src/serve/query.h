@@ -163,7 +163,7 @@ struct InfoPayload {
 
 /// kMetrics payload: the full structured telemetry export — every
 /// counter, gauge and histogram (buckets AND interpolated percentiles)
-/// of the dispatcher's live registry, plus the admission governor's
+/// of the dispatcher's live registry, plus the admission controller's
 /// state and the profiler span rollup when those are wired.
 /// Deliberately clock-free (no uptime field) and gathered without
 /// bumping any serve.* counter, so answering it does not perturb what
@@ -189,11 +189,7 @@ struct MetricsPayload {
   bool has_admission = false;
   struct AdmissionState {
     std::uint64_t inflight = 0;
-    std::uint64_t capacity = 0;            ///< configured queue_capacity
-    std::uint64_t effective_capacity = 0;  ///< after the governor squeeze
-    double smoothed_latency_ms = 0.0;
-    bool governor = false;  ///< latency_target_ms > 0
-    double latency_target_ms = 0.0;
+    std::uint64_t capacity = 0;  ///< configured queue_capacity
   } admission;
   bool has_profiler = false;
   struct ProfilerState {

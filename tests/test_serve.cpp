@@ -260,7 +260,7 @@ TEST(ServeAdmission, PerClientCapThrottlesFloodingClientOnly) {
   EXPECT_EQ(ctl.client_inflight("other"), 1u);
   EXPECT_EQ(ctl.inflight(), 3u);
 
-  ctl.on_complete("flood", 1.0);
+  ctl.on_complete("flood");
   EXPECT_EQ(ctl.on_arrival("flood"), sv::Admission::kAdmit);  // slot back
 }
 
@@ -273,35 +273,8 @@ TEST(ServeAdmission, GlobalCapacitySheds) {
   EXPECT_EQ(ctl.on_arrival("b"), sv::Admission::kAdmit);
   EXPECT_EQ(ctl.on_arrival("c"), sv::Admission::kAdmit);
   EXPECT_EQ(ctl.on_arrival("d"), sv::Admission::kOverloaded);
-  ctl.on_complete("b", 1.0);
+  ctl.on_complete("b");
   EXPECT_EQ(ctl.on_arrival("d"), sv::Admission::kAdmit);
-}
-
-TEST(ServeAdmission, LatencyGovernorSqueezesAndRecovers) {
-  sv::AdmissionOptions opt;
-  opt.queue_capacity = 10;
-  opt.per_client_inflight = 10;
-  opt.latency_target_ms = 10.0;
-  opt.smoothing = 1.0;  // EWMA == last sample, for determinism
-  sv::AdmissionController ctl(opt);
-  EXPECT_EQ(ctl.effective_capacity(), 10u);
-
-  // 2x over target halves the effective queue.
-  EXPECT_EQ(ctl.on_arrival("a"), sv::Admission::kAdmit);
-  ctl.on_complete("a", 20.0);
-  EXPECT_EQ(ctl.effective_capacity(), 5u);
-
-  // 100x over target floors at 1, never 0 (the daemon must always make
-  // progress to drain the latency back down).
-  EXPECT_EQ(ctl.on_arrival("a"), sv::Admission::kAdmit);
-  ctl.on_complete("a", 1000.0);
-  EXPECT_EQ(ctl.effective_capacity(), 1u);
-  EXPECT_EQ(ctl.on_arrival("a"), sv::Admission::kAdmit);
-  EXPECT_EQ(ctl.on_arrival("b"), sv::Admission::kOverloaded);
-
-  // Latency back under target -> full capacity restored.
-  ctl.on_complete("a", 1.0);
-  EXPECT_EQ(ctl.effective_capacity(), 10u);
 }
 
 TEST(ServeAdmission, OptionsValidate) {
@@ -310,9 +283,6 @@ TEST(ServeAdmission, OptionsValidate) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
   opt = {};
   opt.per_client_inflight = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = {};
-  opt.smoothing = 1.5;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 

@@ -4,7 +4,6 @@
 //   subscale_serve (--socket PATH | --port N) [--card ID_OR_FILE]
 //                  [--cache-dir DIR] [--workers N]
 //                  [--queue-cap N] [--per-client N]
-//                  [--latency-target-ms X]
 //
 // --port 0 binds an ephemeral port; the resolved endpoint is printed as
 // the one "listening on ..." line once the server is up (scripts block
@@ -37,8 +36,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--socket PATH | --port N) [--card ID_OR_FILE]\n"
                "          [--cache-dir DIR] [--workers N]\n"
-               "          [--queue-cap N] [--per-client N]\n"
-               "          [--latency-target-ms X]\n",
+               "          [--queue-cap N] [--per-client N]\n",
                argv0);
   return 2;
 }
@@ -70,8 +68,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--per-client" && (v = next())) {
       options.admission.per_client_inflight =
           static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--latency-target-ms" && (v = next())) {
-      options.admission.latency_target_ms = std::atof(v);
     } else {
       return usage(argv[0]);
     }
