@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long the orchestrator sleeps between scans of the fleet [s].
+constexpr double kPollSeconds = 0.05;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -72,7 +75,6 @@ pid_t spawn_worker(const Manifest& manifest, const OrchOptions& options,
   wopts.cache_dir = options.cache_dir;
   wopts.worker_id = worker_id;
   wopts.chaos = chaos;
-  wopts.heartbeat_seconds = options.heartbeat_seconds;
 
   // Buffered stdio crossing a fork duplicates into both processes.
   std::fflush(stdout);
@@ -88,8 +90,7 @@ pid_t spawn_worker(const Manifest& manifest, const OrchOptions& options,
   std::vector<std::string> args = {
       options.worker_exe, "--manifest", wopts.manifest_path,
       "--study-dir", wopts.study_dir, "--cache-dir", wopts.cache_dir,
-      "--worker-id", wopts.worker_id,
-      "--heartbeat", std::to_string(wopts.heartbeat_seconds)};
+      "--worker-id", wopts.worker_id};
   if (chaos.armed()) {
     args.push_back("--chaos-kill-after");
     args.push_back(std::to_string(chaos.kill_after_units));
@@ -116,11 +117,9 @@ void OrchOptions::validate() const {
   if (workers > 0 && study_dir.empty()) {
     fail("study_dir must not be empty when workers > 0");
   }
-  if (!(heartbeat_seconds > 0)) fail("heartbeat_seconds must be > 0");
-  if (!(lease_timeout_seconds > heartbeat_seconds)) {
-    fail("lease_timeout_seconds must exceed heartbeat_seconds");
+  if (!(lease_timeout_seconds > kHeartbeatSeconds)) {
+    fail("lease_timeout_seconds must exceed the worker heartbeat period");
   }
-  if (!(poll_seconds > 0)) fail("poll_seconds must be > 0");
   if (!(backoff_seconds >= 0)) fail("backoff_seconds must be >= 0");
   if (!(deadline_seconds > 0)) fail("deadline_seconds must be > 0");
 }
@@ -337,7 +336,7 @@ StudyResult run_study(const Manifest& manifest, const OrchOptions& options) {
       }
 
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(options.poll_seconds));
+          std::chrono::duration<double>(kPollSeconds));
     }
 
     // Drain the fleet: ask nicely (workers release leases on SIGTERM),

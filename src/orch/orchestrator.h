@@ -47,9 +47,7 @@ struct OrchOptions {
   std::size_t workers = 0;
   std::string study_dir;  ///< lease/poison/manifest coordination state
   std::string cache_dir;  ///< shared content-addressed result store
-  double heartbeat_seconds = 0.2;     ///< workers refresh leases this often
   double lease_timeout_seconds = 2.0; ///< older leases count as dead owners
-  double poll_seconds = 0.05;         ///< orchestrator scan period
   double backoff_seconds = 0.1;       ///< base reassignment delay (doubles)
   std::size_t retry_budget = 3;       ///< reassignments before poisoning
   double deadline_seconds = 600.0;    ///< hard stop for a wedged study

@@ -112,7 +112,6 @@ void WorkerOptions::validate() const {
   };
   if (study_dir.empty()) fail("study_dir must not be empty");
   if (cache_dir.empty()) fail("cache_dir must not be empty");
-  if (!(heartbeat_seconds > 0)) fail("heartbeat_seconds must be > 0");
 }
 
 int worker_main(const Manifest& manifest, const WorkerOptions& options) {
@@ -169,7 +168,7 @@ int worker_main(const Manifest& manifest, const WorkerOptions& options) {
       if (kill_phase == 0) chaos_die(options.chaos);
 
       {
-        Heartbeat heartbeat(lease, owner, options.heartbeat_seconds);
+        Heartbeat heartbeat(lease, owner, kHeartbeatSeconds);
         const UnitResult result = solve_unit(
             study, manifest.spec, unit, ctx, [&](UnitPhase phase) {
               if (phase == UnitPhase::kAfterEquilibrium && kill_phase == 1) {

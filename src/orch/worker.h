@@ -46,13 +46,16 @@ struct ChaosPolicy {
 /// Exposed so tests can assert which site a given seed exercises.
 std::size_t chaos_kill_phase(const ChaosPolicy& chaos, std::size_t unit_index);
 
+/// Lease refresh period of a worker while it solves [s]. The
+/// orchestrator's lease timeout must exceed it (OrchOptions::validate).
+inline constexpr double kHeartbeatSeconds = 0.2;
+
 struct WorkerOptions {
   std::string manifest_path;  ///< used by the path-based entry point
   std::string study_dir;      ///< lease/poison coordination directory
   std::string cache_dir;      ///< shared content-addressed result store
   std::string worker_id;      ///< lease owner tag; empty = "pid-<pid>"
   ChaosPolicy chaos;
-  double heartbeat_seconds = 0.2;  ///< lease refresh period while solving
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;

@@ -3,7 +3,7 @@
 // (or by hand, for debugging a single worker against a study dir).
 //
 //   subscale_worker --manifest M.json --study-dir DIR --cache-dir DIR
-//                   [--worker-id ID] [--heartbeat SECONDS]
+//                   [--worker-id ID]
 //                   [--chaos-kill-after N] [--chaos-seed S]
 //                   [--chaos-sigterm]
 
@@ -19,7 +19,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --manifest M.json --study-dir DIR --cache-dir DIR\n"
-               "          [--worker-id ID] [--heartbeat SECONDS]\n"
+               "          [--worker-id ID]\n"
                "          [--chaos-kill-after N] [--chaos-seed S]"
                " [--chaos-sigterm]\n",
                argv0);
@@ -44,8 +44,6 @@ int main(int argc, char** argv) {
       options.cache_dir = v;
     } else if (arg == "--worker-id" && (v = next())) {
       options.worker_id = v;
-    } else if (arg == "--heartbeat" && (v = next())) {
-      options.heartbeat_seconds = std::atof(v);
     } else if (arg == "--chaos-kill-after" && (v = next())) {
       options.chaos.kill_after_units =
           static_cast<std::size_t>(std::atol(v));
