@@ -41,7 +41,7 @@ cache::HashKey unit_result_key(const compact::DeviceSpec& spec,
   h.tag("subscale.orch.unit")
       .u64(kOrchKeySchema)
       .str(card)
-      .str(strategy_name(strategy))
+      .str(core::strategy_name(strategy))
       .u64(node);
   return h.key();
 }
@@ -187,7 +187,7 @@ std::string manifest_to_json(const Manifest& manifest) {
   w.key("strategies");
   w.begin_array();
   for (const core::Strategy s : manifest.spec.strategies) {
-    w.value(strategy_name(s));
+    w.value(core::strategy_name(s));
   }
   w.end_array();
   w.key("nodes");
@@ -218,7 +218,7 @@ std::string manifest_to_json(const Manifest& manifest) {
     w.key("index");
     w.value(static_cast<std::uint64_t>(unit.index));
     w.key("strategy");
-    w.value(strategy_name(unit.strategy));
+    w.value(core::strategy_name(unit.strategy));
     w.key("node");
     w.value(static_cast<std::uint64_t>(unit.node));
     w.key("vd");
@@ -260,7 +260,7 @@ bool load_manifest(const std::string& path, Manifest& out,
   if (const io::JsonPtr arr = spec->get("strategies"); arr != nullptr) {
     for (const io::JsonPtr& item : arr->items()) {
       core::Strategy s;
-      if (item == nullptr || !parse_strategy(item->as_string(), s)) {
+      if (item == nullptr || !core::parse_strategy(item->as_string(), s)) {
         return fail("bad strategy name");
       }
       out.spec.strategies.push_back(s);
@@ -300,7 +300,7 @@ bool load_manifest(const std::string& path, Manifest& out,
     if (item == nullptr) return fail("bad unit entry");
     WorkUnit unit;
     unit.index = static_cast<std::size_t>(item->number_at("index", 0.0));
-    if (!parse_strategy(item->string_at("strategy"), unit.strategy)) {
+    if (!core::parse_strategy(item->string_at("strategy"), unit.strategy)) {
       return fail("bad unit strategy");
     }
     unit.node = static_cast<std::size_t>(item->number_at("node", 0.0));

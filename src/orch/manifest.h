@@ -49,12 +49,6 @@ inline constexpr std::uint64_t kManifestVersion = 3;
 /// v2: the card id joins the provenance fields.
 inline constexpr std::uint64_t kOrchKeySchema = 2;
 
-/// Canonical strategy names now live in core (shared with the serve
-/// wire schema); these using-declarations keep the orch-layer spelling
-/// working for existing callers.
-using core::parse_strategy;
-using core::strategy_name;
-
 /// The study grid a manifest shards: which devices, which sweeps.
 /// Mesh/solver options ride along so every process solves the same
 /// discretized problem (GummelOptions::fault is deliberately not
@@ -111,8 +105,8 @@ cache::HashKey unit_result_key(const compact::DeviceSpec& spec,
 /// a run builds its study through this so they agree on the deck.
 core::StudyOptions study_options_for(const StudySpec& spec);
 
-/// Expand the spec's grid into units, designing the devices (through
-/// `study`, so the design cache is honored) to derive each result key.
+/// Expand the spec's grid into units, designing the devices through
+/// `study` to derive each result key.
 /// The study must have been built on the spec's card (see
 /// study_options_for). Node indices out of range throw
 /// std::out_of_range.

@@ -137,7 +137,7 @@ std::string study_result_json(const Manifest& manifest,
     w.key("index");
     w.value(static_cast<std::uint64_t>(unit.index));
     w.key("strategy");
-    w.value(strategy_name(unit.strategy));
+    w.value(core::strategy_name(unit.strategy));
     w.key("node");
     w.value(static_cast<std::uint64_t>(unit.node));
     w.key("vd");

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       spec.strategies.clear();
       for (const std::string& tok : split_commas(v)) {
         core::Strategy s;
-        if (!orch::parse_strategy(tok, s)) return usage(argv[0]);
+        if (!core::parse_strategy(tok, s)) return usage(argv[0]);
         spec.strategies.push_back(s);
       }
     } else if (arg == "--coarse-mesh") {
