@@ -6,22 +6,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 
 namespace subscale::cache {
 
 namespace fs = std::filesystem;
-
-bool fsync_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SUBSCALE_CACHE_FSYNC");
-    return env == nullptr || (std::strcmp(env, "0") != 0 &&
-                              std::strcmp(env, "off") != 0);
-  }();
-  return enabled;
-}
 
 namespace {
 

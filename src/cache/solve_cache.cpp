@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "cache/bytes.h"
-#include "cache/lease.h"
 #include "obs/names.h"
 
 namespace subscale::cache {
@@ -219,9 +218,9 @@ bool SolveCache::write_disk(const HashKey& key, const Payload& payload) {
   ok = ok && std::fwrite(payload.bytes.data(), 1, payload.bytes.size(), f) ==
                  payload.bytes.size();
   // Flush to the platter before the rename: a crash after the publish
-  // must find the complete record, not a page-cache torso. Opt-out via
-  // SUBSCALE_CACHE_FSYNC=0 (atomicity is the rename's job either way).
-  if (ok && fsync_enabled()) {
+  // must find the complete record, not a page-cache torso (atomicity is
+  // the rename's job).
+  if (ok) {
     ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   }
   ok = std::fclose(f) == 0 && ok;

@@ -17,8 +17,7 @@
 ///     one file per record, sharded into 256 subdirectories by the
 ///     first key byte, published write-to-temp + fsync + atomic rename
 ///     so a concurrent reader sees either the whole record or none of
-///     it, and a record that survives a crash is complete on disk (the
-///     fsync is opt-out via SUBSCALE_CACHE_FSYNC=0, see cache/lease.h).
+///     it, and a record that survives a crash is complete on disk.
 ///     A writer killed mid-publish leaves only a torn temp file, which
 ///     sweep_stale_temps() later removes and counts as a miss.
 ///
