@@ -71,7 +71,7 @@ int main() {
           o.study_dir = root + "/study_" + tag;
           o.cache_dir = root + "/cache_" + tag;
           o.lease_timeout_seconds = 1.0;
-          o.run.metrics = bench::detail::bench_registry();
+          o.run.metrics = &bench::detail::bench_registry();
           return o;
         };
 
