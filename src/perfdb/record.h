@@ -42,8 +42,8 @@ struct PerfRecord {
   std::uint64_t ts = 0;     ///< unix seconds when the record was made
   bool shape_ok = false;    ///< the bench's shape criterion held
   bool interrupted = false; ///< flushed by a signal handler mid-run —
-                            ///< partial counters; loaders exclude these
-                            ///< from baselines by default
+                            ///< partial counters; PerfDb::load skips
+                            ///< these
   double wall_ms = 0.0;
   std::uint64_t threads = 0;
   /// The bench's headline numbers (BENCH "metrics" block).

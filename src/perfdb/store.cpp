@@ -46,8 +46,7 @@ bool PerfDb::append(const PerfRecord& record) {
 }
 
 std::vector<PerfRecord> PerfDb::load(std::string_view bench,
-                                     LoadStats* stats,
-                                     bool include_interrupted) const {
+                                     LoadStats* stats) const {
   std::vector<PerfRecord> out;
   LoadStats local;
   std::vector<std::uint8_t> bytes;
@@ -67,7 +66,7 @@ std::vector<PerfRecord> PerfDb::load(std::string_view bench,
         ++local.corrupt;
         continue;
       }
-      if (record.interrupted && !include_interrupted) {
+      if (record.interrupted) {
         ++local.interrupted;
         continue;
       }

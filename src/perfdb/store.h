@@ -16,9 +16,9 @@
 /// an error. A line that fails its checksum or JSON parse is skipped
 /// and counted (LoadStats::corrupt), never fed into a trend baseline.
 /// Records stamped `interrupted` (a SIGTERM-flushed partial run) are
-/// likewise excluded by default — their counters describe a fraction of
-/// a run and would drag a rolling median — but can be opted back in for
-/// forensics.
+/// likewise skipped and counted (LoadStats::interrupted) — their
+/// counters describe a fraction of a run and would drag a rolling
+/// median. They stay in the file for anyone reading it by hand.
 
 #include <cstddef>
 #include <string>
@@ -53,11 +53,10 @@ class PerfDb {
   };
 
   /// The history for `bench`, oldest first (file order). Corrupt lines
-  /// skip-and-count; interrupted records are excluded unless opted in.
-  /// A missing file is an empty history, not an error.
+  /// and interrupted records skip-and-count. A missing file is an empty
+  /// history, not an error.
   std::vector<PerfRecord> load(std::string_view bench,
-                               LoadStats* stats = nullptr,
-                               bool include_interrupted = false) const;
+                               LoadStats* stats = nullptr) const;
 
   /// Bench names with history present, sorted.
   std::vector<std::string> benches() const;
