@@ -63,6 +63,9 @@ int main() {
       ">= 2x speedup at 4 threads when the hardware has them",
       [](bench::Record& rec) {
   core::TcadValidationOptions options;  // all four nodes, default sweep
+  // Both passes solve cold: under an env-installed cache the pooled pass
+  // would replay the serial pass's sweeps and time nothing.
+  options.run.no_cache = true;
 
   std::vector<core::TcadNodeValidation> serial, parallel;
   options.run.exec = exec::ExecPolicy::serial();

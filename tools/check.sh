@@ -269,11 +269,17 @@ if [[ -z "$sanitize" ]]; then
   # Parallel TCAD validation: bench_ext_parallel_study runs all four
   # nodes' sweeps serially and on 4 threads and gates itself (every node
   # usable, bitwise-identical results, >= 2x speedup where 4 hardware
-  # threads exist), exiting non-zero on any violation.
+  # threads exist), exiting non-zero on any violation. It runs under an
+  # env-installed cache, which both passes must bypass: a cache hit
+  # means the pooled pass replayed the serial one instead of solving.
   parallel_tmp="$(mktemp -d)"
-  (cd "$parallel_tmp" && "$build_dir/bench/bench_ext_parallel_study" \
-      > /dev/null)
+  (cd "$parallel_tmp" && SUBSCALE_CACHE=1 \
+      "$build_dir/bench/bench_ext_parallel_study" > /dev/null)
   "$build_dir/tools/obs_trend" schema "$parallel_tmp"/BENCH_*.json
+  if grep -Eq '"cache\.hit": [1-9]' "$parallel_tmp"/BENCH_*.json; then
+    echo "check.sh: bench_ext_parallel_study read the env cache" >&2
+    exit 1
+  fi
   echo "bench_ext_parallel_study: parallel validation passed"
   rm -rf "$parallel_tmp"
 
