@@ -1,11 +1,11 @@
 // Extension bench — the design-query service under load.
 //
 // Phase 1 (cold): an in-process daemon (Unix socket, 2 workers) takes a
-// mixed query stream — TCAD sweeps, design rows, a figure series,
-// server_info — from 4 concurrent client threads issuing the SAME
-// request list, so identical in-flight queries exercise the coalescing
-// path and repeated sweeps exercise the solve cache. Reports throughput
-// and p50/p95/p99 response latency.
+// mixed query stream — TCAD sweeps, design rows, a figure series — from
+// 4 concurrent client threads issuing the SAME request list, so
+// identical in-flight queries exercise the coalescing path and repeated
+// sweeps exercise the solve cache. Reports throughput and p50/p95/p99
+// response latency.
 //
 // Phase 2 (restart, warm): the daemon is torn down and a FRESH server —
 // new Dispatcher, new SolveCache handle — comes up on the same cache
@@ -58,11 +58,6 @@ std::vector<serve::Query> request_list() {
     q.kind = serve::QueryKind::kFigure;
     q.figure = "ss";
     q.strategy = core::Strategy::kSubVth;
-    list.push_back(q);
-  }
-  {
-    serve::Query q;
-    q.kind = serve::QueryKind::kServerInfo;
     list.push_back(q);
   }
   return list;

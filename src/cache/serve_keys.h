@@ -25,9 +25,10 @@ namespace subscale::cache {
 inline constexpr std::uint64_t kServeKeySchema = 1;
 
 /// The identity of one design-space query: everything that determines
-/// its Result except who asked (Query::id) — kServerInfo queries are
-/// never coalesced (their answer is time-varying), but hashing them is
-/// still well-defined.
+/// its Result except who asked (Query::id). kMetrics queries are never
+/// coalesced (they observe live state), but hashing them is still
+/// well-defined. The key lives only in the Dispatcher's in-flight
+/// table, never on disk, so renumbering QueryKind needs no bump.
 inline HashKey query_key(const serve::Query& q) {
   KeyHasher h;
   h.tag("subscale.serve.query").u64(kServeKeySchema);

@@ -359,7 +359,7 @@ if [[ -z "$sanitize" ]]; then
       --cache-dir "$serve_tmp/cache" > "$serve_tmp/daemon2.log" &
   serve_pid=$!
   serve_roundtrip second
-  info="$("$build_dir/tools/subscale_query" --kind server_info \
+  info="$("$build_dir/tools/subscale_query" --kind metrics \
       --socket "$serve_tmp/sock")"
   # Live telemetry export: the metrics query must answer from the daemon
   # in both wire formats, and the Prometheus rendering must carry the

@@ -10,7 +10,7 @@
 //     running subscale_serve daemon and print the response frame
 //     byte-for-byte.
 //
-//   subscale_query [--kind design|sweep|figure|server_info|metrics]
+//   subscale_query [--kind design|sweep|figure|metrics]
 //                  [--card ID_OR_FILE] [--strategy supervth|subvth]
 //                  [--node N] [--vd V] [--vg-start V] [--vg-stop V]
 //                  [--points N] [--coarse-mesh] [--figure ss|tau|...]
@@ -46,7 +46,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--kind design|sweep|figure|server_info|metrics]\n"
+      "usage: %s [--kind design|sweep|figure|metrics]\n"
       "          [--card ID_OR_FILE] [--strategy supervth|subvth]\n"
       "          [--node N] [--vd V] [--vg-start V] [--vg-stop V]\n"
       "          [--points N] [--coarse-mesh] [--figure ss|tau|ioff|vth|"

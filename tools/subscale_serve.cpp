@@ -1,9 +1,8 @@
 // Design-query daemon: serve the subscale.query.v1 wire protocol on a
 // Unix socket or TCP loopback port until SIGINT/SIGTERM.
 //
-//   subscale_serve (--socket PATH | --port N) [--card ID_OR_FILE]
-//                  [--cache-dir DIR] [--workers N]
-//                  [--queue-cap N] [--per-client N]
+//   subscale_serve (--socket PATH | --port N) [--cache-dir DIR]
+//                  [--workers N] [--queue-cap N] [--per-client N]
 //
 // --port 0 binds an ephemeral port; the resolved endpoint is printed as
 // the one "listening on ..." line once the server is up (scripts block
@@ -34,9 +33,8 @@ void on_signal(int) { g_stop = 1; }
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s (--socket PATH | --port N) [--card ID_OR_FILE]\n"
-               "          [--cache-dir DIR] [--workers N]\n"
-               "          [--queue-cap N] [--per-client N]\n",
+               "usage: %s (--socket PATH | --port N) [--cache-dir DIR]\n"
+               "          [--workers N] [--queue-cap N] [--per-client N]\n",
                argv0);
   return 2;
 }
@@ -56,8 +54,6 @@ int main(int argc, char** argv) {
       options.socket_path = v;
     } else if (arg == "--port" && (v = next())) {
       options.port = std::atoi(v);
-    } else if (arg == "--card" && (v = next())) {
-      options.dispatcher.default_card = v;
     } else if (arg == "--cache-dir" && (v = next())) {
       cache_dir = v;
     } else if (arg == "--workers" && (v = next())) {
