@@ -15,18 +15,6 @@ void AdmissionOptions::validate() const {
   }
 }
 
-const char* admission_name(Admission verdict) {
-  switch (verdict) {
-    case Admission::kAdmit:
-      return "admit";
-    case Admission::kThrottled:
-      return "throttled";
-    case Admission::kOverloaded:
-      return "overloaded";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(const AdmissionOptions& options)
     : options_(options) {
   options_.validate();

@@ -48,8 +48,6 @@ enum class Admission {
   kOverloaded,  ///< the daemon is saturated — retry later
 };
 
-const char* admission_name(Admission verdict);
-
 class AdmissionController {
  public:
   explicit AdmissionController(const AdmissionOptions& options = {});

@@ -8,28 +8,12 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "serve/protocol.h"
 
 namespace subscale::serve {
 
 Client::~Client() { close(); }
-
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      last_response_(std::move(other.last_response_)),
-      error_(std::move(other.error_)) {}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    last_response_ = std::move(other.last_response_);
-    error_ = std::move(other.error_);
-  }
-  return *this;
-}
 
 void Client::close() {
   if (fd_ >= 0) {

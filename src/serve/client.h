@@ -21,14 +21,11 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
 
   /// Connect; false (with the reason in error()) on failure.
   bool connect_unix(const std::string& socket_path);
   bool connect_tcp(const std::string& host, int port);
 
-  bool connected() const { return fd_ >= 0; }
   void close();
 
   /// Send one query frame. False on I/O failure (reason in error()).

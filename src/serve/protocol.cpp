@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -18,26 +17,13 @@ std::string errno_string(const char* op) {
   return std::string(op) + ": " + std::strerror(errno);
 }
 
-/// send() with MSG_NOSIGNAL when fd is a socket; plain write() for
-/// pipes/files (the CLI's --json self-test path). ENOTSOCK picks the
-/// fallback once per call — cheap relative to a frame write.
-ssize_t write_some(int fd, const char* data, std::size_t size) {
-  ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-  if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data, size);
-  return n;
-}
-
-ssize_t read_some(int fd, char* data, std::size_t size) {
-  ssize_t n = ::recv(fd, data, size, 0);
-  if (n < 0 && errno == ENOTSOCK) n = ::read(fd, data, size);
-  return n;
-}
-
+/// Every frame travels over a socket, so writes go through send() with
+/// MSG_NOSIGNAL: a vanished peer is an EPIPE return, never SIGPIPE.
 bool write_all(int fd, const char* data, std::size_t size,
                std::string* error) {
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = write_some(fd, data + done, size - done);
+    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       set_error(error, errno_string("write"));
@@ -54,7 +40,7 @@ bool read_all(int fd, char* data, std::size_t size, bool& eof,
   eof = false;
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = read_some(fd, data + done, size - done);
+    const ssize_t n = ::recv(fd, data + done, size - done, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       set_error(error, errno_string("read"));

@@ -13,8 +13,8 @@
 /// resynchronize a corrupt length stream).
 ///
 /// Two consumption styles:
-///   * read_frame/write_frame — blocking, whole-frame I/O on an fd
-///     (the client library and the one-shot CLI);
+///   * read_frame/write_frame — blocking, whole-frame I/O on a socket
+///     (the client library, the one-shot CLI and the server's replies);
 ///   * FrameDecoder — incremental: feed whatever bytes poll() produced,
 ///     pop complete frames (the server's per-connection read path).
 
@@ -38,11 +38,11 @@ void encode_frame_header(std::uint32_t payload_size,
 /// Decode a length prefix.
 std::uint32_t decode_frame_header(const unsigned char header[kFrameHeaderBytes]);
 
-/// Write one complete frame (header + payload) to a blocking fd,
+/// Write one complete frame (header + payload) to a blocking socket,
 /// retrying short writes and EINTR. False on I/O error or an oversize
 /// payload, with the reason in `error` when non-null. Writes with
-/// MSG_NOSIGNAL semantics: a peer that vanished produces an error
-/// return, never SIGPIPE.
+/// MSG_NOSIGNAL: a peer that vanished produces an error return, never
+/// SIGPIPE.
 bool write_frame(int fd, std::string_view payload,
                  std::string* error = nullptr);
 
@@ -53,7 +53,7 @@ enum class ReadStatus {
   kOversize  ///< length prefix exceeds kMaxFrameBytes
 };
 
-/// Read one complete frame from a blocking fd.
+/// Read one complete frame from a blocking socket.
 ReadStatus read_frame(int fd, std::string& payload,
                       std::string* error = nullptr);
 

@@ -78,8 +78,6 @@ class Server {
   /// Idempotent.
   void stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
   /// The bound TCP port (resolved when options.port == 0); -1 for Unix.
   int port() const { return bound_port_; }
   const std::string& socket_path() const { return options_.socket_path; }
