@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,10 +16,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Unique-per-call temp name next to the target (same filesystem).
+constexpr const char* kTempMarker = ".tmp-";
+
+/// Unique-per-call temp name next to the target (same filesystem):
+/// `<path>.tmp-<pid>-<seq>`.
 std::string temp_name_for(const std::string& path) {
   static std::atomic<std::uint64_t> seq{0};
-  return path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
+  return path + kTempMarker + std::to_string(static_cast<long>(::getpid())) +
          "-" + std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
 
@@ -52,6 +56,31 @@ bool atomic_write_file(const std::string& path, const void* data,
 bool atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& bytes, bool sync) {
   return atomic_write_file(path, bytes.data(), bytes.size(), sync);
+}
+
+std::size_t sweep_stale_temps(const std::string& dir,
+                              double min_age_seconds) {
+  std::error_code ec;
+  std::size_t removed = 0;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code file_ec;
+    if (!it->is_regular_file(file_ec) || file_ec) continue;
+    // Only the names temp_name_for makes; no caller's target carries
+    // the marker.
+    if (it->path().filename().string().find(kTempMarker) ==
+        std::string::npos) {
+      continue;
+    }
+    const fs::file_time_type mtime = fs::last_write_time(it->path(), file_ec);
+    if (file_ec) continue;
+    const double age = std::chrono::duration<double>(
+                           fs::file_time_type::clock::now() - mtime)
+                           .count();
+    if (age < min_age_seconds) continue;  // possibly a live writer
+    if (fs::remove(it->path(), file_ec) && !file_ec) ++removed;
+  }
+  return removed;
 }
 
 bool read_file_bytes(const std::string& path,

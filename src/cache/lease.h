@@ -2,8 +2,9 @@
 
 /// \file lease.h
 /// Crash-tolerant file primitives for multi-process coordination, used
-/// by the study orchestrator (src/orch) and the perf-history store
-/// (src/perfdb). Everything here reduces to two POSIX guarantees:
+/// by the study orchestrator (src/orch), the solve cache's disk store
+/// and the perf-history store (src/perfdb). Everything here reduces to
+/// two POSIX guarantees:
 ///
 ///   * open(O_CREAT|O_EXCL) is atomic — exactly one of N racing
 ///     processes creates the file. That is the claim: a work unit's
@@ -41,6 +42,15 @@ bool atomic_write_file(const std::string& path,
 bool atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& bytes,
                        bool sync = true);
+
+/// Remove the temp files that atomic_write_file callers killed
+/// mid-publish left anywhere under `dir`, subdirectories included.
+/// Only temps older than `min_age_seconds` go: a live writer's temp
+/// exists for milliseconds, so the age gate keeps the sweep safe to run
+/// while other processes publish. Returns the number removed; 0 when
+/// `dir` does not exist.
+std::size_t sweep_stale_temps(const std::string& dir,
+                              double min_age_seconds);
 
 /// Read a whole file; false when it does not exist or cannot be read.
 bool read_file_bytes(const std::string& path,

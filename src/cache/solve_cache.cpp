@@ -1,22 +1,16 @@
 #include "cache/solve_cache.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
-#include <unistd.h>
-
 #include "cache/bytes.h"
+#include "cache/lease.h"
 #include "obs/names.h"
 
 namespace subscale::cache {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -194,69 +188,25 @@ std::shared_ptr<const Payload> SolveCache::read_disk(const HashKey& key,
 }
 
 bool SolveCache::write_disk(const HashKey& key, const Payload& payload) {
-  const std::string path = record_path(key);
-  std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-  if (ec) return false;
-
-  ByteWriter header;
-  header.u32(kMagic);
-  header.u32(kFormatVersion);
-  header.u32(static_cast<std::uint32_t>(payload.kind));
-  header.u64(payload.bytes.size());
-  header.u64(fnv1a64(payload.bytes.data(), payload.bytes.size()));
-
-  const std::uint64_t seq =
-      temp_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::string temp = dir_ + "/tmp-" +
-                           std::to_string(static_cast<long>(::getpid())) +
-                           "-" + std::to_string(seq);
-  std::FILE* f = std::fopen(temp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const auto& h = header.bytes();
-  bool ok = std::fwrite(h.data(), 1, h.size(), f) == h.size();
-  ok = ok && std::fwrite(payload.bytes.data(), 1, payload.bytes.size(), f) ==
-                 payload.bytes.size();
-  // Flush to the platter before the rename: a crash after the publish
-  // must find the complete record, not a page-cache torso (atomicity is
-  // the rename's job).
-  if (ok) {
-    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  }
-  ok = std::fclose(f) == 0 && ok;
-  if (consume(write_fault_budget_)) ok = false;  // injected publish failure
-  if (!ok) {
-    fs::remove(temp, ec);
-    return false;
-  }
-  // Atomic publish: a concurrent reader sees the old record or the new
-  // one, never a partial write.
-  fs::rename(temp, path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
-    return false;
-  }
-  return true;
+  // An injected publish failure writes nothing.
+  if (consume(write_fault_budget_)) return false;
+  ByteWriter record;
+  record.u32(kMagic);
+  record.u32(kFormatVersion);
+  record.u32(static_cast<std::uint32_t>(payload.kind));
+  record.u64(payload.bytes.size());
+  record.u64(fnv1a64(payload.bytes.data(), payload.bytes.size()));
+  std::vector<std::uint8_t> bytes = record.take();
+  bytes.insert(bytes.end(), payload.bytes.begin(), payload.bytes.end());
+  // Temp + fsync + atomic rename: a concurrent reader sees the old
+  // record or the new one, and a crash after the publish finds the
+  // complete record on disk.
+  return atomic_write_file(record_path(key), bytes);
 }
 
 std::size_t SolveCache::sweep_stale_temps(double min_age_seconds) {
   if (!persistent()) return 0;
-  std::error_code ec;
-  fs::directory_iterator it(dir_, ec);
-  if (ec) return 0;
-  std::size_t removed = 0;
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("tmp-", 0) != 0) continue;
-    const fs::file_time_type mtime = fs::last_write_time(entry.path(), ec);
-    if (ec) continue;
-    const double age = std::chrono::duration<double>(
-                           fs::file_time_type::clock::now() - mtime)
-                           .count();
-    if (age < min_age_seconds) continue;  // possibly a live writer
-    if (fs::remove(entry.path(), ec) && !ec) ++removed;
-  }
+  const std::size_t removed = cache::sweep_stale_temps(dir_, min_age_seconds);
   if (removed > 0) {
     // Torn-write debris: the records these were meant to become will
     // read as plain misses, so account them under the corruption

@@ -15,11 +15,13 @@
 ///     eviction accounting;
 ///   * an optional disk store under CacheOptions::dir backs the index:
 ///     one file per record, sharded into 256 subdirectories by the
-///     first key byte, published write-to-temp + fsync + atomic rename
+///     first key byte, published through cache::atomic_write_file
+///     (cache/lease.h: temp beside the record + fsync + atomic rename)
 ///     so a concurrent reader sees either the whole record or none of
 ///     it, and a record that survives a crash is complete on disk.
-///     A writer killed mid-publish leaves only a torn temp file, which
-///     sweep_stale_temps() later removes and counts as a miss.
+///     A writer killed mid-publish leaves only a torn
+///     `<hex>.sc.tmp-<pid>-<seq>` beside the record, which
+///     sweep_stale_temps() later removes and counts as corruption.
 ///
 /// On-disk record format (little-endian):
 ///   magic "SUBC" | format_version u32 | kind u32 | payload_size u64 |
@@ -70,8 +72,8 @@ struct Payload {
 
 /// Deterministic fault injection for the robustness tests: while a
 /// budget remains, the next disk read parses as corrupt / the next
-/// publish is dropped after the temp write. Mirrors GummelOptions::fault
-/// in spirit: counts down, then heals.
+/// publish writes nothing. Mirrors GummelOptions::fault in spirit:
+/// counts down, then heals.
 struct CacheFault {
   long fail_reads = 0;
   long fail_writes = 0;
@@ -140,11 +142,12 @@ class SolveCache {
   /// for the corruption suite.
   std::string record_path(const HashKey& key) const;
 
-  /// Remove torn temp files left at the store root by writers that died
-  /// mid-publish (a SIGKILLed worker, a crashed bench). Only temps older
-  /// than `min_age_seconds` are touched — a live writer's temp exists
-  /// for milliseconds, so the age gate keeps the sweep safe to run while
-  /// other processes publish. Each removal is counted as corruption
+  /// Remove torn temp files left in the shard directories by writers
+  /// that died mid-publish (a SIGKILLed worker, a crashed bench), via
+  /// cache::sweep_stale_temps. Only temps older than `min_age_seconds`
+  /// are touched — a live writer's temp exists for milliseconds, so the
+  /// age gate keeps the sweep safe to run while other processes
+  /// publish. Each removal is counted as corruption
   /// (cache.corrupt): the debris is evidence of a torn write, and the
   /// record it was meant to become reads as a plain miss. Returns the
   /// number of temps removed; no-op (0) for in-memory caches.
@@ -183,8 +186,6 @@ class SolveCache {
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> warmstarts_{0};
   std::atomic<std::uint64_t> corrupt_{0};
-
-  std::atomic<std::uint64_t> temp_seq_{0};
 
   struct Instruments {
     obs::Counter* hit = nullptr;

@@ -772,10 +772,12 @@ TEST(StaleTempSweep, TornTempIsInvisibleSweptAndCounted) {
   const sca::HashKey key = key_of(5005);
   cache.store(key, sca::PayloadKind::kSweep, some_bytes(96));
 
-  // Simulate a writer SIGKILLed mid-publish: a zero-length temp and a
-  // partial temp at the store root.
-  const std::string torn_a = dir.str() + "/tmp-9999-0";
-  const std::string torn_b = dir.str() + "/tmp-9999-1";
+  // Simulate writers SIGKILLed mid-publish: a zero-length temp beside
+  // an unpublished record and a partial temp beside the published one,
+  // both in their shard directories where the writer leaves them.
+  const std::string torn_a = cache.record_path(key_of(5006)) + ".tmp-9999-0";
+  const std::string torn_b = cache.record_path(key) + ".tmp-9999-1";
+  fs::create_directories(fs::path(torn_a).parent_path());
   { std::ofstream(torn_a).flush(); }
   { std::ofstream(torn_b) << "SUBC-torso"; }
 
