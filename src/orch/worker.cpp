@@ -15,6 +15,7 @@
 
 #include "cache/lease.h"
 #include "cache/solve_cache.h"
+#include "exec/rng.h"
 #include "exec/run_context.h"
 #include "orch/unit_runner.h"
 
@@ -45,13 +46,6 @@ void arm_lease_release(const std::string& path) {
 
 void disarm_lease_release() { g_lease_armed = 0; }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 [[noreturn]] void chaos_die(const ChaosPolicy& chaos) {
   // SIGKILL leaves every mess behind (lease, torn temps); SIGTERM runs
   // the graceful handler above. Both end the process here.
@@ -59,17 +53,17 @@ std::uint64_t splitmix64(std::uint64_t x) {
   ::_exit(137);  // unreachable unless signals are blocked externally
 }
 
-/// Refreshes one lease on a fixed period until told to stop. A worker
-/// wedged inside a long solve keeps its lease fresh through this thread;
-/// a SIGKILLed worker takes the thread down with it, and the lease goes
-/// stale — exactly the signal the orchestrator keys reassignment on.
+/// Refreshes one lease every kHeartbeatSeconds until told to stop. A
+/// worker wedged inside a long solve keeps its lease fresh through this
+/// thread; a SIGKILLed worker takes the thread down with it, and the
+/// lease goes stale — exactly the signal the orchestrator keys
+/// reassignment on.
 class Heartbeat {
  public:
-  Heartbeat(std::string path, std::string owner, double period_seconds)
+  Heartbeat(std::string path, std::string owner)
       : path_(std::move(path)), owner_(std::move(owner)) {
-    const auto period = std::chrono::duration<double>(
-        period_seconds > 0 ? period_seconds : 0.2);
-    thread_ = std::thread([this, period] {
+    thread_ = std::thread([this] {
+      const std::chrono::duration<double> period(kHeartbeatSeconds);
       std::unique_lock<std::mutex> lock(mu_);
       std::uint64_t beats = 0;
       while (!stop_) {
@@ -103,7 +97,7 @@ class Heartbeat {
 std::size_t chaos_kill_phase(const ChaosPolicy& chaos,
                              std::size_t unit_index) {
   return static_cast<std::size_t>(
-      splitmix64(chaos.seed ^ (0x51ed270bull + unit_index)) % 3);
+      exec::splitmix64(chaos.seed ^ (0x51ed270bull + unit_index)) % 3);
 }
 
 void WorkerOptions::validate() const {
@@ -168,7 +162,7 @@ int worker_main(const Manifest& manifest, const WorkerOptions& options) {
       if (kill_phase == 0) chaos_die(options.chaos);
 
       {
-        Heartbeat heartbeat(lease, owner, kHeartbeatSeconds);
+        Heartbeat heartbeat(lease, owner);
         const UnitResult result = solve_unit(
             study, manifest.spec, unit, ctx, [&](UnitPhase phase) {
               if (phase == UnitPhase::kAfterEquilibrium && kill_phase == 1) {
