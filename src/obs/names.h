@@ -70,6 +70,7 @@ enum class GatePolicy { kGated, kExempt };
   X(kGummelLastResidual, "tcad.gummel.last_residual", kGauge, kExempt)        \
   X(kGummelIterationsPerSolve, "tcad.gummel.iterations_per_solve", kIterationHistogram, kGated) \
   X(kPoissonNewtonIterations, "tcad.poisson.newton_iterations", kCounter, kGated) \
+  X(kPoissonFactorizations, "tcad.poisson.factorizations", kCounter, kGated) \
   X(kContinuitySolves, "tcad.continuity.solves", kCounter, kGated)            \
   X(kContinuityClampedNodes, "tcad.continuity.clamped_nodes", kCounter, kGated) \
   /* tcad layer — mesh continuation */                                        \
