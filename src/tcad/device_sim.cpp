@@ -25,7 +25,8 @@ struct BiasPoint {
 // ---- payload codecs ---------------------------------------------------
 // All doubles travel as raw bit patterns (cache::ByteWriter), so replay
 // is bitwise-exact. Decoders return false on any structural mismatch;
-// the caller treats that as a miss and recomputes.
+// the caller treats that as a miss and recomputes. A sweep record holds
+// no wall time, so the same key always publishes the same bytes.
 
 std::vector<std::uint8_t> encode_sweep(const SweepResult& r) {
   cache::ByteWriter w;
@@ -37,7 +38,6 @@ std::vector<std::uint8_t> encode_sweep(const SweepResult& r) {
   w.u64(r.timings.size());
   for (const SweepPointRecord& t : r.timings) {
     w.f64(t.vg);
-    w.f64(t.wall_ms);
     w.u64(t.gummel_iterations);
     w.u64(t.retries);
     w.u64(t.converged ? 1 : 0);
@@ -60,8 +60,8 @@ bool decode_sweep(const std::vector<std::uint8_t>& bytes, SweepResult& out) {
     std::uint64_t iters = 0;
     std::uint64_t retries = 0;
     std::uint64_t converged = 0;
-    if (!r.f64(t.vg) || !r.f64(t.wall_ms) || !r.u64(iters) ||
-        !r.u64(retries) || !r.u64(converged)) {
+    if (!r.f64(t.vg) || !r.u64(iters) || !r.u64(retries) ||
+        !r.u64(converged)) {
       return false;
     }
     t.gummel_iterations = static_cast<std::size_t>(iters);

@@ -26,7 +26,9 @@
 ///     for a given structure, so a restore equals a fresh solve);
 ///   * id_vg consults a sweep record keyed on (device, mesh, solver
 ///     options, bias grid); a hit replays the stored result
-///     bitwise-identically without touching the solver state;
+///     bitwise-identically without touching the solver state (every
+///     field but SweepPointRecord::wall_ms, which the record does not
+///     carry);
 ///   * on a sweep miss, the nearest cached bias state of the SAME
 ///     device (if any, and if CacheOptions::warm_start) seeds the
 ///     continuation ramp — a within-tolerance accelerator, not a
@@ -67,10 +69,12 @@ struct SweepReport {
 
 /// Wall time and solver effort of one attempted sweep point (converged
 /// or not). Timings are wall-clock diagnostics, not part of any
-/// determinism contract; the iteration/retry counts are exact.
+/// determinism contract; the iteration/retry counts are exact. A sweep
+/// replayed from the solve cache reads wall_ms 0: no solve ran, and the
+/// record keeps no wall time, so one key is always the same bytes.
 struct SweepPointRecord {
   double vg = 0.0;       ///< gate bias magnitude [V]
-  double wall_ms = 0.0;  ///< wall time spent on this point
+  double wall_ms = 0.0;  ///< wall time spent on this point (0 if replayed)
   std::size_t gummel_iterations = 0;  ///< outer iterations, all ramps
   std::size_t retries = 0;            ///< rejected continuation attempts
   bool converged = false;

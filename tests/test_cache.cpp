@@ -589,6 +589,54 @@ TEST(TcadCache, DeviceResolvesCacheAndReplaysSweeps) {
   }
 }
 
+TEST(TcadCache, SweepRecordIsTheSameBytesForTheSameKey) {
+  // Two cold publishes of one sweep key, from two fresh devices into two
+  // caches, write the same bytes (DESIGN §12.3): the record carries no
+  // wall time. A replay reads wall_ms 0, since no solve ran, and every
+  // other field of the cold sweep.
+  TempCacheDir dir_a;
+  TempCacheDir dir_b;
+  sca::SolveCache a{disk_options(dir_a)};
+  sca::SolveCache b{disk_options(dir_b)};
+  const auto sweep_into = [](sca::SolveCache& cache) {
+    se::RunContext ctx;
+    ctx.cache = &cache;
+    st::TcadDevice dev(nfet_90(), st::kCoarseMesh, {}, ctx);
+    return dev.id_vg(0.25, 0.0, 0.3, 4);
+  };
+  const st::SweepResult cold = sweep_into(a);
+  ASSERT_TRUE(cold.all_converged());
+  ASSERT_TRUE(sweep_into(b).all_converged());
+
+  const sca::HashKey key = sca::sweep_key(
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, {}), 0.25, 0.0, 0.3,
+      4);
+  const auto record_a = a.lookup(key, sca::PayloadKind::kSweep);
+  const auto record_b = b.lookup(key, sca::PayloadKind::kSweep);
+  ASSERT_NE(record_a, nullptr);
+  ASSERT_NE(record_b, nullptr);
+  EXPECT_EQ(record_a->bytes, record_b->bytes);
+  std::vector<std::uint8_t> file_a;
+  std::vector<std::uint8_t> file_b;
+  ASSERT_TRUE(sca::read_file_bytes(a.record_path(key), file_a));
+  ASSERT_TRUE(sca::read_file_bytes(b.record_path(key), file_b));
+  EXPECT_EQ(file_a, file_b);
+
+  const std::uint64_t hits_before = a.stats().hits;
+  const st::SweepResult replay = sweep_into(a);
+  EXPECT_GT(a.stats().hits, hits_before);
+  ASSERT_EQ(replay.timings.size(), cold.timings.size());
+  for (std::size_t i = 0; i < replay.timings.size(); ++i) {
+    EXPECT_GT(cold.timings[i].wall_ms, 0.0);
+    EXPECT_EQ(replay.timings[i].wall_ms, 0.0);
+    EXPECT_EQ(replay.timings[i].vg, cold.timings[i].vg);
+    EXPECT_EQ(replay.timings[i].gummel_iterations,
+              cold.timings[i].gummel_iterations);
+    EXPECT_EQ(replay.timings[i].retries, cold.timings[i].retries);
+    EXPECT_EQ(replay.timings[i].converged, cold.timings[i].converged);
+  }
+}
+
 TEST(TcadCache, FaultInjectionDisablesCaching) {
   TempCacheDir dir;
   sca::SolveCache cache{disk_options(dir)};
