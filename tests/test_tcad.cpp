@@ -684,6 +684,76 @@ TEST(SolverResilience, NonFinitePotentialFailsContinuityAsNonFinite) {
   EXPECT_EQ(first_bit_difference(reused, fresh), fresh.size());
 }
 
+// ---- the Poisson workspace's held factor -----------------------------------
+
+TEST(PoissonWorkspace, BiasSolveAfterAdoptedEquilibriumMatchesTheColdOne) {
+  // A Gummel solve starts without a held Poisson factor, so a bias solve
+  // from an adopted equilibrium (a cache restore holds no factor) is bit
+  // for bit the same solve as one straight after the cold equilibrium,
+  // whose last Newton iteration left a factor behind.
+  const st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
+  st::DriftDiffusionSolver cold(dev);
+  cold.solve_equilibrium();
+  st::DriftDiffusionSolver adopted(dev);
+  ASSERT_TRUE(adopted.adopt_state(cold.biases(), cold.psi(),
+                                  cold.electron_density(),
+                                  cold.hole_density()));
+  ASSERT_TRUE(cold.try_solve_bias(0.3, 0.25).converged);
+  ASSERT_TRUE(adopted.try_solve_bias(0.3, 0.25).converged);
+  EXPECT_EQ(adopted.last_report().total_gummel_iterations,
+            cold.last_report().total_gummel_iterations);
+  EXPECT_EQ(first_bit_difference(adopted.psi(), cold.psi()),
+            cold.psi().size());
+  EXPECT_EQ(first_bit_difference(adopted.electron_density(),
+                                 cold.electron_density()),
+            cold.psi().size());
+  EXPECT_EQ(first_bit_difference(adopted.hole_density(), cold.hole_density()),
+            cold.psi().size());
+  const double id_cold = cold.terminal_current("drain");
+  const double id_adopted = adopted.terminal_current("drain");
+  EXPECT_EQ(std::memcmp(&id_cold, &id_adopted, sizeof(double)), 0);
+}
+
+TEST(PoissonWorkspace, FailedFactorizationLeavesNoHeldFactor) {
+  // At a converged state one Newton iteration meets the stop. The first
+  // call factors; a second call at the same state runs on the held
+  // factor. A call whose factorization fails (a NaN quasi-Fermi level)
+  // leaves no factor behind, so the next call at that same converged
+  // state factors again in its first iteration.
+  const EquilibriumState eq;
+  const std::vector<double> zero(eq.psi.size(), 0.0);
+  st::PoissonWorkspace workspace;
+  std::vector<double> psi = eq.psi;
+  st::PoissonResult result = st::solve_poisson(
+      eq.dev, eq.biases, zero, zero, psi, {}, nullptr, &workspace);
+  ASSERT_TRUE(result.converged);
+  const std::vector<double> converged = psi;
+
+  result = st::solve_poisson(eq.dev, eq.biases, zero, zero, psi, {}, nullptr,
+                             &workspace);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 1u);
+  EXPECT_EQ(result.factorizations, 0u);
+
+  std::vector<double> phi_n = zero;
+  phi_n[eq.free_silicon_node()] = std::nan("");
+  psi = converged;
+  result = st::solve_poisson(eq.dev, eq.biases, phi_n, zero, psi, {}, nullptr,
+                             &workspace);
+  EXPECT_EQ(result.status, st::SolveStatus::kNonFinite);
+  EXPECT_EQ(result.factorizations, 1u);
+
+  psi = converged;
+  result = st::solve_poisson(eq.dev, eq.biases, zero, zero, psi, {}, nullptr,
+                             &workspace);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 1u);
+  EXPECT_EQ(result.factorizations, 1u);
+  std::vector<double> fresh = converged;
+  st::solve_poisson(eq.dev, eq.biases, zero, zero, fresh);
+  EXPECT_EQ(first_bit_difference(psi, fresh), fresh.size());
+}
+
 // ---- cross-validation: TCAD reproduces the paper's S_S degradation ------------------
 
 TEST(TcadPaperTrend, LongerGateImprovesSwing) {
@@ -747,6 +817,40 @@ TEST(TcadMeshNumbering, PaperDevicesNumberAlongTheirShorterAxis) {
       expect_y_fastest(cascade.level_device(k).mesh(),
                        label + " level " + std::to_string(k));
     }
+  }
+}
+
+TEST(PoissonWorkspace, RebindsWhenTheDeviceChanges) {
+  // One workspace carried from the 90 nm super-V_th device to the 65 nm
+  // one and back rebinds each time: its stencil, contact map and held
+  // factor are the new device's, so every solve matches a fresh
+  // workspace's bit for bit, with the same Newton and factorization
+  // counts. Each problem is the first Poisson solve of a drain step: the
+  // equilibrium potential, quasi-Fermi levels at 0 and the drain at
+  // 0.25 V.
+  const std::vector<sc::DeviceSpec> specs = paper_device_specs();
+  const st::DeviceStructure dev90(specs[0], st::kCoarseMesh);
+  const st::DeviceStructure dev65(specs[2], st::kCoarseMesh);
+  ASSERT_NE(dev90.mesh().node_count(), dev65.mesh().node_count());
+  const std::map<std::string, double> biases{
+      {"gate", 0.0}, {"drain", 0.25}, {"source", 0.0}, {"bulk", 0.0}};
+  st::PoissonWorkspace carried;
+  for (const st::DeviceStructure* dev : {&dev90, &dev65, &dev90}) {
+    st::DriftDiffusionSolver solver(*dev);
+    solver.solve_equilibrium();
+    const std::vector<double> zero(solver.psi().size(), 0.0);
+    std::vector<double> psi = solver.psi();
+    const st::PoissonResult got = st::solve_poisson(
+        *dev, biases, zero, zero, psi, {}, nullptr, &carried);
+    std::vector<double> want_psi = solver.psi();
+    const st::PoissonResult want =
+        st::solve_poisson(*dev, biases, zero, zero, want_psi);
+    ASSERT_TRUE(want.converged);
+    EXPECT_GT(want.iterations, want.factorizations);
+    EXPECT_TRUE(got.converged);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.factorizations, want.factorizations);
+    EXPECT_EQ(first_bit_difference(psi, want_psi), want_psi.size());
   }
 }
 
