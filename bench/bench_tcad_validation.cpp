@@ -31,13 +31,14 @@ int main() {
       doping::Polarity::kNfet, 65, 2.10, 1.52e18, 3.63e18, 1.2, 1.0);
   const compact::CompactMosfet fet(spec);
 
-  // Two budgets tools/check.sh gates over the sweep, from the deltas of
-  // the bench registry's counters across id_vg, so the equilibrium, the
-  // DIBL points and the cold solves below stay out of them: Poisson
-  // Newton iterations per Gummel outer iteration, and the continuity
-  // densities raised to the density floor.
+  // Three budgets tools/check.sh gates over the sweep, from the deltas
+  // of the bench registry's counters across id_vg, so the equilibrium,
+  // the DIBL points and the cold solves below stay out of them: Poisson
+  // Newton iterations and LDLᵀ factorizations per Gummel outer
+  // iteration, and the continuity densities raised to the density floor.
   struct Effort {
     double newton = 0.0;
+    double factorizations = 0.0;
     double outer = 0.0;
     double clamped = 0.0;
   };
@@ -49,6 +50,7 @@ int main() {
       return static_cast<double>(snap.counter(name));
     };
     return Effort{count(obs::names::kPoissonNewtonIterations),
+                  count(obs::names::kPoissonFactorizations),
                   count(obs::names::kGummelOuterIterations),
                   count(obs::names::kContinuityClampedNodes)};
   };
@@ -71,14 +73,19 @@ int main() {
   std::printf("solver effort: %zu Gummel outer iterations over %zu points\n",
               gummel_iters, sweep.timings.size());
   if (after.outer > before.outer) {  // zero when the sweep was replayed
-    const double newton_per_outer =
-        (after.newton - before.newton) / (after.outer - before.outer);
+    const double outer = after.outer - before.outer;
+    const double newton_per_outer = (after.newton - before.newton) / outer;
+    const double factorizations_per_outer =
+        (after.factorizations - before.factorizations) / outer;
     const double clamped = after.clamped - before.clamped;
     std::printf("Poisson Newton iterations per outer iteration: %.2f\n",
                 newton_per_outer);
+    std::printf("Poisson factorizations per outer iteration: %.2f\n",
+                factorizations_per_outer);
     std::printf("continuity densities raised to the floor: %.0f\n",
                 clamped);
     rec.metric("poisson_newton_per_outer", newton_per_outer);
+    rec.metric("poisson_factorizations_per_outer", factorizations_per_outer);
     rec.metric("continuity_clamped_nodes", clamped);
   }
   const auto ex = tcad::extract_from_sweep(sweep);

@@ -188,6 +188,25 @@ if [[ -z "$sanitize" ]]; then
   fi
   echo "obs_trend: Poisson Newton budget gate enforced"
 
+  # Poisson factorization budget. bench_tcad_validation also records the
+  # LDLᵀ factorizations of Poisson's Newton Jacobian per Gummel outer
+  # iteration over its sweep. A Newton iteration reuses the held factor
+  # while the state stays within 1e-4 V of where it was assembled, which
+  # reads 1.66 against 3.12 Newton iterations; the ceiling sits ~1.25x
+  # above it, so a solver that refactors on every iteration again fails
+  # here, and the Newton budget above caps a reuse threshold set too
+  # loose. An impossible budget must trip the same gate.
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation \
+      --metric-max poisson_factorizations_per_outer=2.1
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation \
+      --metric-max poisson_factorizations_per_outer=1 > /dev/null; then
+    echo "check.sh: Poisson factorization budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: Poisson factorization budget gate enforced"
+
   # Density-floor budget. bench_tcad_validation also records the
   # continuity densities its sweep raised to the 1e-20 n_i floor. Every
   # continuity system is an M-matrix with a right-hand side of one sign,
