@@ -32,14 +32,14 @@
 ///    limit; the field comparison above is the authoritative 1e-9
 ///    equivalence evidence.
 ///
-/// Fixtures: the Table 2 rows the TCAD tier robustly holds (the 90nm
-/// and 65nm paper nodes — the 45/32nm rows are the "aggressive
-/// 32nm-class literal structures" whose equilibrium the seed solver
-/// already cannot hold, see ScalingStudy::tcad_validation) plus the
-/// Table 3 95nm sub-Vth node at its 0.3V operating supply. fig02/fig09
-/// derive from the same device rows; the nanowire backend is pinned by
-/// the must-throw guard at the bottom. The fixtures, their stops and
-/// the pinned sample live in tcad_equivalence_fixture.h.
+/// Fixtures: the Table 2 90nm and 65nm paper nodes (the 45/32nm devices
+/// converge since their surface row sits at y = 0, DESIGN §21.4, but
+/// stay out of the tier until a fixture of their own pins them, ROADMAP
+/// direction 2) plus the Table 3 95nm sub-Vth node at its 0.3V
+/// operating supply. fig02/fig09 derive from the same device rows; the
+/// nanowire backend is pinned by the must-throw guard at the bottom.
+/// The fixtures, their stops and the pinned sample live in
+/// tcad_equivalence_fixture.h.
 ///
 /// Each fixture's Gummel snapshot is also held, at the same bounds,
 /// against tests/golden/tcad_equivalence.json (currents plus psi/n/p on
