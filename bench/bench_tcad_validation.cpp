@@ -31,16 +31,18 @@ int main() {
       doping::Polarity::kNfet, 65, 2.10, 1.52e18, 3.63e18, 1.2, 1.0);
   const compact::CompactMosfet fet(spec);
 
-  // Three budgets tools/check.sh gates over the sweep, from the deltas
+  // Four budgets tools/check.sh gates over the sweep, from the deltas
   // of the bench registry's counters across id_vg, so the equilibrium,
   // the DIBL points and the cold solves below stay out of them: Poisson
-  // Newton iterations and LDLᵀ factorizations per Gummel outer
-  // iteration, and the continuity densities raised to the density floor.
+  // Newton iterations, LDLᵀ factorizations and the band storage every
+  // factorization covered per Gummel outer iteration, and the
+  // continuity densities raised to the density floor.
   struct Effort {
     double newton = 0.0;
     double factorizations = 0.0;
     double outer = 0.0;
     double clamped = 0.0;
+    double band_entries = 0.0;
   };
   const auto effort = [] {
     const obs::MetricsRegistry* reg = obs::default_registry();
@@ -52,7 +54,8 @@ int main() {
     return Effort{count(obs::names::kPoissonNewtonIterations),
                   count(obs::names::kPoissonFactorizations),
                   count(obs::names::kGummelOuterIterations),
-                  count(obs::names::kContinuityClampedNodes)};
+                  count(obs::names::kContinuityClampedNodes),
+                  count(obs::names::kLinalgBandEntries)};
   };
   tcad::TcadDevice dev(spec);
   const Effort before = effort();
@@ -77,15 +80,20 @@ int main() {
     const double newton_per_outer = (after.newton - before.newton) / outer;
     const double factorizations_per_outer =
         (after.factorizations - before.factorizations) / outer;
+    const double band_entries_per_outer =
+        (after.band_entries - before.band_entries) / outer;
     const double clamped = after.clamped - before.clamped;
     std::printf("Poisson Newton iterations per outer iteration: %.2f\n",
                 newton_per_outer);
     std::printf("Poisson factorizations per outer iteration: %.2f\n",
                 factorizations_per_outer);
+    std::printf("band entries factored per outer iteration: %.0f\n",
+                band_entries_per_outer);
     std::printf("continuity densities raised to the floor: %.0f\n",
                 clamped);
     rec.metric("poisson_newton_per_outer", newton_per_outer);
     rec.metric("poisson_factorizations_per_outer", factorizations_per_outer);
+    rec.metric("band_entries_per_outer", band_entries_per_outer);
     rec.metric("continuity_clamped_nodes", clamped);
   }
   const auto ex = tcad::extract_from_sweep(sweep);

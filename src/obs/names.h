@@ -73,6 +73,7 @@ enum class GatePolicy { kGated, kExempt };
   X(kPoissonFactorizations, "tcad.poisson.factorizations", kCounter, kGated) \
   X(kContinuitySolves, "tcad.continuity.solves", kCounter, kGated)            \
   X(kContinuityClampedNodes, "tcad.continuity.clamped_nodes", kCounter, kGated) \
+  X(kLinalgBandEntries, "tcad.linalg.band_entries", kCounter, kGated)         \
   /* tcad layer — mesh continuation */                                        \
   X(kMeshContLevels, "tcad.meshcont.levels", kCounter, kGated)                \
   X(kMeshContProlongations, "tcad.meshcont.prolongations", kCounter, kGated)  \

@@ -71,6 +71,7 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
     ins_.continuity_solves = &sink->counter(names::kContinuitySolves);
     ins_.continuity_clamped_nodes =
         &sink->counter(names::kContinuityClampedNodes);
+    ins_.band_entries = &sink->counter(names::kLinalgBandEntries);
     ins_.last_residual = &sink->gauge(names::kGummelLastResidual);
     ins_.iterations_per_solve = &sink->histogram(
         names::kGummelIterationsPerSolve, obs::buckets::kIterations);
@@ -422,6 +423,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     if (ins_.poisson_newton_iterations != nullptr) {
       ins_.poisson_newton_iterations->add(pres.iterations);
       ins_.poisson_factorizations->add(pres.factorizations);
+      ins_.band_entries->add(pres.band_entries);
     }
     // The sample for this outer iteration; fields of stages never
     // reached stay NaN (rendered null by the JSON exporter).
@@ -464,7 +466,10 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       return std::make_pair(electron, hole);
     }();
     sample.continuity_max_density = std::max(rn.max_density, rp.max_density);
-    if (ins_.continuity_solves != nullptr) ins_.continuity_solves->add(2);
+    if (ins_.continuity_solves != nullptr) {
+      ins_.continuity_solves->add(2);
+      ins_.band_entries->add(rn.band_entries + rp.band_entries);
+    }
     if (ins_.continuity_clamped_nodes != nullptr) {
       ins_.continuity_clamped_nodes->add(rn.clamped_nodes + rp.clamped_nodes);
     }

@@ -192,6 +192,7 @@ class DriftDiffusionSolver {
     obs::Counter* poisson_factorizations = nullptr;
     obs::Counter* continuity_solves = nullptr;
     obs::Counter* continuity_clamped_nodes = nullptr;
+    obs::Counter* band_entries = nullptr;
     obs::Gauge* last_residual = nullptr;
     obs::Histogram* iterations_per_solve = nullptr;
   };
