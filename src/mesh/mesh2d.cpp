@@ -1,5 +1,6 @@
 #include "mesh/mesh2d.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace subscale::mesh {
@@ -60,6 +61,30 @@ const std::vector<std::size_t>& TensorMesh2d::contact_nodes(
     throw std::out_of_range("TensorMesh2d: unknown contact '" + name + "'");
   }
   return it->second;
+}
+
+RowMap number_rows(const TensorMesh2d& m,
+                   const std::function<bool(std::size_t)>& is_row) {
+  RowMap rows;
+  rows.row.assign(m.node_count(), RowMap::kNoRow);
+  for (std::size_t idx = 0; idx < m.node_count(); ++idx) {
+    if (!is_row(idx)) continue;
+    rows.row[idx] = rows.node.size();
+    rows.node.push_back(idx);
+  }
+  // A node's E and N neighbours have higher indices, so rows too.
+  for (std::size_t r = 0; r < rows.node.size(); ++r) {
+    const std::size_t i = m.i_of(rows.node[r]);
+    const std::size_t j = m.j_of(rows.node[r]);
+    for (const std::size_t nb :
+         {i + 1 < m.nx() ? m.index(i + 1, j) : RowMap::kNoRow,
+          j + 1 < m.ny() ? m.index(i, j + 1) : RowMap::kNoRow}) {
+      if (nb != RowMap::kNoRow && rows.row[nb] != RowMap::kNoRow) {
+        rows.band = std::max(rows.band, rows.row[nb] - r);
+      }
+    }
+  }
+  return rows;
 }
 
 std::vector<std::string> TensorMesh2d::contact_names() const {
