@@ -11,6 +11,8 @@
 #include <cstring>
 #include <cstdlib>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "circuits/delay.h"
 #include "circuits/inverter.h"
@@ -33,19 +35,25 @@ compact::DeviceSpec spec_90() {
                                        1.52e18, 3.63e18, 1.2, 1.0);
 }
 
-// Banded LU at the paper shapes: the 90 nm device's 943-node system at
-// the band of either mesh numbering (41 numbering along x, 23 along the
-// shorter y axis) as a dense random band, as the device-shaped 41 x 23
-// continuity stencil (linalg::stencil_banded: identity oxide and contact
-// rows, contact columns dropped), and as the symmetric Poisson stencil
-// (linalg::poisson_stencil_banded), selected by the third argument (0, 1,
-// 2). The blocked elimination in BandedLu is pinned bitwise to the
-// textbook loop nest in ReferenceBandedLu (tier-1: test_linalg
+// Banded LU at the paper shapes: the 90 nm device's 943-node mesh at the
+// band of either numbering (41 numbering along x, 23 along the shorter y
+// axis) as a dense random band; as the device-shaped 41 x 23 continuity
+// stencil with its identity oxide and contact rows
+// (linalg::stencil_banded), the system solve_continuity factored before
+// it numbered only its unknowns; as that stencil with those rows
+// dropped, 41 columns of 19 unknowns less the surface contacts at band
+// 19, the shape it factors now (767 rows at band 19 on the device); and
+// as the symmetric Poisson stencil (linalg::poisson_stencil_banded),
+// selected by the third argument (0, 1, 3, 2). The blocked elimination in
+// BandedLu is pinned bitwise to the textbook loop nest in
+// ReferenceBandedLu (tier-1: test_linalg
 // BandedReference.BlockedEliminationMatchesReferenceBitwise); both
 // benchmarks repeat that check before timing, so a silent numerical
-// drift cannot be misread as a win. The random band is column-diagonally
-// dominant, as the unpivoted LU requires: entries in [-1, 1] off the
-// diagonal, and each diagonal entry the column's off-diagonal sum plus 1.
+// drift cannot be misread as a win, and the stencil without identity
+// rows must also solve to the full stencil's solution at its rows, bit
+// for bit (DESIGN §29). The random band is column-diagonally dominant,
+// as the unpivoted LU requires: entries in [-1, 1] off the diagonal, and
+// each diagonal entry the column's off-diagonal sum plus 1.
 linalg::BandedMatrix make_bench_banded(std::size_t n, std::size_t bw) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -78,19 +86,75 @@ void check_bitwise(const std::vector<double>& fast,
   }
 }
 
+/// `a` without its identity rows, those whose row and column hold
+/// nothing but a 1 on the diagonal (the oxide and contact rows of
+/// stencil_banded). The other rows keep their order; the band is the
+/// widest coupling among them. `kept` receives their indices in `a`.
+linalg::BandedMatrix unknowns_only(const linalg::BandedMatrix& a,
+                                   std::vector<std::size_t>& kept) {
+  const std::size_t n = a.size();
+  const auto entries = [&](std::size_t r, const auto& visit) {
+    const std::size_t lo = r > a.lower_bandwidth() ? r - a.lower_bandwidth()
+                                                   : 0;
+    const std::size_t hi = std::min(n - 1, r + a.upper_bandwidth());
+    for (std::size_t c = lo; c <= hi; ++c) {
+      if (c != r && (a.at(r, c) != 0.0 || a.at(c, r) != 0.0)) visit(c);
+    }
+  };
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> row(n, kDropped);
+  kept.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    bool coupled = false;
+    entries(r, [&](std::size_t) { coupled = true; });
+    if (coupled || a.at(r, r) != 1.0) {
+      row[r] = kept.size();
+      kept.push_back(r);
+    }
+  }
+  std::size_t band = 0;
+  for (const std::size_t r : kept) {
+    entries(r, [&](std::size_t c) {
+      band = std::max(band, row[r] > row[c] ? row[r] - row[c]
+                                            : row[c] - row[r]);
+    });
+  }
+  linalg::BandedMatrix out(kept.size(), band, band);
+  for (const std::size_t r : kept) {
+    out.at(row[r], row[r]) = a.at(r, r);
+    entries(r, [&](std::size_t c) { out.at(row[r], row[c]) = a.at(r, c); });
+  }
+  return out;
+}
+
 /// The shared set-up of both LU benchmarks: the matrix at (n, bw, shape),
-/// a right-hand side, and the bitwise check.
-linalg::BandedMatrix checked_bench_banded(const benchmark::State& state,
+/// a right-hand side, and the bitwise checks. The label gives the
+/// factored rows and band.
+linalg::BandedMatrix checked_bench_banded(benchmark::State& state,
                                           std::vector<double>& b) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t bw = static_cast<std::size_t>(state.range(1));
   linalg::BandedMatrix a =
       state.range(2) == 0   ? make_bench_banded(n, bw)
-      : state.range(2) == 1 ? linalg::stencil_banded(n / bw, bw, 7)
-                            : linalg::poisson_stencil_banded(n, bw, 7);
-  b.assign(n, 1.0);
+      : state.range(2) == 2 ? linalg::poisson_stencil_banded(n, bw, 7)
+                            : linalg::stencil_banded(n / bw, bw, 7);
+  if (state.range(2) == 3) {
+    std::vector<std::size_t> kept;
+    linalg::BandedMatrix reduced = unknowns_only(a, kept);
+    const std::vector<double> full =
+        linalg::BandedLu(a).solve(std::vector<double>(n, 1.0));
+    std::vector<double> at_kept;
+    for (const std::size_t r : kept) at_kept.push_back(full[r]);
+    check_bitwise(
+        linalg::BandedLu(reduced).solve(std::vector<double>(kept.size(), 1.0)),
+        at_kept, "identity rows dropped");
+    a = std::move(reduced);
+  }
+  b.assign(a.size(), 1.0);
   check_bitwise(linalg::BandedLu(a).solve(b),
                 linalg::ReferenceBandedLu(a).solve(b), "banded lu");
+  state.SetLabel(std::to_string(a.size()) + "/" +
+                 std::to_string(a.lower_bandwidth()));
   return a;
 }
 
@@ -106,11 +170,15 @@ BENCHMARK(BM_BandedLuFactorSolve)
     ->Args({943, 41, 0})
     ->Args({943, 23, 0})
     ->Args({943, 23, 1})
+    ->Args({943, 23, 3})
     ->Args({943, 23, 2});
 
 // The LDLᵀ that solve_poisson factors with, on the symmetric Poisson
-// stencil: the other half of the pair BM_BandedLuFactorSolve/943/23/2
-// times. The two solutions are cross-checked to test_linalg's 1e-12
+// stencil: at 943/23, the full-mesh shape it factored with its Dirichlet
+// rows and the other half of the pair BM_BandedLuFactorSolve/943/23/2
+// times, and at 863/22, the rows and band of the 90 nm device's system of
+// unknowns (the stencil's own Dirichlet rows, a few percent of it, stay
+// in). The two solutions are cross-checked to test_linalg's 1e-12
 // relative bound (BandedLdlt.MatchesBandedLuOnPoissonStencil) before
 // timing. Each iteration copies the matrix, as BandedLu's does.
 void BM_BandedLdltFactorSolve(benchmark::State& state) {
@@ -142,7 +210,7 @@ void BM_BandedLdltFactorSolve(benchmark::State& state) {
   }
   for (auto _ : state) benchmark::DoNotOptimize(solve());
 }
-BENCHMARK(BM_BandedLdltFactorSolve)->Args({943, 23});
+BENCHMARK(BM_BandedLdltFactorSolve)->Args({943, 23})->Args({863, 22});
 
 void BM_BandedLuReferenceSolve(benchmark::State& state) {
   std::vector<double> b;
@@ -155,7 +223,8 @@ void BM_BandedLuReferenceSolve(benchmark::State& state) {
 BENCHMARK(BM_BandedLuReferenceSolve)
     ->Args({943, 41, 0})
     ->Args({943, 23, 0})
-    ->Args({943, 23, 1});
+    ->Args({943, 23, 1})
+    ->Args({943, 23, 3});
 
 // Scharfetter–Gummel assembly, fresh-buffers vs SgWorkspace reuse. The
 // workspace caches edge geometry + zero-field mobilities across solves;

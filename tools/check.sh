@@ -207,6 +207,23 @@ if [[ -z "$sanitize" ]]; then
   fi
   echo "obs_trend: Poisson factorization budget gate enforced"
 
+  # Band-storage budget. bench_tcad_validation also records the band
+  # storage its factorizations covered per Gummel outer iteration
+  # (tcad.linalg.band_entries: rows x (kl + ku + 1) per continuity LU,
+  # rows x (kl + 1) per Poisson LDLᵀ). Each system numbers only its
+  # unknowns, which reads 92775; the ceiling sits ~1.05x above it, so
+  # systems that carry their contact and oxide rows again (126211) fail
+  # here. An impossible budget must trip the same gate.
+  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max band_entries_per_outer=97500
+  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+      --bench tcad_validation --metric-max band_entries_per_outer=1 \
+      > /dev/null; then
+    echo "check.sh: band-storage budget gate failed to trip" >&2
+    exit 1
+  fi
+  echo "obs_trend: band-storage budget gate enforced"
+
   # Density-floor budget. bench_tcad_validation also records the
   # continuity densities its sweep raised to the 1e-20 n_i floor. Every
   # continuity system is an M-matrix with a right-hand side of one sign,
