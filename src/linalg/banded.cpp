@@ -117,9 +117,9 @@ void banded_lu_factor_in_place(BandedMatrix& a) {
   // `a -= l * u` per step with the same operands as the textbook
   // row-outer loop nest, so the factorization is bitwise identical to
   // the reference (see banded_reference.h and the bench_kernels
-  // assertions). A zero u skips its column there too; identity rows
-  // (oxide nodes, ohmic contacts) have nothing but zeros right of the
-  // diagonal, so their steps update nothing.
+  // assertions). A zero u skips its column there too; an identity row
+  // (stencil_banded's oxide and contact rows) has nothing but zeros
+  // right of the diagonal, so its step updates nothing.
   for (std::size_t k = 0; k < n; ++k) {
     double* colk = ab + k * ldab + ku;  // colk[i] = storage(k+i, k)
     const double pivot = colk[0];

@@ -2,13 +2,15 @@
 
 /// \file banded.h
 /// Banded direct solvers. The 2-D TCAD discretization on a tensor-product
-/// mesh produces matrices whose bandwidth equals the number of nodes along
-/// the faster-varying mesh axis, which TensorMesh2d makes the shorter one
-/// (TensorMesh2d::bandwidth(), min(nx, ny)); a banded direct solve is both
-/// fast (O(n*bw^2)) and far more robust than iterative methods. Neither
-/// factorization pivots or scales rows: the LU takes the continuity
-/// systems, which are column-diagonally dominant once their contact
-/// columns are moved to the right-hand side (DESIGN §23), and the LDLᵀ
+/// mesh produces matrices with one row per unknown node, numbered along
+/// the faster-varying mesh axis, which TensorMesh2d makes the shorter
+/// one; their band is at most the nodes along that axis
+/// (TensorMesh2d::bandwidth(), min(nx, ny)) and narrower where a fixed
+/// node drops out (mesh::number_rows, DESIGN §29). A banded direct solve
+/// is both fast (O(n*bw^2)) and far more robust than iterative methods.
+/// Neither factorization pivots or scales rows: the LU takes the
+/// continuity systems, which are column-diagonally dominant with their
+/// contact neighbours on the right-hand side (DESIGN §23), and the LDLᵀ
 /// takes Poisson's symmetric definite Newton Jacobian (§22).
 
 #include <cstddef>

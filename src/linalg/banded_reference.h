@@ -40,33 +40,37 @@ class ReferenceBandedLu {
   double at(std::size_t r, std::size_t c) const { return dense_[r * n_ + c]; }
 };
 
-/// A system shaped like the TCAD continuity matrices, for the kernel
-/// tests and benchmarks: the hole rows of a Scharfetter–Gummel 5-point
-/// stencil on an nx x ny grid numbered along y (node i*ny + j, so
-/// kl = ku = ny). The top three grid rows are oxide, identity rows that
-/// no other row couples to; the outer quarters of the next (surface)
-/// row and the whole bottom row are ohmic contacts, identity rows whose
-/// columns are dropped, as solve_continuity moves them to the
-/// right-hand side. Every other row holds, per edge to a silicon
-/// neighbour, k B(d) on the diagonal and -k B(-d) at the neighbour
-/// (unless it is a contact), with one random conductance k and one
-/// potential drop d in thermal voltages per edge (about one edge in
-/// thirty steep), read negated from the far end; and a recombination
-/// term on the diagonal. Each edge's k B(d) thus appears once off the
-/// diagonal and once on its column's diagonal, so the matrix is a
-/// column-diagonally dominant M-matrix, strictly so wherever the
-/// recombination term or a contact edge is. Deterministic in `seed`.
+/// A system shaped like the full-mesh continuity matrices that
+/// solve_continuity factored before it numbered only its unknowns (one
+/// row per mesh node, DESIGN §29), for the kernel tests and benchmarks:
+/// the hole rows of a Scharfetter–Gummel 5-point stencil on an nx x ny
+/// grid numbered along y (node i*ny + j, so kl = ku = ny). The top three
+/// grid rows are oxide, identity rows that no other row couples to; the
+/// outer quarters of the next (surface) row and the whole bottom row are
+/// ohmic contacts, identity rows whose columns are dropped, as
+/// solve_continuity moves them to the right-hand side. Every other row
+/// holds, per edge to a silicon neighbour, k B(d) on the diagonal and
+/// -k B(-d) at the neighbour (unless it is a contact), with one random
+/// conductance k and one potential drop d in thermal voltages per edge
+/// (about one edge in thirty steep), read negated from the far end; and
+/// a recombination term on the diagonal. Each edge's k B(d) thus
+/// appears once off the diagonal and once on its column's diagonal, so
+/// the matrix is a column-diagonally dominant M-matrix, strictly so
+/// wherever the recombination term or a contact edge is. Dropping the
+/// identity rows leaves the shape the solver factors now, which
+/// bench_kernels times next to this one. Deterministic in `seed`.
 BandedMatrix stencil_banded(std::size_t nx, std::size_t ny,
                             unsigned seed);
 
-/// A system shaped like Poisson's Newton Jacobian in solve_poisson, for
-/// the LDLᵀ kernel tests and benchmarks: a 5-point stencil on n nodes
+/// A system shaped like Poisson's Newton Jacobian in solve_poisson as it
+/// was assembled over the full mesh, for the LDLᵀ kernel tests and
+/// benchmarks: a 5-point stencil on n nodes
 /// numbered in columns of `bw` (node r couples to r +- 1 inside its
 /// column and to r +- bw; the last column is partial when bw does not
 /// divide n), so kl = ku = bw. The top three rows of every column are
 /// oxide, the bottom row and the middle half of the top row are
-/// Dirichlet nodes: identity rows whose columns are dropped, as
-/// solve_poisson drops them. Every other row is -(sum of its edge
+/// Dirichlet nodes: identity rows whose columns are dropped (solve_poisson
+/// now has no row for them). Every other row is -(sum of its edge
 /// conductances) - (a charge term spanning 1e-10 to 10 conductances) on
 /// the diagonal and +conductance off it, each edge's one value used in
 /// both of its rows. The matrix is exactly symmetric, and its free block
