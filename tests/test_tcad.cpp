@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -1111,6 +1112,140 @@ TEST(PoissonWorkspace, FailedFactorizationLeavesNoHeldFactor) {
   std::vector<double> fresh = converged;
   st::solve_poisson(eq.dev, eq.biases, zero, zero, fresh);
   EXPECT_EQ(first_bit_difference(psi, fresh), fresh.size());
+}
+
+// ---- seeded solves ----------------------------------------------------------------
+
+namespace {
+
+/// What one solve leaves behind: the solver's state, bias point and
+/// report, and every counter it published.
+struct SolveOutcome {
+  std::vector<double> psi, n, p;
+  std::map<std::string, double> biases;
+  st::SolverReport report;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+/// Runs `solve` on a fresh solver of `dev` with its own registry.
+template <typename Solve>
+SolveOutcome run_solve(const st::DeviceStructure& dev, Solve&& solve) {
+  so::MetricsRegistry reg;
+  se::RunContext ctx;
+  ctx.metrics = &reg;
+  st::DriftDiffusionSolver solver(dev, {}, ctx);
+  solve(solver);
+  SolveOutcome out{solver.psi(), solver.electron_density(),
+                   solver.hole_density(), solver.biases(),
+                   solver.last_report(), {}};
+  for (const auto& [name, value] : reg.snapshot().counters) {
+    out.counters[name] = value;
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The state, bias point and report of `got` equal `want`'s bit for bit.
+void expect_same_solve(const SolveOutcome& got, const SolveOutcome& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.psi.size(), want.psi.size()) << label;
+  EXPECT_EQ(first_bit_difference(got.psi, want.psi), want.psi.size())
+      << label;
+  EXPECT_EQ(first_bit_difference(got.n, want.n), want.n.size()) << label;
+  EXPECT_EQ(first_bit_difference(got.p, want.p), want.p.size()) << label;
+  EXPECT_EQ(got.biases, want.biases) << label;
+  const st::SolverReport& g = got.report;
+  const st::SolverReport& w = want.report;
+  EXPECT_EQ(g.converged, w.converged) << label;
+  EXPECT_EQ(g.failed_stage, w.failed_stage) << label;
+  EXPECT_EQ(g.status, w.status) << label;
+  EXPECT_EQ(g.target, w.target) << label;
+  EXPECT_EQ(g.failed_biases, w.failed_biases) << label;
+  EXPECT_EQ(g.continuation_steps, w.continuation_steps) << label;
+  EXPECT_EQ(g.retries, w.retries) << label;
+  EXPECT_EQ(g.total_gummel_iterations, w.total_gummel_iterations) << label;
+  EXPECT_TRUE(same_bits(g.final_residual, w.final_residual)) << label;
+  EXPECT_TRUE(same_bits(g.final_bias_step, w.final_bias_step)) << label;
+  EXPECT_TRUE(same_bits(g.final_damping, w.final_damping)) << label;
+  EXPECT_EQ(g.seed_used, w.seed_used) << label;
+  EXPECT_EQ(g.failures.size(), w.failures.size()) << label;
+}
+
+}  // namespace
+
+TEST(SeededSolve, SeedThatDoesNotFitTheMeshIsIgnored) {
+  // A seed a node short, or with a NaN at one node, is no state of this
+  // mesh: both entry points ignore it, so the equilibrium and the bias
+  // solve are the unseeded ones bit for bit, counters included, with
+  // seed_used false and no rollback counted.
+  const st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
+  const SolveOutcome eq = run_solve(
+      dev, [](st::DriftDiffusionSolver& s) { s.solve_equilibrium(); });
+  const SolveOutcome biased = run_solve(dev, [](st::DriftDiffusionSolver& s) {
+    s.try_solve_bias(0.3, 0.25);
+  });
+  ASSERT_TRUE(biased.report.converged);
+  const std::size_t node = biased.psi.size() / 2;
+  for (const bool nan_seed : {false, true}) {
+    const std::string label = nan_seed ? "NaN seed" : "short seed";
+    const auto malformed = [&](const SolveOutcome& from) {
+      SolveOutcome seed = from;
+      if (nan_seed) {
+        seed.n[node] = std::nan("");
+      } else {
+        seed.psi.pop_back();
+      }
+      return seed;
+    };
+    const SolveOutcome eq_seed = malformed(eq);
+    const SolveOutcome got_eq =
+        run_solve(dev, [&](st::DriftDiffusionSolver& s) {
+          EXPECT_FALSE(s.solve_equilibrium_with_guess(
+              eq_seed.psi, eq_seed.n, eq_seed.p));
+        });
+    expect_same_solve(got_eq, eq, label + " equilibrium");
+    EXPECT_FALSE(got_eq.report.seed_used) << label;
+    EXPECT_EQ(got_eq.counters, eq.counters) << label;
+
+    const SolveOutcome bias_seed = malformed(biased);
+    const SolveOutcome got_bias =
+        run_solve(dev, [&](st::DriftDiffusionSolver& s) {
+          s.solve_equilibrium();
+          s.try_solve_bias_seeded(0.3, 0.25, 0.0, 0.0, bias_seed.psi,
+                                  bias_seed.n, bias_seed.p);
+        });
+    expect_same_solve(got_bias, biased, label + " bias");
+    EXPECT_FALSE(got_bias.report.seed_used) << label;
+    EXPECT_EQ(got_bias.counters, biased.counters) << label;
+    EXPECT_EQ(got_bias.counters.at(so::names::kGummelRollbacks), 0u)
+        << label;
+  }
+}
+
+TEST(SeededSolve, DivergingSeedIsRolledBackBeforeTheRamp) {
+  // A seed that fits the mesh but sits 60 V above the solution, past the
+  // 50 V divergence guard, fails its single-shot solve and is rolled
+  // back. The ramp that follows starts from the held equilibrium, so it
+  // reaches the unseeded call's state and report bit for bit; the one
+  // rollback is the seed's.
+  const st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
+  const SolveOutcome want = run_solve(dev, [](st::DriftDiffusionSolver& s) {
+    s.try_solve_bias(0.3, 0.25);
+  });
+  ASSERT_TRUE(want.report.converged);
+  std::vector<double> seed_psi = want.psi;
+  for (double& v : seed_psi) v += 60.0;
+  const SolveOutcome got = run_solve(dev, [&](st::DriftDiffusionSolver& s) {
+    s.solve_equilibrium();
+    s.try_solve_bias_seeded(0.3, 0.25, 0.0, 0.0, seed_psi, want.n, want.p);
+  });
+  expect_same_solve(got, want, "diverging seed");
+  EXPECT_FALSE(got.report.seed_used);
+  EXPECT_EQ(got.counters.at(so::names::kGummelRollbacks),
+            want.counters.at(so::names::kGummelRollbacks) + 1);
 }
 
 // ---- cross-validation: TCAD reproduces the paper's S_S degradation ------------------
