@@ -96,7 +96,7 @@ bool DriftDiffusionSolver::fault_fires(
   if (f.stage != stage || fault_budget_ <= 0) return false;
   if (iteration < f.at_iteration) return false;
   double v = 0.0;
-  const auto it = biases.find(f.contact);
+  const auto it = biases.find("gate");
   if (it != biases.end()) v = std::abs(it->second);
   if (v < f.min_bias || v >= f.max_bias) return false;
   --fault_budget_;

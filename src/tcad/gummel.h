@@ -37,14 +37,13 @@ inline constexpr double kGummelDivergenceThreshold = 50.0;
 
 /// Deterministic fault injection for exercising the recovery paths in
 /// tests and soak runs. While `count` failures remain, any Gummel solve
-/// whose `contact` bias magnitude lies in [min_bias, max_bias) has the
+/// whose gate bias magnitude lies in [min_bias, max_bias) has the
 /// chosen stage forced to fail at outer iteration `at_iteration`.
 struct FaultInjection {
   SolveStage stage = SolveStage::kNone;  ///< kNone disables injection
   std::size_t at_iteration = 0;  ///< outer iteration that fails
   long count = 0;                ///< failures to inject before healing
-  std::string contact = "gate";  ///< contact whose bias gates the window
-  double min_bias = 0.0;         ///< |bias| window lower edge [V]
+  double min_bias = 0.0;         ///< |V_g| window lower edge [V]
   double max_bias = std::numeric_limits<double>::infinity();
   /// When true, the fault arms only inside the coarse-level solvers of
   /// mesh continuation, not the fine solver — the lever the

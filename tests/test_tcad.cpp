@@ -766,7 +766,6 @@ st::GummelOptions faulted_options(st::SolveStage stage, long count) {
   st::GummelOptions opt;
   opt.fault.stage = stage;
   opt.fault.count = count;
-  opt.fault.contact = "gate";
   opt.fault.min_bias = 0.18;
   opt.fault.max_bias = 0.22;
   return opt;
