@@ -236,9 +236,9 @@ struct SgBenchFixture {
   SgBenchFixture() {
     tcad::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
-    psi = solver.psi();
-    n0 = solver.electron_density();
-    p0 = solver.hole_density();
+    psi = solver.state().psi;
+    n0 = solver.state().n;
+    p0 = solver.state().p;
   }
 };
 
@@ -352,7 +352,7 @@ void BM_TcadEquilibrium(benchmark::State& state) {
   for (auto _ : state) {
     tcad::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
-    benchmark::DoNotOptimize(solver.psi());
+    benchmark::DoNotOptimize(solver.state().psi);
   }
 }
 BENCHMARK(BM_TcadEquilibrium)->Unit(benchmark::kMillisecond);

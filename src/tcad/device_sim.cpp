@@ -75,18 +75,17 @@ bool decode_sweep(const std::vector<std::uint8_t>& bytes, SweepResult& out) {
 }
 
 std::vector<std::uint8_t> encode_state(
-    const std::map<std::string, double>& biases,
-    const std::vector<double>& psi, const std::vector<double>& n,
-    const std::vector<double>& p, std::uint64_t meshcont_levels) {
+    const std::map<std::string, double>& biases, const State& state,
+    std::uint64_t meshcont_levels) {
   cache::ByteWriter w;
   w.u64(biases.size());
   for (const auto& [name, v] : biases) {
     w.str(name);
     w.f64(v);
   }
-  w.f64_vector(psi);
-  w.f64_vector(n);
-  w.f64_vector(p);
+  w.f64_vector(state.psi);
+  w.f64_vector(state.n);
+  w.f64_vector(state.p);
   // Provenance trailer: the mesh-continuation levels of the solver
   // that produced this state. The key already discriminates configs;
   // the stamp makes a record auditable on its own, and its absence
@@ -97,9 +96,8 @@ std::vector<std::uint8_t> encode_state(
 }
 
 bool decode_state(const std::vector<std::uint8_t>& bytes,
-                  std::map<std::string, double>& biases,
-                  std::vector<double>& psi, std::vector<double>& n,
-                  std::vector<double>& p, std::uint64_t& meshcont_levels) {
+                  std::map<std::string, double>& biases, State& state,
+                  std::uint64_t& meshcont_levels) {
   cache::ByteReader r(bytes);
   std::uint64_t n_contacts = 0;
   if (!r.u64(n_contacts) || n_contacts > 16) return false;
@@ -109,7 +107,8 @@ bool decode_state(const std::vector<std::uint8_t>& bytes,
     if (!r.str(name) || !r.f64(v)) return false;
     biases[name] = v;
   }
-  if (!r.f64_vector(psi) || !r.f64_vector(n) || !r.f64_vector(p)) {
+  if (!r.f64_vector(state.psi) || !r.f64_vector(state.n) ||
+      !r.f64_vector(state.p)) {
     return false;
   }
   if (!r.u64(meshcont_levels)) return false;
@@ -168,9 +167,7 @@ TcadDevice::TcadDevice(const compact::DeviceSpec& spec,
     } catch (const std::exception&) {
       // A spec whose coarse replica cannot even be meshed just loses
       // the accelerator (counted), never the solve.
-      if (obs::MetricsRegistry* sink = run_.sink(); sink != nullptr) {
-        sink->counter(obs::names::kMeshContFallbacks).add(1);
-      }
+      count_meshcont_fallback();
     }
   }
   // Fault injection exercises the recovery paths; replaying cached
@@ -188,58 +185,45 @@ TcadDevice::TcadDevice(const compact::DeviceSpec& spec,
     const obs::ScopedSpan span(run_.span_sink(),
                                obs::names::spans::kCachePublish);
     cache_->store(eq_key, cache::PayloadKind::kState,
-                  encode_state(solver_.biases(), solver_.psi(),
-                               solver_.electron_density(),
-                               solver_.hole_density(),
+                  encode_state(solver_.biases(), solver_.state(),
                                gummel_options_.mesh_continuation_levels));
     return;
   }
   cold_equilibrium();
 }
 
-void TcadDevice::cold_equilibrium() {
-  if (meshcont_ != nullptr) {
-    std::vector<double> psi;
-    std::vector<double> n;
-    std::vector<double> p;
-    if (meshcont_->equilibrium_guess(dev_, psi, n, p)) {
-      if (!solver_.solve_equilibrium_with_guess(psi, n, p)) {
-        // Converged anyway (via the neutral-guess ladder) — the seed
-        // just didn't help; record that it fell back.
-        if (obs::MetricsRegistry* sink = run_.sink(); sink != nullptr) {
-          sink->counter(obs::names::kMeshContFallbacks).add(1);
-        }
-      }
-      return;
-    }
+void TcadDevice::count_meshcont_fallback() const {
+  if (obs::MetricsRegistry* sink = run_.sink(); sink != nullptr) {
+    sink->counter(obs::names::kMeshContFallbacks).add(1);
   }
-  solver_.solve_equilibrium();
+}
+
+void TcadDevice::cold_equilibrium() {
+  State guess;
+  const bool seeded =
+      meshcont_ != nullptr && meshcont_->equilibrium_guess(dev_, guess);
+  const SolverReport& report =
+      solver_.solve_equilibrium(seeded ? &guess : nullptr);
+  // A seed the neutral-guess ladder had to replace fell back.
+  if (seeded && !report.seed_used) count_meshcont_fallback();
 }
 
 const SolverReport& TcadDevice::solve_point(double svg, double svd) {
+  State guess;
+  bool seeded = false;
   if (meshcont_ != nullptr) {
     const std::map<std::string, double>& cur = solver_.biases();
     const double gap = std::max(std::abs(svg - bias_of(cur, "gate")),
                                 std::abs(svd - bias_of(cur, "drain")));
     // A gap the fine ramp covers in one or two steps is cheaper solved
     // directly than via the coarse cascade.
-    if (gap > 2.0 * gummel_options_.bias_step) {
-      std::vector<double> psi;
-      std::vector<double> n;
-      std::vector<double> p;
-      if (meshcont_->bias_guess(svg, svd, 0.0, 0.0, dev_, psi, n, p)) {
-        const SolverReport& report =
-            solver_.try_solve_bias_seeded(svg, svd, 0.0, 0.0, psi, n, p);
-        if (!report.seed_used) {
-          if (obs::MetricsRegistry* sink = run_.sink(); sink != nullptr) {
-            sink->counter(obs::names::kMeshContFallbacks).add(1);
-          }
-        }
-        return report;
-      }
-    }
+    seeded = gap > 2.0 * gummel_options_.bias_step &&
+             meshcont_->bias_guess(svg, svd, 0.0, 0.0, dev_, guess);
   }
-  return solver_.try_solve_bias(svg, svd, 0.0, 0.0);
+  const SolverReport& report =
+      solver_.try_solve_bias(svg, svd, 0.0, 0.0, seeded ? &guess : nullptr);
+  if (seeded && !report.seed_used) count_meshcont_fallback();
+  return report;
 }
 
 bool TcadDevice::restore_cached_state(const cache::HashKey& key) {
@@ -249,13 +233,10 @@ bool TcadDevice::restore_cached_state(const cache::HashKey& key) {
       cache_->lookup(key, cache::PayloadKind::kState);
   if (payload == nullptr) return false;
   std::map<std::string, double> biases;
-  std::vector<double> psi;
-  std::vector<double> n;
-  std::vector<double> p;
+  State state;
   std::uint64_t stamp = 0;
-  if (!decode_state(payload->bytes, biases, psi, n, p, stamp)) return false;
-  return solver_.adopt_state(biases, std::move(psi), std::move(n),
-                             std::move(p));
+  if (!decode_state(payload->bytes, biases, state, stamp)) return false;
+  return solver_.adopt_state(biases, std::move(state));
 }
 
 void TcadDevice::publish_state() {
@@ -267,8 +248,7 @@ void TcadDevice::publish_state() {
   cache_->store(
       cache::state_key(device_key_, at.vg, at.vd, at.vs, at.vb),
       cache::PayloadKind::kState,
-      encode_state(biases, solver_.psi(), solver_.electron_density(),
-                   solver_.hole_density(),
+      encode_state(biases, solver_.state(),
                    gummel_options_.mesh_continuation_levels));
 
   // Register the point in the per-device warm-start index

@@ -142,13 +142,14 @@ class TcadDevice {
   /// target (solver-frame volts), if one is strictly nearer than the
   /// state the solver already holds.
   void warm_start_toward(double vg, double vd);
-  /// Equilibrium with mesh-continuation seeding when configured; plain
-  /// solve_equilibrium otherwise.
+  /// Equilibrium, seeded by mesh continuation when configured.
   void cold_equilibrium();
-  /// One bias point (solver-frame volts): routes through the
-  /// mesh-continuation seeded path when the bias gap is large enough to
-  /// need a multi-step fine ramp, else plain try_solve_bias.
+  /// One bias point (solver-frame volts), seeded by mesh continuation
+  /// when the bias gap is large enough to need a multi-step fine ramp.
   const SolverReport& solve_point(double svg, double svd);
+  /// Counts one mesh-continuation fallback: a cascade that could not be
+  /// built or solved, or a seed the fine solver could not use.
+  void count_meshcont_fallback() const;
 
   DeviceStructure dev_;
   exec::RunContext run_;

@@ -84,9 +84,9 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
           ? 0
           : options_.fault.count;
   const std::size_t n_nodes = dev_.mesh().node_count();
-  psi_.assign(n_nodes, 0.0);
-  n_.assign(n_nodes, 0.0);
-  p_.assign(n_nodes, 0.0);
+  state_.psi.assign(n_nodes, 0.0);
+  state_.n.assign(n_nodes, 0.0);
+  state_.p.assign(n_nodes, 0.0);
 }
 
 bool DriftDiffusionSolver::fault_fires(
@@ -104,24 +104,70 @@ bool DriftDiffusionSolver::fault_fires(
   return true;
 }
 
-void DriftDiffusionSolver::solve_equilibrium() {
+namespace {
+
+/// True when the state holds one finite psi, n and p per mesh node: the
+/// check every externally supplied state (a cache restore or a seed)
+/// must pass before the solver takes it.
+bool fits_mesh(std::size_t n_nodes, const State& s) {
+  if (s.psi.size() != n_nodes || s.n.size() != n_nodes ||
+      s.p.size() != n_nodes) {
+    return false;
+  }
+  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
+    if (!std::isfinite(s.psi[idx]) || !std::isfinite(s.n[idx]) ||
+        !std::isfinite(s.p[idx])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+const SolverReport& DriftDiffusionSolver::solve_equilibrium(
+    const State* guess) {
+  const std::size_t n_nodes = dev_.mesh().node_count();
+  if (guess != nullptr && fits_mesh(n_nodes, *guess)) {
+    const obs::ScopedSpan span(prof_,
+                               obs::names::spans::kGummelEquilibrium);
+    biases_ = {{"gate", 0.0}, {"drain", 0.0}, {"source", 0.0},
+               {"bulk", 0.0}};
+    report_ = SolverReport{};
+    report_.target = biases_;
+    state_ = *guess;
+    const GummelOutcome out = gummel_at(biases_, kInitialDamping);
+    report_.total_gummel_iterations = out.iterations;
+    report_.final_residual = out.residual;
+    report_.final_damping = kInitialDamping;
+    if (out.status == SolveStatus::kConverged) {
+      solved_ = true;
+      report_.seed_used = true;
+      return report_;
+    }
+    // The ladder below rebuilds its own neutral guess, so a failed seed
+    // costs nothing but the attempt.
+  }
+
   const obs::ScopedSpan span(prof_,
                              obs::names::spans::kGummelEquilibrium);
-  const std::size_t n_nodes = dev_.mesh().node_count();
   const double ni = dev_.ni();
   const double vt = dev_.vt();
+  std::vector<double>& psi = state_.psi;
+  std::vector<double>& n = state_.n;
+  std::vector<double>& p = state_.p;
 
   // Charge-neutral initial guess; carriers at their neutral values.
   const auto neutral_guess = [&] {
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
       if (dev_.is_silicon(idx)) {
-        psi_[idx] = physics::neutral_potential(dev_.net_doping()[idx], ni, vt);
-        n_[idx] = boltzmann_n(psi_[idx], 0.0, ni, vt);
-        p_[idx] = boltzmann_p(psi_[idx], 0.0, ni, vt);
+        psi[idx] = physics::neutral_potential(dev_.net_doping()[idx], ni, vt);
+        n[idx] = boltzmann_n(psi[idx], 0.0, ni, vt);
+        p[idx] = boltzmann_p(psi[idx], 0.0, ni, vt);
       } else {
-        psi_[idx] = 0.0;
-        n_[idx] = 0.0;
-        p_[idx] = 0.0;
+        psi[idx] = 0.0;
+        n[idx] = 0.0;
+        p[idx] = 0.0;
       }
     }
   };
@@ -138,7 +184,7 @@ void DriftDiffusionSolver::solve_equilibrium() {
     report_.final_damping = damping;
     if (out.status == SolveStatus::kConverged) {
       solved_ = true;
-      return;
+      return report_;
     }
     ++report_.retries;
     if (ins_.retries != nullptr) ins_.retries->add(1);
@@ -161,38 +207,13 @@ void DriftDiffusionSolver::solve_equilibrium() {
   }
 }
 
-namespace {
-
-/// True when psi/n/p each hold one finite value per mesh node: the
-/// check every externally supplied state (a cache restore or a
-/// mesh-continuation guess) must pass before the solver takes it.
-bool state_matches_mesh(std::size_t n_nodes, const std::vector<double>& psi,
-                        const std::vector<double>& n,
-                        const std::vector<double>& p) {
-  if (psi.size() != n_nodes || n.size() != n_nodes || p.size() != n_nodes) {
-    return false;
-  }
-  for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-    if (!std::isfinite(psi[idx]) || !std::isfinite(n[idx]) ||
-        !std::isfinite(p[idx])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool DriftDiffusionSolver::adopt_state(
-    const std::map<std::string, double>& biases, std::vector<double> psi,
-    std::vector<double> n, std::vector<double> p) {
-  if (!state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) return false;
+    const std::map<std::string, double>& biases, State state) {
+  if (!fits_mesh(dev_.mesh().node_count(), state)) return false;
   for (const char* contact : {"gate", "drain", "source", "bulk"}) {
     if (biases.find(contact) == biases.end()) return false;
   }
-  psi_ = std::move(psi);
-  n_ = std::move(n);
-  p_ = std::move(p);
+  state_ = std::move(state);
   biases_ = biases;
   solved_ = true;
   report_ = SolverReport{};
@@ -203,11 +224,34 @@ bool DriftDiffusionSolver::adopt_state(
 const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
                                                          double vd,
                                                          double vs,
-                                                         double vb) {
+                                                         double vb,
+                                                         const State* seed) {
   if (!solved_) solve_equilibrium();
-  const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
   const std::map<std::string, double> target = {
       {"gate", vg}, {"drain", vd}, {"source", vs}, {"bulk", vb}};
+  if (seed != nullptr && fits_mesh(dev_.mesh().node_count(), *seed)) {
+    const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
+    const State snap = state_;
+    state_ = *seed;
+    report_ = SolverReport{};
+    report_.target = target;
+    const GummelOutcome out = gummel_at(target, kInitialDamping);
+    report_.total_gummel_iterations = out.iterations;
+    report_.final_residual = out.residual;
+    report_.final_bias_step = options_.bias_step;
+    report_.final_damping = kInitialDamping;
+    if (out.status == SolveStatus::kConverged) {
+      biases_ = target;
+      report_.continuation_steps = 1;
+      report_.seed_used = true;
+      if (ins_.continuation_steps != nullptr) ins_.continuation_steps->add(1);
+      return report_;
+    }
+    state_ = snap;
+    if (ins_.rollbacks != nullptr) ins_.rollbacks->add(1);
+  }
+
+  const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
   report_ = SolverReport{};
   report_.target = target;
 
@@ -238,9 +282,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
       trial[name] = biases_[name] + frac * (v - biases_[name]);
     }
 
-    const std::vector<double> snap_psi = psi_;
-    const std::vector<double> snap_n = n_;
-    const std::vector<double> snap_p = p_;
+    const State snap = state_;
     const GummelOutcome out = gummel_at(trial, damping);
     report_.total_gummel_iterations += out.iterations;
     report_.final_residual = out.residual;
@@ -255,9 +297,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
       continue;
     }
 
-    psi_ = snap_psi;
-    n_ = snap_n;
-    p_ = snap_p;
+    state_ = snap;
     ++report_.retries;
     if (ins_.rollbacks != nullptr) ins_.rollbacks->add(1);
     if (ins_.retries != nullptr) ins_.retries->add(1);
@@ -284,74 +324,6 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
   report_.final_bias_step = step;
   report_.final_damping = damping;
   return report_;
-}
-
-bool DriftDiffusionSolver::solve_equilibrium_with_guess(
-    const std::vector<double>& psi, const std::vector<double>& n,
-    const std::vector<double>& p) {
-  if (state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
-    const obs::ScopedSpan span(prof_,
-                               obs::names::spans::kGummelEquilibrium);
-    biases_ = {{"gate", 0.0}, {"drain", 0.0}, {"source", 0.0},
-               {"bulk", 0.0}};
-    report_ = SolverReport{};
-    report_.target = biases_;
-    psi_ = psi;
-    n_ = n;
-    p_ = p;
-    const GummelOutcome out = gummel_at(biases_, kInitialDamping);
-    report_.total_gummel_iterations = out.iterations;
-    report_.final_residual = out.residual;
-    report_.final_damping = kInitialDamping;
-    if (out.status == SolveStatus::kConverged) {
-      solved_ = true;
-      report_.seed_used = true;
-      return true;
-    }
-  }
-  // The cold ladder rebuilds its own neutral guess, so a failed or
-  // malformed seed costs nothing but the attempt.
-  solve_equilibrium();
-  return false;
-}
-
-const SolverReport& DriftDiffusionSolver::try_solve_bias_seeded(
-    double vg, double vd, double vs, double vb,
-    const std::vector<double>& psi, const std::vector<double>& n,
-    const std::vector<double>& p) {
-  if (!solved_) solve_equilibrium();
-  if (state_matches_mesh(dev_.mesh().node_count(), psi, n, p)) {
-    const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
-    const std::map<std::string, double> target = {
-        {"gate", vg}, {"drain", vd}, {"source", vs}, {"bulk", vb}};
-    const std::vector<double> snap_psi = std::move(psi_);
-    const std::vector<double> snap_n = std::move(n_);
-    const std::vector<double> snap_p = std::move(p_);
-    const std::map<std::string, double> snap_biases = biases_;
-    psi_ = psi;
-    n_ = n;
-    p_ = p;
-    report_ = SolverReport{};
-    report_.target = target;
-    const GummelOutcome out = gummel_at(target, kInitialDamping);
-    report_.total_gummel_iterations = out.iterations;
-    report_.final_residual = out.residual;
-    report_.final_bias_step = options_.bias_step;
-    report_.final_damping = kInitialDamping;
-    if (out.status == SolveStatus::kConverged) {
-      biases_ = target;
-      report_.continuation_steps = 1;
-      report_.seed_used = true;
-      if (ins_.continuation_steps != nullptr) ins_.continuation_steps->add(1);
-      return report_;
-    }
-    psi_ = snap_psi;
-    n_ = snap_n;
-    p_ = snap_p;
-    biases_ = snap_biases;
-    if (ins_.rollbacks != nullptr) ins_.rollbacks->add(1);
-  }
-  return try_solve_bias(vg, vd, vs, vb);
 }
 
 DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at(
@@ -394,6 +366,10 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
   const double ni = dev_.ni();
   const double vt = dev_.vt();
 
+  std::vector<double>& psi = state_.psi;
+  std::vector<double>& n = state_.n;
+  std::vector<double>& p = state_.p;
+
   std::vector<double> phi_n(n_nodes, 0.0);
   std::vector<double> phi_p(n_nodes, 0.0);
   std::vector<double> psi_prev(n_nodes, 0.0);
@@ -407,17 +383,17 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
         phi_p[idx] = 0.0;
         continue;
       }
-      const double nn = std::max(n_[idx], 1e-20 * ni);
-      const double pp = std::max(p_[idx], 1e-20 * ni);
-      phi_n[idx] = psi_[idx] - vt * std::log(nn / ni);
-      phi_p[idx] = psi_[idx] + vt * std::log(pp / ni);
+      const double nn = std::max(n[idx], 1e-20 * ni);
+      const double pp = std::max(p[idx], 1e-20 * ni);
+      phi_n[idx] = psi[idx] - vt * std::log(nn / ni);
+      phi_p[idx] = psi[idx] + vt * std::log(pp / ni);
     }
 
-    psi_prev = psi_;
+    psi_prev = psi;
     PoissonResult pres = [&] {
       const obs::ScopedSpan poisson_span(
           prof_, obs::names::spans::kGummelPoisson);
-      return solve_poisson(dev_, biases, phi_n, phi_p, psi_,
+      return solve_poisson(dev_, biases, phi_n, phi_p, psi,
                            options_.poisson, prof_, &poisson_workspace_);
     }();
     if (ins_.poisson_newton_iterations != nullptr) {
@@ -450,7 +426,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     if (damping < 1.0) {
       for (std::size_t idx = 0; idx < n_nodes; ++idx) {
         if (!m.contact_of(idx).empty()) continue;
-        psi_[idx] = psi_prev[idx] + damping * (psi_[idx] - psi_prev[idx]);
+        psi[idx] = psi_prev[idx] + damping * (psi[idx] - psi_prev[idx]);
       }
     }
 
@@ -458,10 +434,10 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       const obs::ScopedSpan continuity_span(
           prof_, obs::names::spans::kGummelContinuity);
       ContinuityResult electron =
-          solve_continuity(dev_, physics::Carrier::kElectron, psi_, p_, n_,
+          solve_continuity(dev_, physics::Carrier::kElectron, psi, p, n,
                            prof_, &sg_workspace_);
       const ContinuityResult hole =
-          solve_continuity(dev_, physics::Carrier::kHole, psi_, n_, p_,
+          solve_continuity(dev_, physics::Carrier::kHole, psi, n, p,
                            prof_, &sg_workspace_);
       return std::make_pair(electron, hole);
     }();
@@ -488,8 +464,8 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     dpsi = 0.0;
     double max_psi = 0.0;
     for (std::size_t idx = 0; idx < n_nodes; ++idx) {
-      dpsi = std::max(dpsi, std::abs(psi_[idx] - psi_prev[idx]));
-      max_psi = std::max(max_psi, std::abs(psi_[idx]));
+      dpsi = std::max(dpsi, std::abs(psi[idx] - psi_prev[idx]));
+      max_psi = std::max(max_psi, std::abs(psi[idx]));
     }
     sample.psi_update = dpsi;
     if (trajectory != nullptr) trajectory->samples.push_back(sample);
@@ -527,10 +503,10 @@ double DriftDiffusionSolver::terminal_current(
     const auto accumulate = [&](std::size_t nb, double dist, double area) {
       if (!dev_.silicon_edge(idx, nb)) return;
       if (m.contact_of(nb) == contact) return;  // internal to the contact
-      current += edge_current(dev_, physics::Carrier::kElectron, psi_, n_,
-                              idx, nb, dist, area);
-      current += edge_current(dev_, physics::Carrier::kHole, psi_, p_, idx,
-                              nb, dist, area);
+      current += edge_current(dev_, physics::Carrier::kElectron, state_.psi,
+                              state_.n, idx, nb, dist, area);
+      current += edge_current(dev_, physics::Carrier::kHole, state_.psi,
+                              state_.p, idx, nb, dist, area);
     };
     if (i > 0) {
       accumulate(m.index(i - 1, j), m.x(i) - m.x(i - 1),

@@ -77,8 +77,19 @@ struct GummelOptions {
   void validate() const;
 };
 
-/// Owns the solution state (psi, n, p) for one device and advances it
-/// between bias points.
+/// One solution of the drift–diffusion system, one value per mesh node.
+struct State {
+  std::vector<double> psi;  ///< electrostatic potential [V]
+  std::vector<double> n;    ///< electron density [1/m^3], 0 off silicon
+  std::vector<double> p;    ///< hole density [1/m^3], 0 off silicon
+};
+
+/// Owns the solution state for one device and advances it between bias
+/// points. Both solve entry points take an optional seed: a state (a
+/// mesh-continuation prolongation) tried once at the target before the
+/// ordinary path. A seed that does not fit the mesh (wrong size or a
+/// non-finite value) is ignored; one that fails is rolled back. Either
+/// way the ordinary path then runs exactly as it does without a seed.
 class DriftDiffusionSolver {
  public:
   /// Validates `options` and `ctx` (throws std::invalid_argument on bad
@@ -90,61 +101,44 @@ class DriftDiffusionSolver {
                                 const GummelOptions& options = {},
                                 const exec::RunContext& ctx = {});
 
-  /// Solve the zero-bias problem from a charge-neutral initial guess.
-  /// Throws SolverError (an std::runtime_error) on non-convergence —
-  /// without equilibrium there is no state to continue from.
-  void solve_equilibrium();
+  /// Solve the zero-bias problem. A fitting `guess` is tried first at
+  /// full damping; without one, or when it fails, the charge-neutral
+  /// guess runs the damping ladder. The report's seed_used says which
+  /// path landed. Throws SolverError (an std::runtime_error) on
+  /// non-convergence — without equilibrium there is no state to
+  /// continue from.
+  const SolverReport& solve_equilibrium(const State* guess = nullptr);
 
-  /// Ramp contacts from the previously solved bias point to the given
-  /// biases (volts at gate/drain/source/bulk) and solve. Returns the
-  /// report (also retrievable later via last_report()). On failure the
-  /// state is rolled back to the last-good bias point, so a sweep can
-  /// skip the point and continue.
+  /// Solve at the given biases (volts at gate/drain/source/bulk). A
+  /// fitting `seed` is tried in one shot at the target, skipping the
+  /// continuation ramp; without one, or when it fails, contacts ramp
+  /// from the previously solved bias point. Returns the report (also
+  /// retrievable later via last_report()). On failure the state is
+  /// rolled back to the last-good bias point, so a sweep can skip the
+  /// point and continue.
   const SolverReport& try_solve_bias(double vg, double vd, double vs = 0.0,
-                                     double vb = 0.0);
-
-  /// Like solve_equilibrium but starting from an externally supplied
-  /// guess (a mesh-continuation prolongation). Returns true when the
-  /// guess converged on the first attempt; on any failure the normal
-  /// neutral-guess retry ladder takes over (so this never converges to
-  /// a different answer than solve_equilibrium — only faster or not).
-  /// Throws SolverError exactly when solve_equilibrium would.
-  bool solve_equilibrium_with_guess(const std::vector<double>& psi,
-                                    const std::vector<double>& n,
-                                    const std::vector<double>& p);
-
-  /// Like try_solve_bias but first attempts a single-shot solve AT the
-  /// target from the supplied guess (a coarse-mesh solution prolonged
-  /// onto this mesh), skipping the continuation ramp entirely. On
-  /// failure — or a malformed guess — the state is restored and the
-  /// normal ramp runs; report().seed_used records which path landed.
-  const SolverReport& try_solve_bias_seeded(double vg, double vd, double vs,
-                                            double vb,
-                                            const std::vector<double>& psi,
-                                            const std::vector<double>& n,
-                                            const std::vector<double>& p);
+                                     double vb = 0.0,
+                                     const State* seed = nullptr);
 
   /// Terminal current of a contact [A per metre of width]; positive =
   /// conventional current flowing from the contact into the device.
   double terminal_current(const std::string& contact) const;
 
-  const std::vector<double>& psi() const { return psi_; }
-  const std::vector<double>& electron_density() const { return n_; }
-  const std::vector<double>& hole_density() const { return p_; }
+  /// The currently held solution.
+  const State& state() const { return state_; }
   /// Contact biases of the currently held solution [V].
   const std::map<std::string, double>& biases() const { return biases_; }
   const DeviceStructure& structure() const { return dev_; }
 
   /// Replace the solver state with an externally supplied solved
   /// solution (the solve-cache restore / warm-start path). Returns
-  /// false — leaving the state untouched — when the vectors do not
-  /// match the mesh or contain non-finite values; on success the solver
-  /// behaves exactly as if it had just converged at `biases`
-  /// (subsequent bias ramps continue from here). The iteration counters
-  /// of the report are zero: no solver work was done.
+  /// false — leaving the state untouched — when the state does not fit
+  /// the mesh; on success the solver behaves exactly as if it had just
+  /// converged at `biases` (subsequent bias ramps continue from here).
+  /// The iteration counters of the report are zero: no solver work was
+  /// done.
   bool adopt_state(const std::map<std::string, double>& biases,
-                   std::vector<double> psi, std::vector<double> n,
-                   std::vector<double> p);
+                   State state);
 
   /// Diagnostics of the most recent solve (equilibrium or bias ramp).
   const SolverReport& last_report() const { return report_; }
@@ -201,9 +195,7 @@ class DriftDiffusionSolver {
   Instruments ins_;
   obs::SpanProfiler* prof_ = nullptr;  ///< resolved once (span_sink())
   obs::ConvergenceRecorder* recorder_ = nullptr;  ///< opt-in, may be null
-  std::vector<double> psi_;
-  std::vector<double> n_;
-  std::vector<double> p_;
+  State state_;
   SgWorkspace sg_workspace_;  ///< amortized SG assembly tables/buffers
   /// Poisson stencil, buffers and held factor (dropped per Gummel solve)
   PoissonWorkspace poisson_workspace_;

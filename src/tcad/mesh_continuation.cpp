@@ -142,27 +142,25 @@ MeshContinuation::MeshContinuation(const compact::DeviceSpec& spec,
   }
 }
 
-void MeshContinuation::prolong_state(std::size_t from_level,
-                                     const DeviceStructure& to,
-                                     std::vector<double>& psi,
-                                     std::vector<double>& n,
-                                     std::vector<double>& p) {
+State MeshContinuation::prolong(std::size_t level,
+                                const DeviceStructure& to) {
   const obs::ScopedSpan span(prof_, obs::names::spans::kMeshContProlong);
-  const DriftDiffusionSolver& solver = *levels_[from_level].solver;
-  const mesh::TensorMesh2d& cm = levels_[from_level].dev->mesh();
+  const State& from = levels_[level].solver->state();
+  const mesh::TensorMesh2d& cm = levels_[level].dev->mesh();
   const double floor = 1e-20 * to.ni();
-  psi = prolong_bilinear(cm, to.mesh(), solver.psi());
-  n = prolong_log_density(cm, to.mesh(), solver.electron_density(), floor);
-  p = prolong_log_density(cm, to.mesh(), solver.hole_density(), floor);
+  State s{prolong_bilinear(cm, to.mesh(), from.psi),
+          prolong_log_density(cm, to.mesh(), from.n, floor),
+          prolong_log_density(cm, to.mesh(), from.p, floor)};
   // Carriers live in silicon only; interpolation across the material
   // boundary may have smeared the oxide floor into these entries.
   for (std::size_t idx = 0; idx < to.mesh().node_count(); ++idx) {
     if (!to.is_silicon(idx)) {
-      n[idx] = 0.0;
-      p[idx] = 0.0;
+      s.n[idx] = 0.0;
+      s.p[idx] = 0.0;
     }
   }
   if (prolongations_counter_ != nullptr) prolongations_counter_->add(1);
+  return s;
 }
 
 bool MeshContinuation::ensure_equilibrium() {
@@ -172,15 +170,9 @@ bool MeshContinuation::ensure_equilibrium() {
   try {
     for (std::size_t k = 0; k < levels_.size(); ++k) {
       if (levels_counter_ != nullptr) levels_counter_->add(1);
-      if (k == 0) {
-        levels_[k].solver->solve_equilibrium();
-      } else {
-        std::vector<double> psi;
-        std::vector<double> n;
-        std::vector<double> p;
-        prolong_state(k - 1, *levels_[k].dev, psi, n, p);
-        levels_[k].solver->solve_equilibrium_with_guess(psi, n, p);
-      }
+      State guess;
+      if (k > 0) guess = prolong(k - 1, *levels_[k].dev);
+      levels_[k].solver->solve_equilibrium(k > 0 ? &guess : nullptr);
     }
     equilibrium_ok_ = true;
   } catch (const SolverError&) {
@@ -191,36 +183,25 @@ bool MeshContinuation::ensure_equilibrium() {
 }
 
 bool MeshContinuation::equilibrium_guess(const DeviceStructure& fine,
-                                         std::vector<double>& psi,
-                                         std::vector<double>& n,
-                                         std::vector<double>& p) {
+                                         State& guess) {
   if (levels_.empty() || !ensure_equilibrium()) return false;
-  prolong_state(levels_.size() - 1, fine, psi, n, p);
+  guess = prolong(levels_.size() - 1, fine);
   return true;
 }
 
 bool MeshContinuation::bias_guess(double vg, double vd, double vs, double vb,
                                   const DeviceStructure& fine,
-                                  std::vector<double>& psi,
-                                  std::vector<double>& n,
-                                  std::vector<double>& p) {
+                                  State& guess) {
   if (levels_.empty() || !ensure_equilibrium()) return false;
   const obs::ScopedSpan span(prof_, obs::names::spans::kMeshContCoarse);
   try {
     for (std::size_t k = 0; k < levels_.size(); ++k) {
       if (levels_counter_ != nullptr) levels_counter_->add(1);
-      const SolverReport* report = nullptr;
-      if (k == 0) {
-        report = &levels_[k].solver->try_solve_bias(vg, vd, vs, vb);
-      } else {
-        std::vector<double> gp;
-        std::vector<double> gn;
-        std::vector<double> gpp;
-        prolong_state(k - 1, *levels_[k].dev, gp, gn, gpp);
-        report = &levels_[k].solver->try_solve_bias_seeded(vg, vd, vs, vb,
-                                                           gp, gn, gpp);
-      }
-      if (!report->converged) {
+      State seed;
+      if (k > 0) seed = prolong(k - 1, *levels_[k].dev);
+      if (!levels_[k]
+               .solver->try_solve_bias(vg, vd, vs, vb, k > 0 ? &seed : nullptr)
+               .converged) {
         if (fallbacks_counter_ != nullptr) fallbacks_counter_->add(1);
         return false;
       }
@@ -229,7 +210,7 @@ bool MeshContinuation::bias_guess(double vg, double vd, double vs, double vb,
     if (fallbacks_counter_ != nullptr) fallbacks_counter_->add(1);
     return false;
   }
-  prolong_state(levels_.size() - 1, fine, psi, n, p);
+  guess = prolong(levels_.size() - 1, fine);
   return true;
 }
 

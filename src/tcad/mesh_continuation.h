@@ -71,17 +71,14 @@ class MeshContinuation {
 
   /// Solve the equilibrium cascade (once; subsequent calls reuse it)
   /// and prolong onto `fine`. False = some coarse level failed
-  /// (counted); out-params untouched.
-  bool equilibrium_guess(const DeviceStructure& fine,
-                         std::vector<double>& psi, std::vector<double>& n,
-                         std::vector<double>& p);
+  /// (counted); `guess` untouched.
+  bool equilibrium_guess(const DeviceStructure& fine, State& guess);
 
   /// Ramp the cascade to the target bias (solver-frame volts) and
   /// prolong the finest coarse solution onto `fine`. Coarse levels keep
   /// their state between calls, so a sweep pays incremental ramps only.
   bool bias_guess(double vg, double vd, double vs, double vb,
-                  const DeviceStructure& fine, std::vector<double>& psi,
-                  std::vector<double>& n, std::vector<double>& p);
+                  const DeviceStructure& fine, State& guess);
 
   std::size_t level_count() const { return levels_.size(); }
   /// Device structure of level k, coarsest first (test observability).
@@ -96,9 +93,8 @@ class MeshContinuation {
   };
 
   bool ensure_equilibrium();
-  void prolong_state(std::size_t from_level, const DeviceStructure& to,
-                     std::vector<double>& psi, std::vector<double>& n,
-                     std::vector<double>& p);
+  /// Level `level`'s solution prolonged onto `to`.
+  State prolong(std::size_t level, const DeviceStructure& to);
 
   std::vector<Level> levels_;  ///< coarsest first
   bool equilibrium_attempted_ = false;

@@ -98,9 +98,9 @@ inline Snapshot snapshot_under(const compact::DeviceSpec& spec,
   Snapshot s;
   for (std::size_t k = 0; k < points.size(); ++k) {
     s.id[k] = dev.id_at(points[k][0], points[k][1]);
-    s.psi[k] = dev.solver().psi();
-    s.n[k] = dev.solver().electron_density();
-    s.p[k] = dev.solver().hole_density();
+    s.psi[k] = dev.solver().state().psi;
+    s.n[k] = dev.solver().state().n;
+    s.p[k] = dev.solver().state().p;
   }
   s.pinned = pinned_nodes(dev.structure().mesh());
   return s;

@@ -147,7 +147,7 @@ TEST(DriftDiffusion, EquilibriumMassActionInBulk) {
   const std::size_t j = m.y_grid().nearest_index(0.8 * dev.spec().geometry.substrate_depth);
   const std::size_t idx = m.index(i, j);
   ASSERT_TRUE(dev.is_silicon(idx));
-  const double np = solver.electron_density()[idx] * solver.hole_density()[idx];
+  const double np = solver.state().n[idx] * solver.state().p[idx];
   EXPECT_NEAR(np / ni2, 1.0, 0.05);
 }
 
@@ -326,16 +326,16 @@ TEST(ContinuityAssembly, MatchesPerNodeReferenceBitwise) {
   st::DriftDiffusionSolver solver(dev);
   solver.solve_equilibrium();
   ASSERT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
-  const std::vector<double>& psi = solver.psi();
+  const std::vector<double>& psi = solver.state().psi;
   st::SgWorkspace workspace;
   for (const sp::Carrier carrier :
        {sp::Carrier::kElectron, sp::Carrier::kHole}) {
     const bool electrons = carrier == sp::Carrier::kElectron;
     const std::string label = electrons ? "n" : "p";
     const std::vector<double>& own =
-        electrons ? solver.electron_density() : solver.hole_density();
+        electrons ? solver.state().n : solver.state().p;
     const std::vector<double>& other =
-        electrons ? solver.hole_density() : solver.electron_density();
+        electrons ? solver.state().p : solver.state().n;
     EdgeCoverage coverage;
     const std::vector<double> ref =
         reference_continuity(dev, carrier, psi, other, own, coverage);
@@ -522,16 +522,16 @@ TEST(PoissonAssembly, MatchesFullMeshReferenceBitwise) {
   std::vector<double> phi_p(n_nodes, 0.0);
   for (std::size_t idx = 0; idx < n_nodes; ++idx) {
     if (!dev.is_silicon(idx)) continue;
-    const double nn = std::max(solver.electron_density()[idx], 1e-20 * ni);
-    const double pp = std::max(solver.hole_density()[idx], 1e-20 * ni);
-    phi_n[idx] = solver.psi()[idx] - vt * std::log(nn / ni);
-    phi_p[idx] = solver.psi()[idx] + vt * std::log(pp / ni);
+    const double nn = std::max(solver.state().n[idx], 1e-20 * ni);
+    const double pp = std::max(solver.state().p[idx], 1e-20 * ni);
+    phi_n[idx] = solver.state().psi[idx] - vt * std::log(nn / ni);
+    phi_p[idx] = solver.state().psi[idx] + vt * std::log(pp / ni);
   }
 
   ReferenceFactor held(dev.mesh());
   st::PoissonWorkspace workspace;
-  std::vector<double> want = solver.psi();
-  std::vector<double> got = solver.psi();
+  std::vector<double> want = solver.state().psi;
+  std::vector<double> got = solver.state().psi;
   std::size_t iterations = 0;
   std::size_t factorizations = 0;
   for (const double vd : {0.55, 0.6}) {
@@ -581,9 +581,9 @@ struct BiasedState {
     st::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
     EXPECT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
-    psi = solver.psi();
-    n = solver.electron_density();
-    p = solver.hole_density();
+    psi = solver.state().psi;
+    n = solver.state().n;
+    p = solver.state().p;
   }
 };
 
@@ -971,9 +971,9 @@ struct EquilibriumState {
   EquilibriumState() {
     st::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
-    psi = solver.psi();
-    n = solver.electron_density();
-    p = solver.hole_density();
+    psi = solver.state().psi;
+    n = solver.state().n;
+    p = solver.state().p;
   }
   /// A silicon node that is no contact, in the channel.
   std::size_t free_silicon_node() const {
@@ -1054,20 +1054,17 @@ TEST(PoissonWorkspace, BiasSolveAfterAdoptedEquilibriumMatchesTheColdOne) {
   st::DriftDiffusionSolver cold(dev);
   cold.solve_equilibrium();
   st::DriftDiffusionSolver adopted(dev);
-  ASSERT_TRUE(adopted.adopt_state(cold.biases(), cold.psi(),
-                                  cold.electron_density(),
-                                  cold.hole_density()));
+  ASSERT_TRUE(adopted.adopt_state(cold.biases(), cold.state()));
   ASSERT_TRUE(cold.try_solve_bias(0.3, 0.25).converged);
   ASSERT_TRUE(adopted.try_solve_bias(0.3, 0.25).converged);
   EXPECT_EQ(adopted.last_report().total_gummel_iterations,
             cold.last_report().total_gummel_iterations);
-  EXPECT_EQ(first_bit_difference(adopted.psi(), cold.psi()),
-            cold.psi().size());
-  EXPECT_EQ(first_bit_difference(adopted.electron_density(),
-                                 cold.electron_density()),
-            cold.psi().size());
-  EXPECT_EQ(first_bit_difference(adopted.hole_density(), cold.hole_density()),
-            cold.psi().size());
+  EXPECT_EQ(first_bit_difference(adopted.state().psi, cold.state().psi),
+            cold.state().psi.size());
+  EXPECT_EQ(first_bit_difference(adopted.state().n, cold.state().n),
+            cold.state().psi.size());
+  EXPECT_EQ(first_bit_difference(adopted.state().p, cold.state().p),
+            cold.state().psi.size());
   const double id_cold = cold.terminal_current("drain");
   const double id_adopted = adopted.terminal_current("drain");
   EXPECT_EQ(std::memcmp(&id_cold, &id_adopted, sizeof(double)), 0);
@@ -1120,7 +1117,7 @@ namespace {
 /// What one solve leaves behind: the solver's state, bias point and
 /// report, and every counter it published.
 struct SolveOutcome {
-  std::vector<double> psi, n, p;
+  st::State state;
   std::map<std::string, double> biases;
   st::SolverReport report;
   std::map<std::string, std::uint64_t> counters;
@@ -1134,9 +1131,8 @@ SolveOutcome run_solve(const st::DeviceStructure& dev, Solve&& solve) {
   ctx.metrics = &reg;
   st::DriftDiffusionSolver solver(dev, {}, ctx);
   solve(solver);
-  SolveOutcome out{solver.psi(), solver.electron_density(),
-                   solver.hole_density(), solver.biases(),
-                   solver.last_report(), {}};
+  SolveOutcome out{solver.state(), solver.biases(), solver.last_report(),
+                   {}};
   for (const auto& [name, value] : reg.snapshot().counters) {
     out.counters[name] = value;
   }
@@ -1150,11 +1146,12 @@ bool same_bits(double a, double b) {
 /// The state, bias point and report of `got` equal `want`'s bit for bit.
 void expect_same_solve(const SolveOutcome& got, const SolveOutcome& want,
                        const std::string& label) {
-  ASSERT_EQ(got.psi.size(), want.psi.size()) << label;
-  EXPECT_EQ(first_bit_difference(got.psi, want.psi), want.psi.size())
-      << label;
-  EXPECT_EQ(first_bit_difference(got.n, want.n), want.n.size()) << label;
-  EXPECT_EQ(first_bit_difference(got.p, want.p), want.p.size()) << label;
+  const st::State& gs = got.state;
+  const st::State& ws = want.state;
+  ASSERT_EQ(gs.psi.size(), ws.psi.size()) << label;
+  EXPECT_EQ(first_bit_difference(gs.psi, ws.psi), ws.psi.size()) << label;
+  EXPECT_EQ(first_bit_difference(gs.n, ws.n), ws.n.size()) << label;
+  EXPECT_EQ(first_bit_difference(gs.p, ws.p), ws.p.size()) << label;
   EXPECT_EQ(got.biases, want.biases) << label;
   const st::SolverReport& g = got.report;
   const st::SolverReport& w = want.report;
@@ -1187,11 +1184,11 @@ TEST(SeededSolve, SeedThatDoesNotFitTheMeshIsIgnored) {
     s.try_solve_bias(0.3, 0.25);
   });
   ASSERT_TRUE(biased.report.converged);
-  const std::size_t node = biased.psi.size() / 2;
+  const std::size_t node = biased.state.psi.size() / 2;
   for (const bool nan_seed : {false, true}) {
     const std::string label = nan_seed ? "NaN seed" : "short seed";
     const auto malformed = [&](const SolveOutcome& from) {
-      SolveOutcome seed = from;
+      st::State seed = from.state;
       if (nan_seed) {
         seed.n[node] = std::nan("");
       } else {
@@ -1199,22 +1196,20 @@ TEST(SeededSolve, SeedThatDoesNotFitTheMeshIsIgnored) {
       }
       return seed;
     };
-    const SolveOutcome eq_seed = malformed(eq);
+    const st::State eq_seed = malformed(eq);
     const SolveOutcome got_eq =
         run_solve(dev, [&](st::DriftDiffusionSolver& s) {
-          EXPECT_FALSE(s.solve_equilibrium_with_guess(
-              eq_seed.psi, eq_seed.n, eq_seed.p));
+          EXPECT_FALSE(s.solve_equilibrium(&eq_seed).seed_used);
         });
     expect_same_solve(got_eq, eq, label + " equilibrium");
     EXPECT_FALSE(got_eq.report.seed_used) << label;
     EXPECT_EQ(got_eq.counters, eq.counters) << label;
 
-    const SolveOutcome bias_seed = malformed(biased);
+    const st::State bias_seed = malformed(biased);
     const SolveOutcome got_bias =
         run_solve(dev, [&](st::DriftDiffusionSolver& s) {
           s.solve_equilibrium();
-          s.try_solve_bias_seeded(0.3, 0.25, 0.0, 0.0, bias_seed.psi,
-                                  bias_seed.n, bias_seed.p);
+          s.try_solve_bias(0.3, 0.25, 0.0, 0.0, &bias_seed);
         });
     expect_same_solve(got_bias, biased, label + " bias");
     EXPECT_FALSE(got_bias.report.seed_used) << label;
@@ -1235,11 +1230,11 @@ TEST(SeededSolve, DivergingSeedIsRolledBackBeforeTheRamp) {
     s.try_solve_bias(0.3, 0.25);
   });
   ASSERT_TRUE(want.report.converged);
-  std::vector<double> seed_psi = want.psi;
-  for (double& v : seed_psi) v += 60.0;
+  st::State seed = want.state;
+  for (double& v : seed.psi) v += 60.0;
   const SolveOutcome got = run_solve(dev, [&](st::DriftDiffusionSolver& s) {
     s.solve_equilibrium();
-    s.try_solve_bias_seeded(0.3, 0.25, 0.0, 0.0, seed_psi, want.n, want.p);
+    s.try_solve_bias(0.3, 0.25, 0.0, 0.0, &seed);
   });
   expect_same_solve(got, want, "diverging seed");
   EXPECT_FALSE(got.report.seed_used);
@@ -1397,11 +1392,11 @@ TEST(PoissonWorkspace, RebindsWhenTheDeviceChanges) {
   for (const st::DeviceStructure* dev : {&dev90, &dev65, &dev90}) {
     st::DriftDiffusionSolver solver(*dev);
     solver.solve_equilibrium();
-    const std::vector<double> zero(solver.psi().size(), 0.0);
-    std::vector<double> psi = solver.psi();
+    const std::vector<double> zero(solver.state().psi.size(), 0.0);
+    std::vector<double> psi = solver.state().psi;
     const st::PoissonResult got = st::solve_poisson(
         *dev, biases, zero, zero, psi, {}, nullptr, &carried);
-    std::vector<double> want_psi = solver.psi();
+    std::vector<double> want_psi = solver.state().psi;
     const st::PoissonResult want =
         st::solve_poisson(*dev, biases, zero, zero, want_psi);
     ASSERT_TRUE(want.converged);
@@ -1570,16 +1565,14 @@ TEST(MeshContinuationProlongation, SameMeshRoundTripReconvergesImmediately) {
   st::TcadDevice dev(nfet_90(), st::kCoarseMesh);
   dev.id_at(0.3, 0.25);
   const auto& m = dev.structure().mesh();
-  const auto psi = st::prolong_bilinear(m, m, dev.solver().psi());
   const double floor = 1e-20 * dev.structure().ni();
-  const auto n =
-      st::prolong_log_density(m, m, dev.solver().electron_density(), floor);
-  const auto p =
-      st::prolong_log_density(m, m, dev.solver().hole_density(), floor);
+  const st::State seed{
+      st::prolong_bilinear(m, m, dev.solver().state().psi),
+      st::prolong_log_density(m, m, dev.solver().state().n, floor),
+      st::prolong_log_density(m, m, dev.solver().state().p, floor)};
 
   st::DriftDiffusionSolver fresh(dev.structure());
-  const auto& report = fresh.try_solve_bias_seeded(0.3, 0.25, 0.0, 0.0,
-                                                   psi, n, p);
+  const auto& report = fresh.try_solve_bias(0.3, 0.25, 0.0, 0.0, &seed);
   EXPECT_TRUE(report.seed_used);
   EXPECT_LE(report.total_gummel_iterations, 2u);
 }
