@@ -65,7 +65,11 @@ namespace subscale::cache {
 /// (a chord step), which moves converged values in the last digits.
 /// Sweep records drop each point's wall time with the same bump, so a
 /// v9 sweep record is never decoded under the shorter layout.
-inline constexpr std::uint64_t kTcadKeySchema = 10;
+/// v11: a bias point is (V_g, V_d) with source and bulk grounded. State
+/// keys hash the two, state records drop their contact-bias map (the
+/// key is the bias point) and bias-index entries are (vg, vd); the
+/// states themselves are bitwise those of v10.
+inline constexpr std::uint64_t kTcadKeySchema = 11;
 
 inline void hash_append(KeyHasher& h, const doping::MosfetGeometry& g) {
   h.tag("geom")
@@ -140,10 +144,10 @@ inline HashKey sweep_key(const HashKey& device_key, double vd,
 }
 
 /// Solver state (psi, n, p) at one solved bias point on that device.
-inline HashKey state_key(const HashKey& device_key, double vg, double vd,
-                         double vs, double vb) {
+inline HashKey state_key(const HashKey& device_key,
+                         const tcad::BiasPoint& bias) {
   KeyHasher h(device_key);
-  h.tag("state").f64(vg).f64(vd).f64(vs).f64(vb);
+  h.tag("state").f64(bias.vg).f64(bias.vd);
   return h.key();
 }
 

@@ -1,5 +1,6 @@
 #include "tcad/device_sim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -14,19 +15,12 @@ namespace subscale::tcad {
 
 namespace {
 
-/// One warm-start index entry: a solved bias point (solver frame).
-struct BiasPoint {
-  double vg = 0.0;
-  double vd = 0.0;
-  double vs = 0.0;
-  double vb = 0.0;
-};
-
 // ---- payload codecs ---------------------------------------------------
 // All doubles travel as raw bit patterns (cache::ByteWriter), so replay
 // is bitwise-exact. Decoders return false on any structural mismatch;
 // the caller treats that as a miss and recomputes. A sweep record holds
-// no wall time, so the same key always publishes the same bytes.
+// no wall time, so the same key always publishes the same bytes. A state
+// record holds no bias point: its key is the bias point.
 
 std::vector<std::uint8_t> encode_sweep(const SweepResult& r) {
   cache::ByteWriter w;
@@ -74,15 +68,9 @@ bool decode_sweep(const std::vector<std::uint8_t>& bytes, SweepResult& out) {
   return r.exhausted();
 }
 
-std::vector<std::uint8_t> encode_state(
-    const std::map<std::string, double>& biases, const State& state,
-    std::uint64_t meshcont_levels) {
+std::vector<std::uint8_t> encode_state(const State& state,
+                                       std::uint64_t meshcont_levels) {
   cache::ByteWriter w;
-  w.u64(biases.size());
-  for (const auto& [name, v] : biases) {
-    w.str(name);
-    w.f64(v);
-  }
   w.f64_vector(state.psi);
   w.f64_vector(state.n);
   w.f64_vector(state.p);
@@ -95,18 +83,9 @@ std::vector<std::uint8_t> encode_state(
   return w.take();
 }
 
-bool decode_state(const std::vector<std::uint8_t>& bytes,
-                  std::map<std::string, double>& biases, State& state,
+bool decode_state(const std::vector<std::uint8_t>& bytes, State& state,
                   std::uint64_t& meshcont_levels) {
   cache::ByteReader r(bytes);
-  std::uint64_t n_contacts = 0;
-  if (!r.u64(n_contacts) || n_contacts > 16) return false;
-  for (std::uint64_t i = 0; i < n_contacts; ++i) {
-    std::string name;
-    double v = 0.0;
-    if (!r.str(name) || !r.f64(v)) return false;
-    biases[name] = v;
-  }
   if (!r.f64_vector(state.psi) || !r.f64_vector(state.n) ||
       !r.f64_vector(state.p)) {
     return false;
@@ -115,6 +94,8 @@ bool decode_state(const std::vector<std::uint8_t>& bytes,
   return r.exhausted();
 }
 
+/// The warm-start index: every solved bias point (solver frame) of one
+/// device that has a state record.
 std::vector<std::uint8_t> encode_bias_index(
     const std::vector<BiasPoint>& points) {
   cache::ByteWriter w;
@@ -122,8 +103,6 @@ std::vector<std::uint8_t> encode_bias_index(
   for (const BiasPoint& b : points) {
     w.f64(b.vg);
     w.f64(b.vd);
-    w.f64(b.vs);
-    w.f64(b.vb);
   }
   return w.take();
 }
@@ -135,17 +114,9 @@ bool decode_bias_index(const std::vector<std::uint8_t>& bytes,
   if (!r.u64(n) || n > bytes.size()) return false;
   out.resize(static_cast<std::size_t>(n));
   for (BiasPoint& b : out) {
-    if (!r.f64(b.vg) || !r.f64(b.vd) || !r.f64(b.vs) || !r.f64(b.vb)) {
-      return false;
-    }
+    if (!r.f64(b.vg) || !r.f64(b.vd)) return false;
   }
   return r.exhausted();
-}
-
-double bias_of(const std::map<std::string, double>& biases,
-               const char* contact) {
-  const auto it = biases.find(contact);
-  return it != biases.end() ? it->second : 0.0;
 }
 
 }  // namespace
@@ -178,14 +149,14 @@ TcadDevice::TcadDevice(const compact::DeviceSpec& spec,
   if (cache_ != nullptr) {
     device_key_ =
         cache::device_solve_key(spec, mesh_options, gummel_options);
-    const cache::HashKey eq_key =
-        cache::state_key(device_key_, 0.0, 0.0, 0.0, 0.0);
-    if (restore_cached_state(eq_key)) return;
+    const BiasPoint equilibrium;
+    if (restore_cached_state(equilibrium)) return;
     cold_equilibrium();
     const obs::ScopedSpan span(run_.span_sink(),
                                obs::names::spans::kCachePublish);
-    cache_->store(eq_key, cache::PayloadKind::kState,
-                  encode_state(solver_.biases(), solver_.state(),
+    cache_->store(cache::state_key(device_key_, equilibrium),
+                  cache::PayloadKind::kState,
+                  encode_state(solver_.state(),
                                gummel_options_.mesh_continuation_levels));
     return;
   }
@@ -208,48 +179,43 @@ void TcadDevice::cold_equilibrium() {
   if (seeded && !report.seed_used) count_meshcont_fallback();
 }
 
-const SolverReport& TcadDevice::solve_point(double svg, double svd) {
+const SolverReport& TcadDevice::solve_point(const BiasPoint& target) {
   State guess;
   bool seeded = false;
   if (meshcont_ != nullptr) {
-    const std::map<std::string, double>& cur = solver_.biases();
-    const double gap = std::max(std::abs(svg - bias_of(cur, "gate")),
-                                std::abs(svd - bias_of(cur, "drain")));
+    const BiasPoint& cur = solver_.bias();
+    const double gap = std::max(std::abs(target.vg - cur.vg),
+                                std::abs(target.vd - cur.vd));
     // A gap the fine ramp covers in one or two steps is cheaper solved
     // directly than via the coarse cascade.
     seeded = gap > 2.0 * gummel_options_.bias_step &&
-             meshcont_->bias_guess(svg, svd, 0.0, 0.0, dev_, guess);
+             meshcont_->bias_guess(target, dev_, guess);
   }
   const SolverReport& report =
-      solver_.try_solve_bias(svg, svd, 0.0, 0.0, seeded ? &guess : nullptr);
+      solver_.try_solve_bias(target, seeded ? &guess : nullptr);
   if (seeded && !report.seed_used) count_meshcont_fallback();
   return report;
 }
 
-bool TcadDevice::restore_cached_state(const cache::HashKey& key) {
+bool TcadDevice::restore_cached_state(const BiasPoint& at) {
   const obs::ScopedSpan span(run_.span_sink(),
                              obs::names::spans::kCacheLookup);
-  const std::shared_ptr<const cache::Payload> payload =
-      cache_->lookup(key, cache::PayloadKind::kState);
+  const std::shared_ptr<const cache::Payload> payload = cache_->lookup(
+      cache::state_key(device_key_, at), cache::PayloadKind::kState);
   if (payload == nullptr) return false;
-  std::map<std::string, double> biases;
   State state;
   std::uint64_t stamp = 0;
-  if (!decode_state(payload->bytes, biases, state, stamp)) return false;
-  return solver_.adopt_state(biases, std::move(state));
+  if (!decode_state(payload->bytes, state, stamp)) return false;
+  return solver_.adopt_state(at, std::move(state));
 }
 
 void TcadDevice::publish_state() {
-  const std::map<std::string, double>& biases = solver_.biases();
-  const BiasPoint at{bias_of(biases, "gate"), bias_of(biases, "drain"),
-                     bias_of(biases, "source"), bias_of(biases, "bulk")};
+  const BiasPoint at = solver_.bias();
   const obs::ScopedSpan span(run_.span_sink(),
                              obs::names::spans::kCachePublish);
-  cache_->store(
-      cache::state_key(device_key_, at.vg, at.vd, at.vs, at.vb),
-      cache::PayloadKind::kState,
-      encode_state(biases, solver_.state(),
-                   gummel_options_.mesh_continuation_levels));
+  cache_->store(cache::state_key(device_key_, at), cache::PayloadKind::kState,
+                encode_state(solver_.state(),
+                             gummel_options_.mesh_continuation_levels));
 
   // Register the point in the per-device warm-start index
   // (read-modify-write; concurrent writers last-win, which at worst
@@ -262,32 +228,30 @@ void TcadDevice::publish_state() {
       existing != nullptr) {
     decode_bias_index(existing->bytes, index);
   }
-  for (const BiasPoint& b : index) {
-    if (b.vg == at.vg && b.vd == at.vd && b.vs == at.vs && b.vb == at.vb) {
-      return;  // already indexed
-    }
+  if (std::find(index.begin(), index.end(), at) != index.end()) {
+    return;  // already indexed
   }
   index.push_back(at);
   cache_->store(index_key, cache::PayloadKind::kBiasIndex,
                 encode_bias_index(index));
 }
 
-void TcadDevice::warm_start_toward(double vg, double vd) {
+void TcadDevice::warm_start_toward(const BiasPoint& target) {
   const std::shared_ptr<const cache::Payload> payload = cache_->lookup(
       cache::bias_index_key(device_key_), cache::PayloadKind::kBiasIndex);
   if (payload == nullptr) return;
   std::vector<BiasPoint> index;
   if (!decode_bias_index(payload->bytes, index) || index.empty()) return;
 
-  const auto d2_of = [&](double bvg, double bvd, double bvs, double bvb) {
-    const double dg = bvg - vg;
-    const double dd = bvd - vd;
-    return dg * dg + dd * dd + bvs * bvs + bvb * bvb;
+  const auto d2_of = [&target](const BiasPoint& b) {
+    const double dg = b.vg - target.vg;
+    const double dd = b.vd - target.vd;
+    return dg * dg + dd * dd;
   };
   const BiasPoint* best = nullptr;
   double best_d2 = 0.0;
   for (const BiasPoint& b : index) {
-    const double d2 = d2_of(b.vg, b.vd, b.vs, b.vb);
+    const double d2 = d2_of(b);
     if (best == nullptr || d2 < best_d2) {
       best = &b;
       best_d2 = d2;
@@ -295,19 +259,12 @@ void TcadDevice::warm_start_toward(double vg, double vd) {
   }
   // Only adopt a state strictly nearer to the first sweep target than
   // where the solver already sits (normally: at equilibrium).
-  const std::map<std::string, double>& cur = solver_.biases();
-  const double cur_d2 =
-      d2_of(bias_of(cur, "gate"), bias_of(cur, "drain"),
-            bias_of(cur, "source"), bias_of(cur, "bulk"));
-  if (best == nullptr || best_d2 >= cur_d2) return;
-  if (restore_cached_state(cache::state_key(device_key_, best->vg, best->vd,
-                                            best->vs, best->vb))) {
-    cache_->note_warmstart();
-  }
+  if (best == nullptr || best_d2 >= d2_of(solver_.bias())) return;
+  if (restore_cached_state(*best)) cache_->note_warmstart();
 }
 
 double TcadDevice::id_at(double vg, double vd) {
-  const SolverReport& report = solve_point(sign_ * vg, sign_ * vd);
+  const SolverReport& report = solve_point({sign_ * vg, sign_ * vd});
   if (!report.converged) throw SolverError(report);
   return sign_ * solver_.terminal_current("drain");
 }
@@ -335,7 +292,7 @@ SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
       if (decode_sweep(payload->bytes, cached)) return cached;
     }
     if (cache_->warm_start_enabled()) {
-      warm_start_toward(sign_ * vg_start, sign_ * vd);
+      warm_start_toward({sign_ * vg_start, sign_ * vd});
     }
   }
 
@@ -352,7 +309,7 @@ SweepResult TcadDevice::id_vg(double vd, double vg_start, double vg_stop,
     }
     const obs::ScopedSpan point_span(prof, obs::names::spans::kSweepPoint);
     obs::ScopedTimer timer(sink, obs::names::kSweepPointMs);
-    const SolverReport& report = solve_point(sign_ * vg, sign_ * vd);
+    const SolverReport& report = solve_point({sign_ * vg, sign_ * vd});
     const double wall_ms = timer.stop();
     result.timings.push_back({vg, wall_ms, report.total_gummel_iterations,
                               report.retries, report.converged});

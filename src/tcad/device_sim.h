@@ -132,21 +132,21 @@ class TcadDevice {
   }
 
  private:
-  /// Restore solver state from the cache record at `key`; false on
-  /// miss or on a record that fails validation.
-  bool restore_cached_state(const cache::HashKey& key);
+  /// Restore the solver state cached at bias point `at` (solver frame);
+  /// false on miss or on a record that fails validation.
+  bool restore_cached_state(const BiasPoint& at);
   /// Publish the solver's current converged state and register its bias
   /// point in the per-device warm-start index.
   void publish_state();
-  /// Seed the solver from the nearest cached bias state to the given
-  /// target (solver-frame volts), if one is strictly nearer than the
-  /// state the solver already holds.
-  void warm_start_toward(double vg, double vd);
+  /// Seed the solver from the nearest cached bias state to `target`
+  /// (solver frame), if one is strictly nearer than the state the solver
+  /// already holds.
+  void warm_start_toward(const BiasPoint& target);
   /// Equilibrium, seeded by mesh continuation when configured.
   void cold_equilibrium();
   /// One bias point (solver-frame volts), seeded by mesh continuation
   /// when the bias gap is large enough to need a multi-step fine ramp.
-  const SolverReport& solve_point(double svg, double svd);
+  const SolverReport& solve_point(const BiasPoint& target);
   /// Counts one mesh-continuation fallback: a cascade that could not be
   /// built or solved, or a seed the fine solver could not use.
   void count_meshcont_fallback() const;

@@ -89,15 +89,13 @@ DriftDiffusionSolver::DriftDiffusionSolver(const DeviceStructure& dev,
   state_.p.assign(n_nodes, 0.0);
 }
 
-bool DriftDiffusionSolver::fault_fires(
-    SolveStage stage, std::size_t iteration,
-    const std::map<std::string, double>& biases) {
+bool DriftDiffusionSolver::fault_fires(SolveStage stage,
+                                       std::size_t iteration,
+                                       const BiasPoint& bias) {
   const FaultInjection& f = options_.fault;
   if (f.stage != stage || fault_budget_ <= 0) return false;
   if (iteration < f.at_iteration) return false;
-  double v = 0.0;
-  const auto it = biases.find("gate");
-  if (it != biases.end()) v = std::abs(it->second);
+  const double v = std::abs(bias.vg);
   if (v < f.min_bias || v >= f.max_bias) return false;
   --fault_budget_;
   if (ins_.faults_injected != nullptr) ins_.faults_injected->add(1);
@@ -131,12 +129,11 @@ const SolverReport& DriftDiffusionSolver::solve_equilibrium(
   if (guess != nullptr && fits_mesh(n_nodes, *guess)) {
     const obs::ScopedSpan span(prof_,
                                obs::names::spans::kGummelEquilibrium);
-    biases_ = {{"gate", 0.0}, {"drain", 0.0}, {"source", 0.0},
-               {"bulk", 0.0}};
+    bias_ = BiasPoint{};
     report_ = SolverReport{};
-    report_.target = biases_;
+    report_.target = bias_;
     state_ = *guess;
-    const GummelOutcome out = gummel_at(biases_, kInitialDamping);
+    const GummelOutcome out = gummel_at(bias_, kInitialDamping);
     report_.total_gummel_iterations = out.iterations;
     report_.final_residual = out.residual;
     report_.final_damping = kInitialDamping;
@@ -171,14 +168,14 @@ const SolverReport& DriftDiffusionSolver::solve_equilibrium(
       }
     }
   };
-  biases_ = {{"gate", 0.0}, {"drain", 0.0}, {"source", 0.0}, {"bulk", 0.0}};
+  bias_ = BiasPoint{};
   report_ = SolverReport{};
-  report_.target = biases_;
+  report_.target = bias_;
 
   double damping = kInitialDamping;
   while (true) {
     neutral_guess();
-    const GummelOutcome out = gummel_at(biases_, damping);
+    const GummelOutcome out = gummel_at(bias_, damping);
     report_.total_gummel_iterations += out.iterations;
     report_.final_residual = out.residual;
     report_.final_damping = damping;
@@ -188,7 +185,7 @@ const SolverReport& DriftDiffusionSolver::solve_equilibrium(
     }
     ++report_.retries;
     if (ins_.retries != nullptr) ins_.retries->add(1);
-    report_.failures.push_back({biases_, out.stage, out.status,
+    report_.failures.push_back({bias_, out.stage, out.status,
                                 out.iterations, out.stage_iterations,
                                 out.residual, 0.0, damping});
     if (damping > kMinDamping) {
@@ -201,34 +198,25 @@ const SolverReport& DriftDiffusionSolver::solve_equilibrium(
     report_.converged = false;
     report_.failed_stage = out.stage;
     report_.status = out.status;
-    report_.failed_biases = biases_;
+    report_.failed_at = bias_;
     if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
     throw SolverError(report_);
   }
 }
 
-bool DriftDiffusionSolver::adopt_state(
-    const std::map<std::string, double>& biases, State state) {
+bool DriftDiffusionSolver::adopt_state(const BiasPoint& bias, State state) {
   if (!fits_mesh(dev_.mesh().node_count(), state)) return false;
-  for (const char* contact : {"gate", "drain", "source", "bulk"}) {
-    if (biases.find(contact) == biases.end()) return false;
-  }
   state_ = std::move(state);
-  biases_ = biases;
+  bias_ = bias;
   solved_ = true;
   report_ = SolverReport{};
-  report_.target = biases_;
+  report_.target = bias_;
   return true;
 }
 
-const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
-                                                         double vd,
-                                                         double vs,
-                                                         double vb,
-                                                         const State* seed) {
+const SolverReport& DriftDiffusionSolver::try_solve_bias(
+    const BiasPoint& target, const State* seed) {
   if (!solved_) solve_equilibrium();
-  const std::map<std::string, double> target = {
-      {"gate", vg}, {"drain", vd}, {"source", vs}, {"bulk", vb}};
   if (seed != nullptr && fits_mesh(dev_.mesh().node_count(), *seed)) {
     const obs::ScopedSpan span(prof_, obs::names::spans::kGummelBiasRamp);
     const State snap = state_;
@@ -241,7 +229,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
     report_.final_bias_step = options_.bias_step;
     report_.final_damping = kInitialDamping;
     if (out.status == SolveStatus::kConverged) {
-      biases_ = target;
+      bias_ = target;
       report_.continuation_steps = 1;
       report_.seed_used = true;
       if (ins_.continuation_steps != nullptr) ins_.continuation_steps->add(1);
@@ -255,39 +243,35 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
   report_ = SolverReport{};
   report_.target = target;
 
-  // Adaptive continuation: ramp every contact toward its target in
-  // bounded steps. A step that fails is rolled back to the last-good
+  // Adaptive continuation: ramp the gate and drain toward the target
+  // in bounded steps. A step that fails is rolled back to the last-good
   // state and retried with a halved step, then with tightened
   // under-relaxation; when both knobs hit their floors we give up and
   // leave the solver at the last converged bias point.
   double step = options_.bias_step;
   double damping = kInitialDamping;
   while (true) {
-    double max_gap = 0.0;
-    for (const auto& [name, v] : target) {
-      max_gap = std::max(max_gap, std::abs(v - biases_[name]));
-    }
+    const double max_gap = std::max(std::abs(target.vg - bias_.vg),
+                                    std::abs(target.vd - bias_.vd));
     if (max_gap == 0.0) break;
     if (report_.continuation_steps >= kMaxContinuationSteps) {
       report_.converged = false;
       report_.failed_stage = SolveStage::kGummel;
       report_.status = SolveStatus::kStalled;
-      report_.failed_biases = biases_;
+      report_.failed_at = bias_;
       if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
       break;
     }
     const double frac = std::min(1.0, step / max_gap);
-    std::map<std::string, double> trial = biases_;
-    for (const auto& [name, v] : target) {
-      trial[name] = biases_[name] + frac * (v - biases_[name]);
-    }
+    const BiasPoint trial{bias_.vg + frac * (target.vg - bias_.vg),
+                          bias_.vd + frac * (target.vd - bias_.vd)};
 
     const State snap = state_;
     const GummelOutcome out = gummel_at(trial, damping);
     report_.total_gummel_iterations += out.iterations;
     report_.final_residual = out.residual;
     if (out.status == SolveStatus::kConverged) {
-      biases_ = trial;
+      bias_ = trial;
       ++report_.continuation_steps;
       if (ins_.continuation_steps != nullptr) {
         ins_.continuation_steps->add(1);
@@ -316,7 +300,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
       report_.converged = false;
       report_.failed_stage = out.stage;
       report_.status = out.status;
-      report_.failed_biases = trial;
+      report_.failed_at = trial;
       if (ins_.failed_solves != nullptr) ins_.failed_solves->add(1);
       break;
     }
@@ -327,7 +311,7 @@ const SolverReport& DriftDiffusionSolver::try_solve_bias(double vg,
 }
 
 DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at(
-    const std::map<std::string, double>& biases, double damping) {
+    const BiasPoint& bias, double damping) {
   const obs::ScopedSpan span(prof_, obs::names::spans::kGummelSolve);
   // Each solve starts without a held Poisson factor, so its answer
   // depends only on its starting state and its bias: a state restored
@@ -336,15 +320,11 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at(
   obs::SolveTrajectory trajectory;
   obs::SolveTrajectory* traj_ptr = nullptr;
   if (recorder_ != nullptr) {
-    const auto bias_of = [&biases](const char* contact) {
-      const auto it = biases.find(contact);
-      return it != biases.end() ? it->second : 0.0;
-    };
-    trajectory.vg = bias_of("gate");
-    trajectory.vd = bias_of("drain");
+    trajectory.vg = bias.vg;
+    trajectory.vd = bias.vd;
     traj_ptr = &trajectory;
   }
-  const GummelOutcome out = gummel_at_impl(biases, damping, traj_ptr);
+  const GummelOutcome out = gummel_at_impl(bias, damping, traj_ptr);
   if (traj_ptr != nullptr) {
     trajectory.converged = out.status == SolveStatus::kConverged;
     recorder_->commit(std::move(trajectory));
@@ -359,8 +339,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at(
 }
 
 DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
-    const std::map<std::string, double>& biases, double damping,
-    obs::SolveTrajectory* trajectory) {
+    const BiasPoint& bias, double damping, obs::SolveTrajectory* trajectory) {
   const auto& m = dev_.mesh();
   const std::size_t n_nodes = m.node_count();
   const double ni = dev_.ni();
@@ -393,7 +372,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     PoissonResult pres = [&] {
       const obs::ScopedSpan poisson_span(
           prof_, obs::names::spans::kGummelPoisson);
-      return solve_poisson(dev_, biases, phi_n, phi_p, psi,
+      return solve_poisson(dev_, bias, phi_n, phi_p, psi,
                            options_.poisson, prof_, &poisson_workspace_);
     }();
     if (ins_.poisson_newton_iterations != nullptr) {
@@ -410,7 +389,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
     sample.poisson_iterations = static_cast<std::uint32_t>(pres.iterations);
     sample.continuity_max_density = kUnreached;
     sample.psi_update = kUnreached;
-    if (fault_fires(SolveStage::kPoisson, it, biases)) {
+    if (fault_fires(SolveStage::kPoisson, it, bias)) {
       pres.converged = false;
       pres.status = SolveStatus::kStalled;
     }
@@ -450,7 +429,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
       ins_.continuity_clamped_nodes->add(rn.clamped_nodes + rp.clamped_nodes);
     }
     SolveStatus rn_status = rn.status;
-    if (fault_fires(SolveStage::kContinuity, it, biases)) {
+    if (fault_fires(SolveStage::kContinuity, it, bias)) {
       rn_status = SolveStatus::kNonFinite;
     }
     if (rn_status != SolveStatus::kConverged ||
@@ -478,7 +457,7 @@ DriftDiffusionSolver::GummelOutcome DriftDiffusionSolver::gummel_at_impl(
               dpsi};
     }
     if (dpsi < options_.psi_tolerance) {
-      if (fault_fires(SolveStage::kGummel, it, biases)) {
+      if (fault_fires(SolveStage::kGummel, it, bias)) {
         return {SolveStatus::kStalled, SolveStage::kGummel, it + 1, it + 1,
                 dpsi};
       }

@@ -12,7 +12,6 @@
 /// equilibrium solves, which have no state to fall back to, throw.
 
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -109,15 +108,13 @@ class DriftDiffusionSolver {
   /// continue from.
   const SolverReport& solve_equilibrium(const State* guess = nullptr);
 
-  /// Solve at the given biases (volts at gate/drain/source/bulk). A
-  /// fitting `seed` is tried in one shot at the target, skipping the
-  /// continuation ramp; without one, or when it fails, contacts ramp
-  /// from the previously solved bias point. Returns the report (also
-  /// retrievable later via last_report()). On failure the state is
-  /// rolled back to the last-good bias point, so a sweep can skip the
-  /// point and continue.
-  const SolverReport& try_solve_bias(double vg, double vd, double vs = 0.0,
-                                     double vb = 0.0,
+  /// Solve at `target`. A fitting `seed` is tried in one shot at the
+  /// target, skipping the continuation ramp; without one, or when it
+  /// fails, the gate and drain ramp from the previously solved bias
+  /// point. Returns the report (also retrievable later via
+  /// last_report()). On failure the state is rolled back to the
+  /// last-good bias point, so a sweep can skip the point and continue.
+  const SolverReport& try_solve_bias(const BiasPoint& target,
                                      const State* seed = nullptr);
 
   /// Terminal current of a contact [A per metre of width]; positive =
@@ -126,19 +123,18 @@ class DriftDiffusionSolver {
 
   /// The currently held solution.
   const State& state() const { return state_; }
-  /// Contact biases of the currently held solution [V].
-  const std::map<std::string, double>& biases() const { return biases_; }
+  /// The bias point of the currently held solution.
+  const BiasPoint& bias() const { return bias_; }
   const DeviceStructure& structure() const { return dev_; }
 
   /// Replace the solver state with an externally supplied solved
   /// solution (the solve-cache restore / warm-start path). Returns
   /// false — leaving the state untouched — when the state does not fit
   /// the mesh; on success the solver behaves exactly as if it had just
-  /// converged at `biases` (subsequent bias ramps continue from here).
+  /// converged at `bias` (subsequent bias ramps continue from here).
   /// The iteration counters of the report are zero: no solver work was
   /// done.
-  bool adopt_state(const std::map<std::string, double>& biases,
-                   State state);
+  bool adopt_state(const BiasPoint& bias, State state);
 
   /// Diagnostics of the most recent solve (equilibrium or bias ramp).
   const SolverReport& last_report() const { return report_; }
@@ -159,15 +155,13 @@ class DriftDiffusionSolver {
   /// Publishing wrapper around gummel_at_impl: bumps the per-solve
   /// counters / histogram / residual gauge exactly once per outcome and,
   /// when a ConvergenceRecorder is wired, commits the solve's trajectory.
-  GummelOutcome gummel_at(const std::map<std::string, double>& biases,
-                          double damping);
+  GummelOutcome gummel_at(const BiasPoint& bias, double damping);
   /// `trajectory` (nullable) collects one ConvergenceSample per outer
   /// iteration; the caller owns it and commits it whole.
-  GummelOutcome gummel_at_impl(const std::map<std::string, double>& biases,
-                               double damping,
+  GummelOutcome gummel_at_impl(const BiasPoint& bias, double damping,
                                obs::SolveTrajectory* trajectory);
   bool fault_fires(SolveStage stage, std::size_t iteration,
-                   const std::map<std::string, double>& biases);
+                   const BiasPoint& bias);
 
   /// Registry instruments, resolved once at construction (all null when
   /// telemetry is off, so hot paths pay one branch per event).
@@ -199,7 +193,7 @@ class DriftDiffusionSolver {
   SgWorkspace sg_workspace_;  ///< amortized SG assembly tables/buffers
   /// Poisson stencil, buffers and held factor (dropped per Gummel solve)
   PoissonWorkspace poisson_workspace_;
-  std::map<std::string, double> biases_;
+  BiasPoint bias_;
   bool solved_ = false;
   SolverReport report_;
   long fault_budget_ = 0;

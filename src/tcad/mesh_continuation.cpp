@@ -189,7 +189,7 @@ bool MeshContinuation::equilibrium_guess(const DeviceStructure& fine,
   return true;
 }
 
-bool MeshContinuation::bias_guess(double vg, double vd, double vs, double vb,
+bool MeshContinuation::bias_guess(const BiasPoint& target,
                                   const DeviceStructure& fine,
                                   State& guess) {
   if (levels_.empty() || !ensure_equilibrium()) return false;
@@ -199,9 +199,9 @@ bool MeshContinuation::bias_guess(double vg, double vd, double vs, double vb,
       if (levels_counter_ != nullptr) levels_counter_->add(1);
       State seed;
       if (k > 0) seed = prolong(k - 1, *levels_[k].dev);
-      if (!levels_[k]
-               .solver->try_solve_bias(vg, vd, vs, vb, k > 0 ? &seed : nullptr)
-               .converged) {
+      const SolverReport& report =
+          levels_[k].solver->try_solve_bias(target, k > 0 ? &seed : nullptr);
+      if (!report.converged) {
         if (fallbacks_counter_ != nullptr) fallbacks_counter_->add(1);
         return false;
       }

@@ -74,11 +74,11 @@ class MeshContinuation {
   /// (counted); `guess` untouched.
   bool equilibrium_guess(const DeviceStructure& fine, State& guess);
 
-  /// Ramp the cascade to the target bias (solver-frame volts) and
-  /// prolong the finest coarse solution onto `fine`. Coarse levels keep
-  /// their state between calls, so a sweep pays incremental ramps only.
-  bool bias_guess(double vg, double vd, double vs, double vb,
-                  const DeviceStructure& fine, State& guess);
+  /// Ramp the cascade to `target` (solver-frame volts) and prolong the
+  /// finest coarse solution onto `fine`. Coarse levels keep their state
+  /// between calls, so a sweep pays incremental ramps only.
+  bool bias_guess(const BiasPoint& target, const DeviceStructure& fine,
+                  State& guess);
 
   std::size_t level_count() const { return levels_.size(); }
   /// Device structure of level k, coarsest first (test observability).

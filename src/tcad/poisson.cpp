@@ -146,7 +146,7 @@ void PoissonWorkspace::anchor(const std::vector<double>& psi,
 }
 
 PoissonResult solve_poisson(const DeviceStructure& dev,
-                            const std::map<std::string, double>& biases,
+                            const BiasPoint& bias,
                             const std::vector<double>& phi_n,
                             const std::vector<double>& phi_p,
                             std::vector<double>& psi,
@@ -167,13 +167,9 @@ PoissonResult solve_poisson(const DeviceStructure& dev,
 
   // Impose the Dirichlet values.
   for (const std::string& c : ws.contacts_) {
-    const auto it = biases.find(c);
-    if (it == biases.end()) {
-      throw std::invalid_argument("solve_poisson: missing bias for contact " +
-                                  c);
-    }
+    const double v = bias.of(c);
     for (const std::size_t idx : dev.mesh().contact_nodes(c)) {
-      psi[idx] = dev.contact_potential(idx, it->second);
+      psi[idx] = dev.contact_potential(idx, v);
     }
   }
   const mesh::RowMap& rows = ws.rows_;

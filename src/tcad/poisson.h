@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,7 +56,7 @@ class PoissonWorkspace;
 /// not an unknown.
 mesh::RowMap poisson_rows(const DeviceStructure& dev);
 
-/// Solve for psi in place. `biases` maps contact name -> applied voltage.
+/// Solve for psi in place, each contact held at its voltage in `bias`.
 /// phi_n/phi_p are per-node quasi-Fermi potentials (used in silicon).
 /// A non-null `profiler` records one "linalg.banded_ldlt.solve" span per
 /// Newton iteration (the direct-solver leaf of the TCAD span tree). A
@@ -65,7 +64,7 @@ mesh::RowMap poisson_rows(const DeviceStructure& dev);
 /// buffers across calls (see PoissonWorkspace); it is rebound
 /// automatically if `dev` changes.
 PoissonResult solve_poisson(const DeviceStructure& dev,
-                            const std::map<std::string, double>& biases,
+                            const BiasPoint& bias,
                             const std::vector<double>& phi_n,
                             const std::vector<double>& phi_p,
                             std::vector<double>& psi,
@@ -104,7 +103,7 @@ class PoissonWorkspace {
 
  private:
   friend PoissonResult solve_poisson(const DeviceStructure&,
-                                     const std::map<std::string, double>&,
+                                     const BiasPoint&,
                                      const std::vector<double>&,
                                      const std::vector<double>&,
                                      std::vector<double>&,

@@ -1,6 +1,7 @@
 #include "tcad/solver_status.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace subscale::tcad {
 
@@ -32,27 +33,29 @@ const char* to_string(SolveStatus status) {
   return "unknown";
 }
 
+double BiasPoint::of(const std::string& contact) const {
+  if (contact == "gate") return vg;
+  if (contact == "drain") return vd;
+  if (contact == "source" || contact == "bulk") return 0.0;
+  throw std::invalid_argument("BiasPoint: no bias for contact '" + contact +
+                              "'");
+}
+
 std::string SolverReport::summary() const {
-  std::string biases;
-  for (const auto& [name, v] : (converged ? target : failed_biases)) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " %s=%.4gV", name.c_str(), v);
-    biases += buf;
-  }
+  const BiasPoint& at = converged ? target : failed_at;
   char buf[256];
   if (converged) {
     std::snprintf(buf, sizeof(buf),
-                  "converged at%s (%zu continuation steps, %zu retries, "
-                  "%zu Gummel iterations)",
-                  biases.empty() ? " equilibrium" : biases.c_str(),
-                  continuation_steps, retries, total_gummel_iterations);
+                  "converged at gate=%.4gV drain=%.4gV (%zu continuation "
+                  "steps, %zu retries, %zu Gummel iterations)",
+                  at.vg, at.vd, continuation_steps, retries,
+                  total_gummel_iterations);
   } else {
     std::snprintf(buf, sizeof(buf),
-                  "%s %s at%s (%zu retries, final step %.4gV, damping "
-                  "%.3g, residual %.3g V)",
-                  to_string(failed_stage), to_string(status),
-                  biases.empty() ? " equilibrium" : biases.c_str(), retries,
-                  final_bias_step, final_damping, final_residual);
+                  "%s %s at gate=%.4gV drain=%.4gV (%zu retries, final step "
+                  "%.4gV, damping %.3g, residual %.3g V)",
+                  to_string(failed_stage), to_string(status), at.vg, at.vd,
+                  retries, final_bias_step, final_damping, final_residual);
   }
   return buf;
 }

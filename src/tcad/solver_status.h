@@ -12,7 +12,6 @@
 /// the bad point, and keep going.
 
 #include <cstddef>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,10 +37,25 @@ enum class SolveStatus {
 const char* to_string(SolveStage stage);
 const char* to_string(SolveStatus status);
 
+/// A bias point: the gate and drain voltages with source and bulk
+/// grounded, the only bias the paper's I_d–V_g characterization applies
+/// and the only one any caller asks for.
+struct BiasPoint {
+  double vg = 0.0;  ///< gate [V]
+  double vd = 0.0;  ///< drain [V]
+
+  /// The voltage at `contact`: vg at the gate, vd at the drain, 0 at the
+  /// source and bulk. Throws std::invalid_argument naming any other
+  /// contact.
+  double of(const std::string& contact) const;
+
+  bool operator==(const BiasPoint&) const = default;
+};
+
 /// One rejected attempt at one continuation bias point (kept so the
 /// retry/backoff history is reconstructible from the report alone).
 struct AttemptRecord {
-  std::map<std::string, double> biases;  ///< the bias point attempted
+  BiasPoint bias;                        ///< the bias point attempted
   SolveStage stage = SolveStage::kNone;  ///< stage that failed
   SolveStatus status = SolveStatus::kConverged;
   std::size_t gummel_iterations = 0;  ///< outer iterations spent
@@ -56,8 +70,8 @@ struct SolverReport {
   bool converged = true;
   SolveStage failed_stage = SolveStage::kNone;
   SolveStatus status = SolveStatus::kConverged;
-  std::map<std::string, double> target;        ///< requested biases [V]
-  std::map<std::string, double> failed_biases; ///< point that gave up
+  BiasPoint target;     ///< requested bias point
+  BiasPoint failed_at;  ///< point that gave up
   std::size_t continuation_steps = 0;  ///< accepted bias steps
   std::size_t retries = 0;             ///< rejected attempts
   std::size_t total_gummel_iterations = 0;
@@ -70,7 +84,7 @@ struct SolverReport {
   std::vector<AttemptRecord> failures;  ///< every rejected attempt
 
   /// One-line human-readable digest, e.g.
-  /// "Poisson stalled at gate=0.20V drain=0.25V (3 retries, ...)".
+  /// "Poisson stalled at gate=0.2V drain=0.25V (3 retries, ...)".
   std::string summary() const;
 };
 

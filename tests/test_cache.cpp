@@ -222,7 +222,7 @@ TEST(CacheTcadKeys, DerivedKeysAreDistinct) {
   const sca::HashKey dev =
       sca::device_solve_key(nfet_90(), st::kCoarseMesh, {});
   const sca::HashKey sweep = sca::sweep_key(dev, 0.25, 0.0, 0.45, 10);
-  const sca::HashKey state = sca::state_key(dev, 0.0, 0.0, 0.0, 0.0);
+  const sca::HashKey state = sca::state_key(dev, st::BiasPoint{});
   const sca::HashKey index = sca::bias_index_key(dev);
   EXPECT_NE(sweep, dev);
   EXPECT_NE(state, dev);
@@ -890,11 +890,11 @@ TEST(SolveCache, StateRecordsCarryTheMeshContinuationStamp) {
   st::TcadDevice dev_meshcont(nfet_90(), st::kCoarseMesh, meshcont, ctx);
 
   const sca::HashKey key_plain = sca::state_key(
-      sca::device_solve_key(nfet_90(), st::kCoarseMesh, plain), 0.0, 0.0,
-      0.0, 0.0);
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, plain),
+      st::BiasPoint{});
   const sca::HashKey key_meshcont = sca::state_key(
-      sca::device_solve_key(nfet_90(), st::kCoarseMesh, meshcont), 0.0, 0.0,
-      0.0, 0.0);
+      sca::device_solve_key(nfet_90(), st::kCoarseMesh, meshcont),
+      st::BiasPoint{});
   ASSERT_NE(key_plain, key_meshcont);
 
   const auto rec_plain = cache.lookup(key_plain, sca::PayloadKind::kState);

@@ -325,7 +325,7 @@ TEST(ContinuityAssembly, MatchesPerNodeReferenceBitwise) {
   const st::DeviceStructure dev(nfet_90());
   st::DriftDiffusionSolver solver(dev);
   solver.solve_equilibrium();
-  ASSERT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
+  ASSERT_TRUE(solver.try_solve_bias({0.6, 0.5}).converged);
   const std::vector<double>& psi = solver.state().psi;
   st::SgWorkspace workspace;
   for (const sp::Carrier carrier :
@@ -378,7 +378,7 @@ struct ReferenceFactor {
 /// divergence guard (50 V) are poisson.cpp's constants. Kept op for op
 /// as the bitwise reference.
 st::PoissonResult reference_poisson(const st::DeviceStructure& dev,
-                                    const std::map<std::string, double>& biases,
+                                    const st::BiasPoint& bias,
                                     const std::vector<double>& phi_n,
                                     const std::vector<double>& phi_p,
                                     std::vector<double>& psi,
@@ -391,7 +391,7 @@ st::PoissonResult reference_poisson(const st::DeviceStructure& dev,
   for (const std::string& c : m.contact_names()) {
     for (const std::size_t idx : m.contact_nodes(c)) {
       dirichlet[idx] = 1;
-      psi[idx] = dev.contact_potential(idx, biases.at(c));
+      psi[idx] = dev.contact_potential(idx, bias.of(c));
     }
   }
   const auto free_silicon = [&](std::size_t idx) {
@@ -513,7 +513,7 @@ TEST(PoissonAssembly, MatchesFullMeshReferenceBitwise) {
   const st::DeviceStructure dev(nfet_90());
   st::DriftDiffusionSolver solver(dev);
   solver.solve_equilibrium();
-  ASSERT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
+  ASSERT_TRUE(solver.try_solve_bias({0.6, 0.5}).converged);
   const std::size_t n_nodes = dev.mesh().node_count();
   const double ni = dev.ni();
   const double vt = dev.vt();
@@ -536,24 +536,23 @@ TEST(PoissonAssembly, MatchesFullMeshReferenceBitwise) {
   std::size_t factorizations = 0;
   for (const double vd : {0.55, 0.6}) {
     const std::string label = "vd " + std::to_string(vd);
-    const std::map<std::string, double> biases{
-        {"gate", 0.6}, {"drain", vd}, {"source", 0.0}, {"bulk", 0.0}};
+    const st::BiasPoint bias{0.6, vd};
     std::vector<double> want_fresh = want;
     ReferenceFactor held_fresh(dev.mesh());
     const st::PoissonResult ref_fresh =
-        reference_poisson(dev, biases, phi_n, phi_p, want_fresh, held_fresh);
+        reference_poisson(dev, bias, phi_n, phi_p, want_fresh, held_fresh);
     std::vector<double> fresh = want;
     const st::PoissonResult res_fresh =
-        st::solve_poisson(dev, biases, phi_n, phi_p, fresh);
+        st::solve_poisson(dev, bias, phi_n, phi_p, fresh);
     EXPECT_EQ(res_fresh.iterations, ref_fresh.iterations) << label;
     EXPECT_EQ(res_fresh.factorizations, ref_fresh.factorizations) << label;
     EXPECT_EQ(first_bit_difference(fresh, want_fresh), n_nodes) << label;
 
     const st::PoissonResult ref =
-        reference_poisson(dev, biases, phi_n, phi_p, want, held);
+        reference_poisson(dev, bias, phi_n, phi_p, want, held);
     ASSERT_TRUE(ref.converged) << label;
     const st::PoissonResult res = st::solve_poisson(
-        dev, biases, phi_n, phi_p, got, {}, nullptr, &workspace);
+        dev, bias, phi_n, phi_p, got, {}, nullptr, &workspace);
     EXPECT_TRUE(res.converged) << label;
     EXPECT_EQ(res.iterations, ref.iterations) << label;
     EXPECT_EQ(res.factorizations, ref.factorizations) << label;
@@ -580,7 +579,7 @@ struct BiasedState {
   BiasedState() {
     st::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
-    EXPECT_TRUE(solver.try_solve_bias(0.6, 0.5).converged);
+    EXPECT_TRUE(solver.try_solve_bias({0.6, 0.5}).converged);
     psi = solver.state().psi;
     n = solver.state().n;
     p = solver.state().p;
@@ -862,13 +861,12 @@ TEST(SolverResilience, ExhaustedRetriesReportStageAndBias) {
       dev, faulted_options(st::SolveStage::kPoisson, 1'000'000'000));
   solver.solve_equilibrium();
 
-  const auto& report = solver.try_solve_bias(0.20, 0.25);
+  const auto& report = solver.try_solve_bias({0.20, 0.25});
   EXPECT_FALSE(report.converged);
   EXPECT_EQ(report.failed_stage, st::SolveStage::kPoisson);
   EXPECT_EQ(report.status, st::SolveStatus::kStalled);
-  ASSERT_TRUE(report.failed_biases.count("gate"));
-  EXPECT_GE(report.failed_biases.at("gate"), 0.18);
-  EXPECT_LT(report.failed_biases.at("gate"), 0.22);
+  EXPECT_GE(report.failed_at.vg, 0.18);
+  EXPECT_LT(report.failed_at.vg, 0.22);
   EXPECT_GE(report.retries, 3u);  // halvings + damping tightenings
   // Both knobs were driven to their floors before giving up.
   EXPECT_DOUBLE_EQ(report.final_bias_step, st::kMinBiasStep);
@@ -897,7 +895,7 @@ TEST(SolverResilience, ExhaustedRetriesReportStageAndBias) {
 
   // A target outside the fault window still solves from the rolled-back
   // state: one bad point does not take down the rest of the sweep.
-  EXPECT_TRUE(solver.try_solve_bias(0.30, 0.25).converged);
+  EXPECT_TRUE(solver.try_solve_bias({0.30, 0.25}).converged);
   EXPECT_TRUE(std::isfinite(solver.terminal_current("drain")));
 }
 
@@ -962,12 +960,11 @@ TEST(SolverResilience, EquilibriumFaultRecoversWithTightenedDamping) {
 
 namespace {
 
-/// The coarse 90 nm device at equilibrium: its state and zero biases.
+/// The coarse 90 nm device at equilibrium: its state and zero bias.
 struct EquilibriumState {
   st::DeviceStructure dev{nfet_90(), st::kCoarseMesh};
   std::vector<double> psi, n, p;
-  std::map<std::string, double> biases{
-      {"gate", 0.0}, {"drain", 0.0}, {"source", 0.0}, {"bulk", 0.0}};
+  st::BiasPoint bias;
   EquilibriumState() {
     st::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
@@ -998,7 +995,7 @@ TEST(SolverResilience, NonFiniteQuasiFermiLevelFailsPoissonAsNonFinite) {
   phi_n[eq.free_silicon_node()] = std::nan("");
   std::vector<double> psi = eq.psi;
   st::PoissonResult result;
-  EXPECT_NO_THROW(result = st::solve_poisson(eq.dev, eq.biases, phi_n,
+  EXPECT_NO_THROW(result = st::solve_poisson(eq.dev, eq.bias, phi_n,
                                              phi_p, psi));
   EXPECT_EQ(result.status, st::SolveStatus::kNonFinite);
   EXPECT_FALSE(result.converged);
@@ -1013,7 +1010,7 @@ TEST(SolverResilience, NonFiniteQuasiFermiLevelFailsPoissonAsNonFinite) {
   psi = eq.psi;
   psi[oxide] = std::nan("");
   phi_n.assign(eq.psi.size(), 0.0);
-  result = st::solve_poisson(eq.dev, eq.biases, phi_n, phi_p, psi);
+  result = st::solve_poisson(eq.dev, eq.bias, phi_n, phi_p, psi);
   EXPECT_EQ(result.status, st::SolveStatus::kNonFinite);
 }
 
@@ -1054,9 +1051,9 @@ TEST(PoissonWorkspace, BiasSolveAfterAdoptedEquilibriumMatchesTheColdOne) {
   st::DriftDiffusionSolver cold(dev);
   cold.solve_equilibrium();
   st::DriftDiffusionSolver adopted(dev);
-  ASSERT_TRUE(adopted.adopt_state(cold.biases(), cold.state()));
-  ASSERT_TRUE(cold.try_solve_bias(0.3, 0.25).converged);
-  ASSERT_TRUE(adopted.try_solve_bias(0.3, 0.25).converged);
+  ASSERT_TRUE(adopted.adopt_state(cold.bias(), cold.state()));
+  ASSERT_TRUE(cold.try_solve_bias({0.3, 0.25}).converged);
+  ASSERT_TRUE(adopted.try_solve_bias({0.3, 0.25}).converged);
   EXPECT_EQ(adopted.last_report().total_gummel_iterations,
             cold.last_report().total_gummel_iterations);
   EXPECT_EQ(first_bit_difference(adopted.state().psi, cold.state().psi),
@@ -1081,11 +1078,11 @@ TEST(PoissonWorkspace, FailedFactorizationLeavesNoHeldFactor) {
   st::PoissonWorkspace workspace;
   std::vector<double> psi = eq.psi;
   st::PoissonResult result = st::solve_poisson(
-      eq.dev, eq.biases, zero, zero, psi, {}, nullptr, &workspace);
+      eq.dev, eq.bias, zero, zero, psi, {}, nullptr, &workspace);
   ASSERT_TRUE(result.converged);
   const std::vector<double> converged = psi;
 
-  result = st::solve_poisson(eq.dev, eq.biases, zero, zero, psi, {}, nullptr,
+  result = st::solve_poisson(eq.dev, eq.bias, zero, zero, psi, {}, nullptr,
                              &workspace);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 1u);
@@ -1094,19 +1091,19 @@ TEST(PoissonWorkspace, FailedFactorizationLeavesNoHeldFactor) {
   std::vector<double> phi_n = zero;
   phi_n[eq.free_silicon_node()] = std::nan("");
   psi = converged;
-  result = st::solve_poisson(eq.dev, eq.biases, phi_n, zero, psi, {}, nullptr,
+  result = st::solve_poisson(eq.dev, eq.bias, phi_n, zero, psi, {}, nullptr,
                              &workspace);
   EXPECT_EQ(result.status, st::SolveStatus::kNonFinite);
   EXPECT_EQ(result.factorizations, 1u);
 
   psi = converged;
-  result = st::solve_poisson(eq.dev, eq.biases, zero, zero, psi, {}, nullptr,
+  result = st::solve_poisson(eq.dev, eq.bias, zero, zero, psi, {}, nullptr,
                              &workspace);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 1u);
   EXPECT_EQ(result.factorizations, 1u);
   std::vector<double> fresh = converged;
-  st::solve_poisson(eq.dev, eq.biases, zero, zero, fresh);
+  st::solve_poisson(eq.dev, eq.bias, zero, zero, fresh);
   EXPECT_EQ(first_bit_difference(psi, fresh), fresh.size());
 }
 
@@ -1118,7 +1115,7 @@ namespace {
 /// report, and every counter it published.
 struct SolveOutcome {
   st::State state;
-  std::map<std::string, double> biases;
+  st::BiasPoint bias;
   st::SolverReport report;
   std::map<std::string, std::uint64_t> counters;
 };
@@ -1131,7 +1128,7 @@ SolveOutcome run_solve(const st::DeviceStructure& dev, Solve&& solve) {
   ctx.metrics = &reg;
   st::DriftDiffusionSolver solver(dev, {}, ctx);
   solve(solver);
-  SolveOutcome out{solver.state(), solver.biases(), solver.last_report(),
+  SolveOutcome out{solver.state(), solver.bias(), solver.last_report(),
                    {}};
   for (const auto& [name, value] : reg.snapshot().counters) {
     out.counters[name] = value;
@@ -1152,14 +1149,14 @@ void expect_same_solve(const SolveOutcome& got, const SolveOutcome& want,
   EXPECT_EQ(first_bit_difference(gs.psi, ws.psi), ws.psi.size()) << label;
   EXPECT_EQ(first_bit_difference(gs.n, ws.n), ws.n.size()) << label;
   EXPECT_EQ(first_bit_difference(gs.p, ws.p), ws.p.size()) << label;
-  EXPECT_EQ(got.biases, want.biases) << label;
+  EXPECT_EQ(got.bias, want.bias) << label;
   const st::SolverReport& g = got.report;
   const st::SolverReport& w = want.report;
   EXPECT_EQ(g.converged, w.converged) << label;
   EXPECT_EQ(g.failed_stage, w.failed_stage) << label;
   EXPECT_EQ(g.status, w.status) << label;
   EXPECT_EQ(g.target, w.target) << label;
-  EXPECT_EQ(g.failed_biases, w.failed_biases) << label;
+  EXPECT_EQ(g.failed_at, w.failed_at) << label;
   EXPECT_EQ(g.continuation_steps, w.continuation_steps) << label;
   EXPECT_EQ(g.retries, w.retries) << label;
   EXPECT_EQ(g.total_gummel_iterations, w.total_gummel_iterations) << label;
@@ -1181,7 +1178,7 @@ TEST(SeededSolve, SeedThatDoesNotFitTheMeshIsIgnored) {
   const SolveOutcome eq = run_solve(
       dev, [](st::DriftDiffusionSolver& s) { s.solve_equilibrium(); });
   const SolveOutcome biased = run_solve(dev, [](st::DriftDiffusionSolver& s) {
-    s.try_solve_bias(0.3, 0.25);
+    s.try_solve_bias({0.3, 0.25});
   });
   ASSERT_TRUE(biased.report.converged);
   const std::size_t node = biased.state.psi.size() / 2;
@@ -1209,7 +1206,7 @@ TEST(SeededSolve, SeedThatDoesNotFitTheMeshIsIgnored) {
     const SolveOutcome got_bias =
         run_solve(dev, [&](st::DriftDiffusionSolver& s) {
           s.solve_equilibrium();
-          s.try_solve_bias(0.3, 0.25, 0.0, 0.0, &bias_seed);
+          s.try_solve_bias({0.3, 0.25}, &bias_seed);
         });
     expect_same_solve(got_bias, biased, label + " bias");
     EXPECT_FALSE(got_bias.report.seed_used) << label;
@@ -1227,19 +1224,36 @@ TEST(SeededSolve, DivergingSeedIsRolledBackBeforeTheRamp) {
   // rollback is the seed's.
   const st::DeviceStructure dev(nfet_90(), st::kCoarseMesh);
   const SolveOutcome want = run_solve(dev, [](st::DriftDiffusionSolver& s) {
-    s.try_solve_bias(0.3, 0.25);
+    s.try_solve_bias({0.3, 0.25});
   });
   ASSERT_TRUE(want.report.converged);
   st::State seed = want.state;
   for (double& v : seed.psi) v += 60.0;
   const SolveOutcome got = run_solve(dev, [&](st::DriftDiffusionSolver& s) {
     s.solve_equilibrium();
-    s.try_solve_bias(0.3, 0.25, 0.0, 0.0, &seed);
+    s.try_solve_bias({0.3, 0.25}, &seed);
   });
   expect_same_solve(got, want, "diverging seed");
   EXPECT_FALSE(got.report.seed_used);
   EXPECT_EQ(got.counters.at(so::names::kGummelRollbacks),
             want.counters.at(so::names::kGummelRollbacks) + 1);
+}
+
+TEST(BiasPoint, OfReadsGateAndDrainAndGroundsSourceAndBulk) {
+  // A bias point holds V_g and V_d; the source and bulk are grounded at
+  // +0.0, and a contact no device has is an error that names it.
+  const st::BiasPoint bias{0.3, 0.25};
+  EXPECT_TRUE(same_bits(bias.of("gate"), 0.3));
+  EXPECT_TRUE(same_bits(bias.of("drain"), 0.25));
+  EXPECT_TRUE(same_bits(bias.of("source"), 0.0));
+  EXPECT_TRUE(same_bits(bias.of("bulk"), 0.0));
+  try {
+    bias.of("body");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("body"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- cross-validation: TCAD reproduces the paper's S_S degradation ------------------
@@ -1386,8 +1400,7 @@ TEST(PoissonWorkspace, RebindsWhenTheDeviceChanges) {
   const st::DeviceStructure dev90(specs[0], st::kCoarseMesh);
   const st::DeviceStructure dev65(specs[2], st::kCoarseMesh);
   ASSERT_NE(dev90.mesh().node_count(), dev65.mesh().node_count());
-  const std::map<std::string, double> biases{
-      {"gate", 0.0}, {"drain", 0.25}, {"source", 0.0}, {"bulk", 0.0}};
+  const st::BiasPoint bias{0.0, 0.25};
   st::PoissonWorkspace carried;
   for (const st::DeviceStructure* dev : {&dev90, &dev65, &dev90}) {
     st::DriftDiffusionSolver solver(*dev);
@@ -1395,10 +1408,10 @@ TEST(PoissonWorkspace, RebindsWhenTheDeviceChanges) {
     const std::vector<double> zero(solver.state().psi.size(), 0.0);
     std::vector<double> psi = solver.state().psi;
     const st::PoissonResult got = st::solve_poisson(
-        *dev, biases, zero, zero, psi, {}, nullptr, &carried);
+        *dev, bias, zero, zero, psi, {}, nullptr, &carried);
     std::vector<double> want_psi = solver.state().psi;
     const st::PoissonResult want =
-        st::solve_poisson(*dev, biases, zero, zero, want_psi);
+        st::solve_poisson(*dev, bias, zero, zero, want_psi);
     ASSERT_TRUE(want.converged);
     EXPECT_GT(want.iterations, want.factorizations);
     EXPECT_TRUE(got.converged);
@@ -1572,7 +1585,7 @@ TEST(MeshContinuationProlongation, SameMeshRoundTripReconvergesImmediately) {
       st::prolong_log_density(m, m, dev.solver().state().p, floor)};
 
   st::DriftDiffusionSolver fresh(dev.structure());
-  const auto& report = fresh.try_solve_bias(0.3, 0.25, 0.0, 0.0, &seed);
+  const auto& report = fresh.try_solve_bias({0.3, 0.25}, &seed);
   EXPECT_TRUE(report.seed_used);
   EXPECT_LE(report.total_gummel_iterations, 2u);
 }
