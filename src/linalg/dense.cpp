@@ -96,32 +96,10 @@ std::vector<double> LuFactorization::solve(const std::vector<double>& b) const {
   return x;
 }
 
-double norm2(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
-}
-
 double norm_inf(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc = std::max(acc, std::abs(x));
   return acc;
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("dot: size mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument("axpy: size mismatch");
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace subscale::linalg

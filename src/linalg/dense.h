@@ -64,16 +64,7 @@ class LuFactorization {
   std::vector<std::size_t> perm_;
 };
 
-/// Euclidean norm of a vector.
-double norm2(const std::vector<double>& v);
-
 /// Max-abs norm of a vector.
 double norm_inf(const std::vector<double>& v);
-
-/// Dot product; sizes must match.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// y += alpha * x (sizes must match).
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y);
 
 }  // namespace subscale::linalg

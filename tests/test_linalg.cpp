@@ -80,13 +80,7 @@ TEST(Dense, SingularThrows) {
 
 TEST(Dense, VectorHelpers) {
   const std::vector<double> v{3.0, -4.0};
-  EXPECT_DOUBLE_EQ(sl::norm2(v), 5.0);
   EXPECT_DOUBLE_EQ(sl::norm_inf(v), 4.0);
-  EXPECT_DOUBLE_EQ(sl::dot(v, v), 25.0);
-  std::vector<double> y{1.0, 1.0};
-  sl::axpy(2.0, v, y);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], -7.0);
 }
 
 // ---- banded ---------------------------------------------------------------------
