@@ -227,18 +227,28 @@ BENCHMARK(BM_BandedLuReferenceSolve)
     ->Args({943, 23, 3});
 
 // Scharfetter–Gummel assembly, fresh-buffers vs SgWorkspace reuse. The
-// workspace caches edge geometry + zero-field mobilities across solves;
-// its output is asserted bitwise-equal to the workspace-free path on
-// the same Gummel iterate before timing either variant.
+// workspace caches edge geometry + zero-field mobilities across solves
+// and each edge's Bernoulli pair for the psi it last met. As in the
+// Gummel loop, where every outer iteration brings a new psi, the timed
+// workspace solves alternate two states (equilibrium and a biased one),
+// so each recomputes its pairs; the pair case times the loop's
+// electron-then-hole solves at one psi, where the hole solve reuses the
+// electron solve's pairs. Each workspace's output is asserted
+// bitwise-equal to the workspace-free path on both states before
+// timing.
 struct SgBenchFixture {
   tcad::DeviceStructure dev{spec_90()};
-  std::vector<double> psi, n0, p0;
+  tcad::State eq;      ///< equilibrium
+  tcad::State biased;  ///< converged at V_g = 0.3 V, V_d = 0.25 V
   SgBenchFixture() {
     tcad::DriftDiffusionSolver solver(dev);
     solver.solve_equilibrium();
-    psi = solver.state().psi;
-    n0 = solver.state().n;
-    p0 = solver.state().p;
+    eq = solver.state();
+    solver.try_solve_bias({0.3, 0.25});
+    biased = solver.state();
+  }
+  const tcad::State& alternate(std::size_t k) const {
+    return k % 2 == 0 ? eq : biased;
   }
 };
 
@@ -249,11 +259,11 @@ SgBenchFixture& sg_fixture() {
 
 void BM_SgAssemblyFresh(benchmark::State& state) {
   auto& fx = sg_fixture();
-  std::vector<double> n = fx.n0;
+  std::vector<double> n = fx.eq.n;
   for (auto _ : state) {
-    n = fx.n0;
-    tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi,
-                           fx.p0, n);
+    n = fx.eq.n;
+    tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.eq.psi,
+                           fx.eq.p, n);
     benchmark::DoNotOptimize(n.data());
   }
 }
@@ -261,22 +271,59 @@ BENCHMARK(BM_SgAssemblyFresh)->Unit(benchmark::kMicrosecond);
 
 void BM_SgAssemblyWorkspace(benchmark::State& state) {
   auto& fx = sg_fixture();
-  std::vector<double> n_ref = fx.n0;
-  tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi, fx.p0,
-                         n_ref);
+  constexpr auto kElectron = physics::Carrier::kElectron;
   tcad::SgWorkspace ws;
-  std::vector<double> n = fx.n0;
-  tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi, fx.p0,
-                         n, nullptr, &ws);
-  check_bitwise(n, n_ref, "sg workspace");
+  std::vector<double> n;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const tcad::State& s = fx.alternate(k);
+    std::vector<double> n_ref = s.n;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n_ref);
+    n = s.n;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n, nullptr, &ws);
+    check_bitwise(n, n_ref, "sg workspace");
+  }
+  std::size_t k = 0;
   for (auto _ : state) {
-    n = fx.n0;
-    tcad::solve_continuity(fx.dev, physics::Carrier::kElectron, fx.psi,
-                           fx.p0, n, nullptr, &ws);
+    const tcad::State& s = fx.alternate(k++);
+    n = s.n;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n, nullptr, &ws);
     benchmark::DoNotOptimize(n.data());
   }
 }
 BENCHMARK(BM_SgAssemblyWorkspace)->Unit(benchmark::kMicrosecond);
+
+void BM_SgAssemblyElectronHolePair(benchmark::State& state) {
+  auto& fx = sg_fixture();
+  constexpr auto kElectron = physics::Carrier::kElectron;
+  constexpr auto kHole = physics::Carrier::kHole;
+  tcad::SgWorkspace ws;
+  std::vector<double> n;
+  std::vector<double> p;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const tcad::State& s = fx.alternate(k);
+    std::vector<double> n_ref = s.n;
+    std::vector<double> p_ref = s.p;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n_ref);
+    tcad::solve_continuity(fx.dev, kHole, s.psi, n_ref, p_ref);
+    n = s.n;
+    p = s.p;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n, nullptr, &ws);
+    tcad::solve_continuity(fx.dev, kHole, s.psi, n, p, nullptr, &ws);
+    check_bitwise(n, n_ref, "sg pair electrons");
+    check_bitwise(p, p_ref, "sg pair holes");
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const tcad::State& s = fx.alternate(k++);
+    n = s.n;
+    p = s.p;
+    tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n, nullptr, &ws);
+    tcad::solve_continuity(fx.dev, kHole, s.psi, n, p, nullptr, &ws);
+    benchmark::DoNotOptimize(n.data());
+    benchmark::DoNotOptimize(p.data());
+  }
+}
+BENCHMARK(BM_SgAssemblyElectronHolePair)->Unit(benchmark::kMicrosecond);
 
 void BM_CompactModelConstruction(benchmark::State& state) {
   const auto spec = spec_90();
