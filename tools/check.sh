@@ -146,6 +146,24 @@ if [[ -z "$sanitize" ]]; then
     exit 1
   fi
 
+  # gate_budget LABEL BENCH PASS-ARGS TRIP-ARGS: BENCH's newest record
+  # in the perf history must meet the budget flags PASS-ARGS, and the
+  # impossible budget TRIP-ARGS must trip the same gate, which proves
+  # the gate live.
+  gate_budget() {
+    local label=$1 bench=$2 pass trip
+    read -ra pass <<< "$3"
+    read -ra trip <<< "$4"
+    "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+        --bench "$bench" "${pass[@]}"
+    if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
+        --bench "$bench" "${trip[@]}" > /dev/null; then
+      echo "check.sh: $label budget gate failed to trip" >&2
+      exit 1
+    fi
+    echo "obs_trend: $label budget gate enforced"
+  }
+
   # Cold-solve acceleration budget. The bench already self-gates the
   # >=3x speedup inside its shape verdict; this enforces the same floor
   # a second time at the perf-history level (obs_trend --metric-min on
@@ -153,22 +171,15 @@ if [[ -z "$sanitize" ]]; then
   # on the accelerated cold solve, so a pathological slowdown fails
   # even on a run where the ratio happens to hold. Then the gate is
   # proven live by demanding an impossible floor trips it.
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-min cold_speedup=3.0 \
-      --metric-max cold_solve_ms_accel=30000
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-min cold_speedup=1000000 \
-      > /dev/null; then
-    echo "check.sh: obs_trend budget gate failed to trip" >&2
-    exit 1
-  fi
+  gate_budget cold-solve tcad_validation \
+      "--metric-min cold_speedup=3.0 --metric-max cold_solve_ms_accel=30000" \
+      "--metric-min cold_speedup=1000000"
   if ! "$build_dir/tools/obs_trend" show --db "$bench_tmp/perfdb" \
       --bench tcad_validation --metric cold_solve_ms_accel \
       | grep -q "median="; then
     echo "check.sh: cold-solve series missing from perf history" >&2
     exit 1
   fi
-  echo "obs_trend: cold-solve budget gate enforced"
 
   # Poisson Newton budget. bench_tcad_validation records the Poisson
   # Newton iterations per Gummel outer iteration over its sweep
@@ -178,15 +189,9 @@ if [[ -z "$sanitize" ]]; then
   # iteration) fails here; the 0.5 V clamp's 3.70 still passes, and the
   # exact count ObsTcad.SweepPublishesCounters pins is what holds the
   # clamp. An impossible budget must trip the same gate.
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max poisson_newton_per_outer=3.9
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max poisson_newton_per_outer=1 \
-      > /dev/null; then
-    echo "check.sh: Poisson Newton budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: Poisson Newton budget gate enforced"
+  gate_budget "Poisson Newton" tcad_validation \
+      "--metric-max poisson_newton_per_outer=3.9" \
+      "--metric-max poisson_newton_per_outer=1"
 
   # Poisson factorization budget. bench_tcad_validation also records the
   # LDLᵀ factorizations of Poisson's Newton Jacobian per Gummel outer
@@ -196,16 +201,9 @@ if [[ -z "$sanitize" ]]; then
   # above it, so a solver that refactors on every iteration again fails
   # here, and the Newton budget above caps a reuse threshold set too
   # loose. An impossible budget must trip the same gate.
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation \
-      --metric-max poisson_factorizations_per_outer=2.1
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation \
-      --metric-max poisson_factorizations_per_outer=1 > /dev/null; then
-    echo "check.sh: Poisson factorization budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: Poisson factorization budget gate enforced"
+  gate_budget "Poisson factorization" tcad_validation \
+      "--metric-max poisson_factorizations_per_outer=2.1" \
+      "--metric-max poisson_factorizations_per_outer=1"
 
   # Band-storage budget. bench_tcad_validation also records the band
   # storage its factorizations covered per Gummel outer iteration
@@ -214,15 +212,9 @@ if [[ -z "$sanitize" ]]; then
   # unknowns, which reads 92775; the ceiling sits ~1.05x above it, so
   # systems that carry their contact and oxide rows again (126211) fail
   # here. An impossible budget must trip the same gate.
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max band_entries_per_outer=97500
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max band_entries_per_outer=1 \
-      > /dev/null; then
-    echo "check.sh: band-storage budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: band-storage budget gate enforced"
+  gate_budget band-storage tcad_validation \
+      "--metric-max band_entries_per_outer=97500" \
+      "--metric-max band_entries_per_outer=1"
 
   # Density-floor budget. bench_tcad_validation also records the
   # continuity densities its sweep raised to the 1e-20 n_i floor. Every
@@ -230,15 +222,9 @@ if [[ -z "$sanitize" ]]; then
   # so the count is 0; a factorization or assembly that breaks the
   # column dominance (the row-equilibrated, pivoting LU clamped
   # thousands) fails here. A negative budget must trip the same gate.
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max continuity_clamped_nodes=0
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench tcad_validation --metric-max continuity_clamped_nodes=-1 \
-      > /dev/null; then
-    echo "check.sh: density-floor budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: density-floor budget gate enforced"
+  gate_budget density-floor tcad_validation \
+      "--metric-max continuity_clamped_nodes=0" \
+      "--metric-max continuity_clamped_nodes=-1"
 
   # VTC Newton budget. bench_fig04 records the Newton iterations per
   # inverter output-node solve (circuits.vtc.* counters, deterministic).
@@ -248,14 +234,9 @@ if [[ -z "$sanitize" ]]; then
   (cd "$bench_tmp" && SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
       "$build_dir/bench/bench_fig04_snm" > /dev/null)
   "$build_dir/tools/obs_trend" schema "$bench_tmp"/BENCH_fig04_snm.json
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench fig04_snm --metric-max vtc_newton_per_solve=9.1
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench fig04_snm --metric-max vtc_newton_per_solve=1 > /dev/null; then
-    echo "check.sh: VTC Newton budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: VTC Newton budget gate enforced"
+  gate_budget "VTC Newton" fig04_snm \
+      "--metric-max vtc_newton_per_solve=9.1" \
+      "--metric-max vtc_newton_per_solve=1"
 
   # Transient Newton budget. bench_fig06 records the Newton iterations per
   # backward-Euler step of its V_min transients (circuits.tran.* counters,
@@ -266,15 +247,9 @@ if [[ -z "$sanitize" ]]; then
       "$build_dir/bench/bench_fig06_energy_vmin" > /dev/null)
   "$build_dir/tools/obs_trend" schema \
       "$bench_tmp"/BENCH_fig06_energy_vmin.json
-  "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench fig06_energy_vmin --metric-max tran_newton_per_step=2.5
-  if "$build_dir/tools/obs_trend" gate --db "$bench_tmp/perfdb" \
-      --bench fig06_energy_vmin --metric-max tran_newton_per_step=1 \
-      > /dev/null; then
-    echo "check.sh: transient Newton budget gate failed to trip" >&2
-    exit 1
-  fi
-  echo "obs_trend: transient Newton budget gate enforced"
+  gate_budget "transient Newton" fig06_energy_vmin \
+      "--metric-max tran_newton_per_step=2.5" \
+      "--metric-max tran_newton_per_step=1"
   rm -rf "$bench_tmp"
 
   # Cache round-trip smoke: bench_ext_cache gates itself (warm replay
