@@ -288,6 +288,7 @@ void BM_SgAssemblyWorkspace(benchmark::State& state) {
     n = s.n;
     tcad::solve_continuity(fx.dev, kElectron, s.psi, s.p, n, nullptr, &ws);
     benchmark::DoNotOptimize(n.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SgAssemblyWorkspace)->Unit(benchmark::kMicrosecond);
@@ -321,6 +322,7 @@ void BM_SgAssemblyElectronHolePair(benchmark::State& state) {
     tcad::solve_continuity(fx.dev, kHole, s.psi, n, p, nullptr, &ws);
     benchmark::DoNotOptimize(n.data());
     benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SgAssemblyElectronHolePair)->Unit(benchmark::kMicrosecond);
