@@ -60,7 +60,7 @@ namespace subscale::cache {
 /// are on disk, so none is renumbered.
 enum class PayloadKind : std::uint32_t {
   kSweep = 1,      ///< a full TcadDevice::id_vg result
-  kState = 2,      ///< solver state (biases, psi, n, p) at one bias point
+  kState = 2,      ///< solver state (psi, n, p) at the bias point its key names
   kBiasIndex = 3,  ///< per-device list of cached bias-state points
   kUnit = 5,       ///< one orchestrator work-unit result (src/orch)
 };

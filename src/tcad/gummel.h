@@ -63,7 +63,7 @@ struct GummelOptions {
   /// still converges against its own tolerances, so the answer is the
   /// seed solver's — the differential-equivalence test tier pins that
   /// at 1e-9. Wired through TcadDevice (which owns mesh construction);
-  /// the solver itself only provides the seeded entry points.
+  /// the solver itself only takes the seeds its entry points accept.
   std::size_t mesh_continuation_levels = 0;
 
   FaultInjection fault;  ///< test-only deterministic failure forcing
