@@ -24,6 +24,11 @@ void StudySpec::validate() const {
   if (vds.empty()) fail("vds must not be empty");
   if (points < 2) fail("points must be >= 2");
   if (!(vg_stop > vg_start)) fail("vg_stop must exceed vg_start");
+  // Unit keys chain device_solve_key, which leaves the fault out, so a
+  // faulted unit would publish under the clean spec's key.
+  if (gummel.fault.stage != tcad::SolveStage::kNone) {
+    fail("gummel.fault must not be armed (unit keys do not hash it)");
+  }
   gummel.validate();
 }
 

@@ -51,8 +51,9 @@ inline constexpr std::uint64_t kOrchKeySchema = 2;
 
 /// The study grid a manifest shards: which devices, which sweeps.
 /// Mesh/solver options ride along so every process solves the same
-/// discretized problem (GummelOptions::fault is deliberately not
-/// serialized — process-level chaos replaces in-process faults here).
+/// discretized problem. GummelOptions::fault must stay disarmed: unit
+/// keys do not hash it, and process-level chaos replaces in-process
+/// faults here.
 struct StudySpec {
   /// Technology card id (builtin) or card-file path; resolved through
   /// cards::resolve_card when the study is built, and part of every

@@ -208,6 +208,22 @@ TEST(Manifest, ValidationNamesOffendingField) {
   spec = small_spec();
   spec.nodes = {99};
   EXPECT_THROW(so::build_manifest(spec), std::out_of_range);
+
+  // Unit keys leave the fault out, so an armed one would publish its
+  // failed points under the clean spec's key.
+  spec = small_spec();
+  spec.gummel.fault.stage = subscale::tcad::SolveStage::kPoisson;
+  spec.gummel.fault.count = 1;
+  spec.gummel.fault.min_bias = 0.19;
+  spec.gummel.fault.max_bias = 0.21;
+  try {
+    spec.validate();
+    ADD_FAILURE() << "an armed fault was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gummel.fault"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(so::build_manifest(spec), std::invalid_argument);
 }
 
 TEST(Manifest, StrategyNamesRoundTrip) {

@@ -117,16 +117,38 @@ TEST(OrchStudy, ResumeSolvesOnlyTheRemainder) {
 }
 
 TEST(OrchStudy, ForkedWorkersMatchSerialBitwise) {
-  TempDir serial_dir;
-  TempDir forked_dir;
-  const so::Manifest manifest = tiny_manifest();
-  const so::StudyResult serial =
-      so::run_study(manifest, options_in(serial_dir, 0));
-  const so::StudyResult forked =
-      so::run_study(manifest, options_in(forked_dir, 2));
-  EXPECT_TRUE(serial.complete());
-  EXPECT_TRUE(forked.complete());
-  EXPECT_EQ(forked.json(), serial.json());
+  // Besides the default spec, one that sets every settable solver field
+  // to a non-default value: forked workers must solve the spec they
+  // were handed, exactly as the serial reference does. Each value
+  // alone moves the solved currents (3 outer iterations bind on some
+  // attempts), so a worker that dropped any field would not match.
+  so::StudySpec tuned;
+  tuned.strategies = {subscale::core::Strategy::kSubVth};
+  tuned.nodes = {0, 1};
+  tuned.vds = {0.1};
+  tuned.points = 3;
+  tuned.mesh = subscale::tcad::kCoarseMesh;
+  tuned.gummel.max_iterations = 3;
+  tuned.gummel.psi_tolerance = 3e-7;
+  tuned.gummel.bias_step = 0.05;
+  tuned.gummel.mesh_continuation_levels = 1;
+  tuned.gummel.poisson.update_tolerance = 1e-7;
+
+  for (const so::Manifest& manifest :
+       {tiny_manifest(), so::build_manifest(tuned)}) {
+    TempDir serial_dir;
+    TempDir forked_dir;
+    const so::StudyResult serial =
+        so::run_study(manifest, options_in(serial_dir, 0));
+    const so::StudyResult forked =
+        so::run_study(manifest, options_in(forked_dir, 2));
+    EXPECT_TRUE(serial.complete());
+    EXPECT_TRUE(forked.complete());
+    for (const so::UnitOutcome& o : serial.outcomes) {
+      EXPECT_TRUE(o.result.usable()) << "unit " << o.unit;
+    }
+    EXPECT_EQ(forked.json(), serial.json());
+  }
 }
 
 TEST(OrchStudy, ChaosKilledWorkersRecoverBitwise) {
