@@ -4,22 +4,20 @@
 /// Study manifests: the shard plan of a multi-process study run. A
 /// manifest names every work unit of a study's (strategy × node × V_d)
 /// grid together with the content-addressed key its result publishes
-/// under, so any process — a worker claiming units, an orchestrator
-/// polling for completion, a resumed run months later — can agree on
-/// what the study is and what is already done by looking only at the
-/// manifest and the shared cache directory.
+/// under, so the orchestrator, its workers and a resumed run months
+/// later agree on what the study is and what is already done.
 ///
 /// Unit identity is *content*, not position: a unit's result key chains
 /// from the existing cache key schemas (cache/tcad_keys.h
 /// device_solve_key → sweep_key) plus the strategy/node provenance, so
 /// two manifests that pose the same physical problem share results,
 /// and any change to device, mesh, solver options or bias grid moves
-/// every affected unit to a fresh key. Resume falls out: a rerun loads
-/// the manifest, looks up each unit's key, and solves only the misses.
+/// every affected unit to a fresh key. Resume falls out: a rerun
+/// rebuilds the manifest from the spec, looks up each unit's key, and
+/// solves only the misses.
 ///
-/// The manifest file is JSON (written via io::JsonWriter, read via
-/// io/json_parse.h) and is itself published by atomic rename, so a
-/// crashed manifest build leaves no torn file behind.
+/// A manifest lives only in memory. The orchestrator builds it, and its
+/// forked workers inherit it; nothing writes it to disk.
 
 #include <cstdint>
 #include <string>
@@ -33,14 +31,9 @@
 
 namespace subscale::orch {
 
-/// Bump when the manifest JSON layout or the unit-key derivation
-/// changes meaning; a loader rejects unknown versions.
-/// v2: the spec carries a technology-card id.
-/// v3: mesh and gummel carry exactly the fields that are still
-/// settable, mesh_continuation_levels included (v2 dropped it, so a
-/// reloaded spec solved without the continuation its unit keys hash).
-/// A v2 manifest may set a field that is now a constant, so it is
-/// rejected rather than read with different values.
+/// The `manifest_version` stamp of the merged study document
+/// (unit_runner.h study_result_json). It stays 3, the last version of
+/// the retired manifest file, so merged documents keep their bytes.
 inline constexpr std::uint64_t kManifestVersion = 3;
 
 /// Key-schema version folded into every unit result key (mirrors
@@ -84,7 +77,6 @@ struct WorkUnit {
 };
 
 struct Manifest {
-  std::uint64_t version = kManifestVersion;
   StudySpec spec;
   std::vector<WorkUnit> units;
 };
@@ -117,14 +109,6 @@ Manifest build_manifest(const StudySpec& spec,
 /// Convenience: build with a spec-matched study on the paper
 /// calibration.
 Manifest build_manifest(const StudySpec& spec);
-
-/// JSON round-trip. save_manifest publishes by atomic rename and
-/// returns false on I/O failure; load_manifest returns false on a
-/// missing/malformed/version-bumped file with the reason in `error`.
-std::string manifest_to_json(const Manifest& manifest);
-bool save_manifest(const std::string& path, const Manifest& manifest);
-bool load_manifest(const std::string& path, Manifest& out,
-                   std::string* error = nullptr);
 
 // ---- study directory layout -------------------------------------------------
 // The study directory holds the coordination state that is NOT content

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 
@@ -18,6 +19,7 @@ namespace subscale::orch {
 
 namespace {
 
+namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 /// How long the orchestrator sleeps between scans of the fleet [s].
@@ -67,10 +69,12 @@ struct OrchCounters {
   }
 };
 
+/// Fork a worker that runs worker_main on the in-memory manifest. The
+/// child runs library code without an exec, which is sound only while
+/// no other thread runs in this process (see run_study).
 pid_t spawn_worker(const Manifest& manifest, const OrchOptions& options,
                    const std::string& worker_id, const ChaosPolicy& chaos) {
   WorkerOptions wopts;
-  wopts.manifest_path = options.study_dir + "/manifest.json";
   wopts.study_dir = options.study_dir;
   wopts.cache_dir = options.cache_dir;
   wopts.worker_id = worker_id;
@@ -80,30 +84,9 @@ pid_t spawn_worker(const Manifest& manifest, const OrchOptions& options,
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t pid = ::fork();
-  if (pid != 0) return pid;  // parent (or -1 on failure)
-
-  if (options.worker_exe.empty()) {
-    // Hermetic mode: the child IS the worker; never return into the
-    // parent's stack.
-    ::_exit(worker_main(manifest, wopts));
-  }
-  std::vector<std::string> args = {
-      options.worker_exe, "--manifest", wopts.manifest_path,
-      "--study-dir", wopts.study_dir, "--cache-dir", wopts.cache_dir,
-      "--worker-id", wopts.worker_id};
-  if (chaos.armed()) {
-    args.push_back("--chaos-kill-after");
-    args.push_back(std::to_string(chaos.kill_after_units));
-    args.push_back("--chaos-seed");
-    args.push_back(std::to_string(chaos.seed));
-    if (!chaos.sigkill) args.push_back("--chaos-sigterm");
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);  // exec failed
+  // The child IS the worker; it never returns into the parent's stack.
+  if (pid == 0) ::_exit(worker_main(manifest, wopts));
+  return pid;  // parent (or -1 on failure)
 }
 
 }  // namespace
@@ -207,9 +190,14 @@ StudyResult run_study(const Manifest& manifest, const OrchOptions& options) {
 
   if (remaining > 0) {
     // ---- multi-process mode --------------------------------------------------
-    if (!save_manifest(options.study_dir + "/manifest.json", manifest)) {
-      throw std::runtime_error("run_study: cannot write " +
-                               options.study_dir + "/manifest.json");
+    // A study dir that cannot hold leases fails here, not as workers
+    // that exit without a claim and are respawned until the deadline.
+    std::error_code ec;
+    fs::create_directories(options.study_dir + "/leases", ec);
+    if (ec) {
+      throw std::runtime_error("run_study: cannot create " +
+                               options.study_dir + "/leases: " +
+                               ec.message());
     }
     const Clock::time_point start = Clock::now();
     std::vector<WorkerProc> workers;

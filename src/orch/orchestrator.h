@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file orchestrator.h
-/// The coordinator of a multi-process study run (ISSUE 6 tentpole):
-/// shard the study grid into manifest units, fork N workers that claim
-/// units via lease files, poll the shared content-addressed store for
-/// published results, and merge them in manifest order.
+/// The coordinator of a multi-process study run: shard the study grid
+/// into manifest units, fork N workers that claim units via lease
+/// files, poll the shared content-addressed store for published
+/// results, and merge them in manifest order. Each worker is a forked
+/// child that runs worker_main on the orchestrator's in-memory
+/// manifest; there is no worker binary and no manifest file.
 ///
 /// Failure policy — everything reduces to the lease heartbeat:
 ///   * a worker that dies mid-unit stops refreshing its lease; once the
@@ -45,7 +47,7 @@ struct OrchOptions {
   /// Worker process count; 0 = solve serially in this process (no
   /// forks, no leases — the reference path).
   std::size_t workers = 0;
-  std::string study_dir;  ///< lease/poison/manifest coordination state
+  std::string study_dir;  ///< lease/poison coordination state
   std::string cache_dir;  ///< shared content-addressed result store
   double lease_timeout_seconds = 2.0; ///< older leases count as dead owners
   double backoff_seconds = 0.1;       ///< base reassignment delay (doubles)
@@ -55,9 +57,6 @@ struct OrchOptions {
   bool rearm_chaos = false; ///< also arm respawned workers (tests only:
                             ///< with kill_after_units > 0 this can loop
                             ///< until units poison)
-  /// Path to a subscale_worker binary to exec; empty forks this process
-  /// and calls worker_main in the child (hermetic, no binary needed).
-  std::string worker_exe;
   exec::RunContext run{};  ///< orchestrator-side telemetry (orch.* counters)
 
   /// Throws std::invalid_argument naming the offending field.
@@ -103,6 +102,13 @@ struct StudyResult {
 /// Run (or resume) the study described by `manifest`. Blocking; returns
 /// once every unit is completed or poisoned, or the deadline passes
 /// (remaining units are then poisoned with reason "deadline").
+///
+/// With workers > 0, call it while no other thread runs in the process.
+/// Workers are forked children that run library code without an exec,
+/// so a lock another thread held at the fork (malloc's, a pool's) would
+/// stay held in the child forever. The CLI, the bench and the tests meet
+/// this: a TaskPool is joined before any fork, and only worker children
+/// start heartbeat threads.
 StudyResult run_study(const Manifest& manifest, const OrchOptions& options);
 
 /// Atomic-rename publish of result.json(); false on I/O failure.

@@ -127,7 +127,7 @@ std::string study_result_json(const Manifest& manifest,
   io::JsonWriter w;
   w.begin_object();
   w.key("manifest_version");
-  w.value(static_cast<std::uint64_t>(manifest.version));
+  w.value(kManifestVersion);
   w.key("units");
   w.begin_array();
   for (std::size_t i = 0; i < manifest.units.size(); ++i) {

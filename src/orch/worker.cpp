@@ -113,7 +113,7 @@ int worker_main(const Manifest& manifest, const WorkerOptions& options) {
     options.validate();
     manifest.spec.validate();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "subscale_worker: %s\n", e.what());
+    std::fprintf(stderr, "orch::worker_main: %s\n", e.what());
     return 2;
   }
   const std::string owner =
@@ -179,16 +179,6 @@ int worker_main(const Manifest& manifest, const WorkerOptions& options) {
     }
   }
   return 0;
-}
-
-int worker_main(const WorkerOptions& options) {
-  Manifest manifest;
-  std::string error;
-  if (!load_manifest(options.manifest_path, manifest, &error)) {
-    std::fprintf(stderr, "subscale_worker: %s\n", error.c_str());
-    return 2;
-  }
-  return worker_main(manifest, options);
 }
 
 }  // namespace subscale::orch

@@ -4,7 +4,9 @@
 /// The worker side of a multi-process study: scan the manifest, claim
 /// unsolved units via lease files, solve each through the normal
 /// RunContext + SolveCache path, publish into the shared store, release
-/// the lease, repeat until a full scan finds nothing claimable.
+/// the lease, repeat until a full scan finds nothing claimable. A
+/// worker is a child the orchestrator forks; it runs worker_main on the
+/// manifest it inherited in memory.
 ///
 /// Crash stance (FDB-style): a worker may die at ANY instruction —
 /// that is the chaos tier's whole premise — so nothing a worker does is
@@ -51,10 +53,9 @@ std::size_t chaos_kill_phase(const ChaosPolicy& chaos, std::size_t unit_index);
 inline constexpr double kHeartbeatSeconds = 0.2;
 
 struct WorkerOptions {
-  std::string manifest_path;  ///< used by the path-based entry point
-  std::string study_dir;      ///< lease/poison coordination directory
-  std::string cache_dir;      ///< shared content-addressed result store
-  std::string worker_id;      ///< lease owner tag; empty = "pid-<pid>"
+  std::string study_dir;  ///< lease/poison coordination directory
+  std::string cache_dir;  ///< shared content-addressed result store
+  std::string worker_id;  ///< lease owner tag; empty = "pid-<pid>"
   ChaosPolicy chaos;
 
   /// Throws std::invalid_argument naming the offending field.
@@ -66,9 +67,5 @@ struct WorkerOptions {
 /// else). Returns a process exit code: 0 on a clean drain, 2 on setup
 /// failure (bad options / unusable cache dir).
 int worker_main(const Manifest& manifest, const WorkerOptions& options);
-
-/// CLI entry: load WorkerOptions::manifest_path, then run. Exit 2 when
-/// the manifest does not load.
-int worker_main(const WorkerOptions& options);
 
 }  // namespace subscale::orch

@@ -1,4 +1,4 @@
-// Fast orchestrator-layer tests: manifest construction and round-trip,
+// Fast orchestrator-layer tests: manifest construction and validation,
 // unit key schema properties, lease protocol primitives, poison
 // markers, the UnitResult byte codec, and chaos-phase determinism.
 // Everything here runs in milliseconds (no TCAD solves); the end-to-end
@@ -115,7 +115,7 @@ TEST(Manifest, KeyMovesWhenAnyInputChanges) {
 
 TEST(Manifest, CardIsCarriedHashedAndResolved) {
   // A non-default technology card must flow spec -> study options ->
-  // unit keys -> manifest JSON: same grid, disjoint key space.
+  // unit keys: same grid, disjoint key space.
   const so::Manifest base = so::build_manifest(small_spec());
   so::StudySpec hot = small_spec();
   hot.card = "paper_bulk_hot350";
@@ -130,72 +130,10 @@ TEST(Manifest, CardIsCarriedHashedAndResolved) {
   EXPECT_EQ(options.card.id, "paper_bulk_hot350");
   EXPECT_EQ(options.card.env.temperature, 350.0);
 
-  // And survives the manifest JSON round-trip byte-exactly.
-  TempDir dir;
-  const std::string path = dir.str() + "/m.json";
-  ASSERT_TRUE(so::save_manifest(path, hot_m));
-  so::Manifest back;
-  std::string error;
-  ASSERT_TRUE(so::load_manifest(path, back, &error)) << error;
-  EXPECT_EQ(back.spec.card, "paper_bulk_hot350");
-  EXPECT_EQ(so::manifest_to_json(back), so::manifest_to_json(hot_m));
-
   // Unknown cards are rejected before any unit is enqueued.
   so::StudySpec bogus = small_spec();
   bogus.card = "no_such_deck";
   EXPECT_THROW(so::build_manifest(bogus), std::invalid_argument);
-}
-
-TEST(Manifest, JsonRoundTripIsExact) {
-  TempDir dir;
-  so::StudySpec spec = small_spec();
-  spec.strategies = {Strategy::kSubVth};
-  spec.gummel.max_iterations = 42;
-  spec.gummel.psi_tolerance = 3.25e-8;
-  spec.gummel.bias_step = 0.05;
-  spec.gummel.mesh_continuation_levels = 2;
-  spec.gummel.poisson.update_tolerance = 2e-9;
-  const so::Manifest m = so::build_manifest(spec);
-  const std::string path = dir.str() + "/manifest.json";
-  ASSERT_TRUE(so::save_manifest(path, m));
-
-  so::Manifest back;
-  std::string error;
-  ASSERT_TRUE(so::load_manifest(path, back, &error)) << error;
-  EXPECT_EQ(back.version, m.version);
-  EXPECT_EQ(back.spec.points, m.spec.points);
-  EXPECT_EQ(back.spec.gummel.max_iterations, 42u);
-  EXPECT_EQ(back.spec.gummel.psi_tolerance, 3.25e-8);
-  EXPECT_EQ(back.spec.gummel.bias_step, 0.05);
-  EXPECT_EQ(back.spec.gummel.mesh_continuation_levels, 2u);
-  EXPECT_EQ(back.spec.gummel.poisson.update_tolerance, 2e-9);
-  ASSERT_EQ(back.units.size(), m.units.size());
-  for (std::size_t i = 0; i < m.units.size(); ++i) {
-    EXPECT_EQ(back.units[i].result_key, m.units[i].result_key);
-    EXPECT_EQ(back.units[i].strategy, m.units[i].strategy);
-    EXPECT_EQ(back.units[i].node, m.units[i].node);
-    EXPECT_EQ(back.units[i].vd, m.units[i].vd);
-  }
-  // The reloaded manifest re-serializes to the identical document.
-  EXPECT_EQ(so::manifest_to_json(back), so::manifest_to_json(m));
-}
-
-TEST(Manifest, LoadRejectsMalformedAndVersionBumped) {
-  TempDir dir;
-  const std::string path = dir.str() + "/m.json";
-  so::Manifest out;
-  std::string error;
-  EXPECT_FALSE(so::load_manifest(path, out, &error));  // absent
-
-  const std::string garbled = "{\"manifest_version\": 1, \"units\": ";
-  sca::atomic_write_file(path, garbled.data(), garbled.size());
-  EXPECT_FALSE(so::load_manifest(path, out, &error));
-
-  const std::string bumped =
-      "{\"manifest_version\": 999, \"spec\": {}, \"units\": []}";
-  sca::atomic_write_file(path, bumped.data(), bumped.size());
-  EXPECT_FALSE(so::load_manifest(path, out, &error));
-  EXPECT_NE(error.find("manifest_version"), std::string::npos);
 }
 
 TEST(Manifest, ValidationNamesOffendingField) {

@@ -148,6 +148,14 @@ TEST(OrchStudy, ForkedWorkersMatchSerialBitwise) {
       EXPECT_TRUE(o.result.usable()) << "unit " << o.unit;
     }
     EXPECT_EQ(forked.json(), serial.json());
+    // The workers inherited the manifest in memory: the study dir holds
+    // their leases and nothing else.
+    std::vector<std::string> entries;
+    for (const fs::directory_entry& e :
+         fs::directory_iterator(forked_dir.str() + "/study")) {
+      entries.push_back(e.path().filename().string());
+    }
+    EXPECT_EQ(entries, std::vector<std::string>{"leases"});
   }
 }
 
@@ -229,6 +237,18 @@ TEST(OrchStudy, RetryBudgetExhaustionPoisonsInsteadOfWedging) {
   fs::remove(so::poison_path(retry.study_dir, 0));
   const so::StudyResult reopened = so::run_study(manifest, retry);
   EXPECT_TRUE(reopened.complete());
+}
+
+TEST(OrchStudy, StudyDirThatCannotHoldLeasesFailsFast) {
+  // A worker that cannot take a lease exits without a claim, so such a
+  // study dir must be refused before any fork, not found out by
+  // respawning workers until the deadline.
+  TempDir dir;
+  const std::string file = dir.str() + "/not-a-dir";
+  ASSERT_TRUE(sca::atomic_write_file(file, "x", 1));
+  so::OrchOptions options = options_in(dir, 2);
+  options.study_dir = file + "/study";
+  EXPECT_THROW(so::run_study(tiny_manifest(), options), std::runtime_error);
 }
 
 TEST(OrchStudy, WriteStudyResultIsAtomicAndStable) {

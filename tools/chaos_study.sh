@@ -65,10 +65,11 @@ orch_pid=$!
 sleep 0.5   # enough for workers to start; whether a unit published yet
             # is box-dependent, and the invariants hold either way
 # Kill the whole process group stand-ins: orchestrator first, then any
-# workers it left behind (their parent died, so find them by exe name).
+# workers it left behind (their parent died; forked workers keep the
+# orchestrator's command line, so find them by it).
 kill -KILL "$orch_pid" 2>/dev/null || true
 wait "$orch_pid" 2>/dev/null || true
-pkill -KILL -f "subscale_worker.*$tmp/resume" 2>/dev/null || true
+pkill -KILL -f "subscale_orch.*$tmp/resume" 2>/dev/null || true
 
 summary="$("$orch" "${study_args[@]}" --workers 2 \
     --study-dir "$tmp/resume/study" --cache-dir "$tmp/resume/cache" \

@@ -13,23 +13,18 @@
 //                 [--chaos-kill-after N] [--chaos-seed S]
 //                 [--chaos-sigterm] [--rearm-chaos]
 //
-// Workers are spawned from the sibling subscale_worker binary when one
-// exists next to this executable; otherwise the orchestrator forks
-// itself and runs the worker loop in-process.
+// Workers are forked children of this process that run the worker loop
+// on the study's in-memory manifest.
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cache/solve_cache.h"
 #include "obs/metrics.h"
 #include "orch/orchestrator.h"
 
-namespace fs = std::filesystem;
 using namespace subscale;
 
 namespace {
@@ -47,17 +42,6 @@ std::vector<std::string> split_commas(const std::string& s) {
     start = comma + 1;
   }
   return out;
-}
-
-/// The subscale_worker binary installed next to this executable, if any.
-std::string sibling_worker(const char* argv0) {
-  std::error_code ec;
-  fs::path self = fs::path(argv0);
-  const fs::path proc = fs::read_symlink("/proc/self/exe", ec);
-  if (!ec && !proc.empty()) self = proc;
-  const fs::path candidate = self.parent_path() / "subscale_worker";
-  return fs::exists(candidate, ec) && !ec ? candidate.string()
-                                          : std::string();
 }
 
 int usage(const char* argv0) {
@@ -137,7 +121,6 @@ int main(int argc, char** argv) {
   if (options.study_dir.empty() || options.cache_dir.empty()) {
     return usage(argv[0]);
   }
-  options.worker_exe = sibling_worker(argv[0]);
 
   obs::MetricsRegistry registry;
   options.run.metrics = &registry;
