@@ -58,6 +58,24 @@ cmake -B "$build_dir" -S "$repo_root" "${cmake_args[@]}"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" "${ctest_args[@]}"
 
+# run_bench DIR BENCH [VAR=VALUE...]: run the self-gating BENCH in DIR
+# with the given environment, its stdout kept in DIR/BENCH.log. A
+# bench that fails its own gate is named on stderr with its [shape]
+# verdict and the log's tail, and the script exits 1.
+run_bench() {
+  local dir=$1 bench=$2
+  shift 2
+  if ! (cd "$dir" && env "$@" "$build_dir/bench/$bench" \
+      > "$dir/$bench.log"); then
+    {
+      echo "check.sh: $bench failed its own gate"
+      grep '^\[shape' "$dir/$bench.log" || true
+      tail -n 20 "$dir/$bench.log"
+    } >&2
+    exit 1
+  fi
+}
+
 # Plain builds also validate the bench telemetry schema (sanitized
 # trees skip this — bench wall times are meaningless there): run one
 # fast bench to produce a fresh record and check it against the schema
@@ -72,10 +90,9 @@ if [[ -z "$sanitize" ]]; then
   # telemetry proves the wiring, not just that the env var was read).
   # SUBSCALE_PERFDB_DIR exercises the bench-side perf-history wiring:
   # the run must land in the store as an obs_trend-visible record.
-  (cd "$bench_tmp" && SUBSCALE_PROFILE=1 \
+  run_bench "$bench_tmp" bench_tcad_validation SUBSCALE_PROFILE=1 \
       SUBSCALE_CACHE_DIR="$bench_tmp/cache" \
-      SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
-      "$build_dir/bench/bench_tcad_validation" > /dev/null)
+      SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb"
   "$build_dir/tools/obs_trend" schema "$bench_tmp"/BENCH_*.json
   if ! grep -Eq '"cache\.store": [1-9]' "$bench_tmp"/BENCH_*.json; then
     echo "check.sh: env-installed cache published no records" >&2
@@ -231,8 +248,8 @@ if [[ -z "$sanitize" ]]; then
   # The ceiling sits ~1.25x above the measured 7.29, far below the ~43
   # steps of a pure-bisection fallback, so a Newton that quietly stops
   # converging fails here; an impossible budget must trip the same gate.
-  (cd "$bench_tmp" && SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
-      "$build_dir/bench/bench_fig04_snm" > /dev/null)
+  run_bench "$bench_tmp" bench_fig04_snm \
+      SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb"
   "$build_dir/tools/obs_trend" schema "$bench_tmp"/BENCH_fig04_snm.json
   gate_budget "VTC Newton" fig04_snm \
       "--metric-max vtc_newton_per_solve=9.1" \
@@ -243,8 +260,8 @@ if [[ -z "$sanitize" ]]; then
   # deterministic). The ceiling sits ~1.25x above the measured 2.00, so a
   # stamped Jacobian that drifts from the true one (Newton going linear)
   # fails here; an impossible budget must trip the same gate.
-  (cd "$bench_tmp" && SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb" \
-      "$build_dir/bench/bench_fig06_energy_vmin" > /dev/null)
+  run_bench "$bench_tmp" bench_fig06_energy_vmin \
+      SUBSCALE_PERFDB_DIR="$bench_tmp/perfdb"
   "$build_dir/tools/obs_trend" schema \
       "$bench_tmp"/BENCH_fig06_energy_vmin.json
   gate_budget "transient Newton" fig06_energy_vmin \
@@ -257,7 +274,7 @@ if [[ -z "$sanitize" ]]; then
   # to the uncached run) and exits non-zero on any violation. Its record
   # must also satisfy the telemetry schema.
   cache_tmp="$(mktemp -d)"
-  (cd "$cache_tmp" && "$build_dir/bench/bench_ext_cache" > /dev/null)
+  run_bench "$cache_tmp" bench_ext_cache
   "$build_dir/tools/obs_trend" schema "$cache_tmp"/BENCH_*.json
   echo "bench_ext_cache: cache round-trip smoke passed"
   rm -rf "$cache_tmp"
@@ -268,7 +285,7 @@ if [[ -z "$sanitize" ]]; then
   # non-zero on any violation. Its record must also carry the card id
   # and satisfy the telemetry schema.
   cards_tmp="$(mktemp -d)"
-  (cd "$cards_tmp" && "$build_dir/bench/bench_ext_cards" > /dev/null)
+  run_bench "$cards_tmp" bench_ext_cards
   "$build_dir/tools/obs_trend" schema "$cards_tmp"/BENCH_*.json
   if ! grep -q '"card": "' "$cards_tmp"/BENCH_*.json; then
     echo "check.sh: bench record does not name its technology card" >&2
@@ -284,8 +301,7 @@ if [[ -z "$sanitize" ]]; then
   # env-installed cache, which both passes must bypass: a cache hit
   # means the pooled pass replayed the serial one instead of solving.
   parallel_tmp="$(mktemp -d)"
-  (cd "$parallel_tmp" && SUBSCALE_CACHE=1 \
-      "$build_dir/bench/bench_ext_parallel_study" > /dev/null)
+  run_bench "$parallel_tmp" bench_ext_parallel_study SUBSCALE_CACHE=1
   "$build_dir/tools/obs_trend" schema "$parallel_tmp"/BENCH_*.json
   if grep -Eq '"cache\.hit": [1-9]' "$parallel_tmp"/BENCH_*.json; then
     echo "check.sh: bench_ext_parallel_study read the env cache" >&2
