@@ -81,10 +81,6 @@ KeyHasher& KeyHasher::u64(std::uint64_t v) {
   return bytes(le, sizeof(le));
 }
 
-KeyHasher& KeyHasher::i64(std::int64_t v) {
-  return u64(static_cast<std::uint64_t>(v));
-}
-
 KeyHasher& KeyHasher::boolean(bool v) { return u64(v ? 1 : 0); }
 
 KeyHasher& KeyHasher::f64(double v) { return u64(canonical_f64_bits(v)); }

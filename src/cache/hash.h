@@ -67,7 +67,6 @@ class KeyHasher {
   /// Canonical double: -0.0 == +0.0, all NaNs equal.
   KeyHasher& f64(double v);
   KeyHasher& u64(std::uint64_t v);
-  KeyHasher& i64(std::int64_t v);
   KeyHasher& boolean(bool v);
   KeyHasher& str(std::string_view s);
   KeyHasher& bytes(const void* data, std::size_t size);

@@ -76,8 +76,4 @@ void TransientSim::step(double dt) {
   time_ += dt;
 }
 
-double TransientSim::rail_device_current(NodeId rail) const {
-  return rail_current(circuit_, rail, v_);
-}
-
 }  // namespace subscale::circuits

@@ -41,10 +41,6 @@ class TransientSim {
   const std::vector<double>& voltages() const { return v_; }
   double voltage(NodeId node) const { return v_[node]; }
 
-  /// Device current drawn from a fixed rail at the end of the last step
-  /// [A] (positive = flowing out of the rail into the circuit).
-  double rail_device_current(NodeId rail) const;
-
  private:
   Circuit& circuit_;
   std::vector<double> v_;

@@ -64,8 +64,8 @@ NanowireFet::NanowireFet(DeviceSpec spec, const Calibration& calib)
   // bulk-style vertical-field surface degradation.
   mu_ = physics::masetti_mobility(carrier, neff_);
 
-  wires_ = spec_.width / (6.0 * r);
-  weff_ = wires_ * 2.0 * M_PI * r;
+  const double wires = spec_.width / (6.0 * r);
+  weff_ = wires * 2.0 * M_PI * r;
 
   i0_ = calib_.k_io * 2.0 * n_ * mu_ * cox_ * vt_ * vt_ * weff_ / leff;
   vsat_len_ =

@@ -68,10 +68,9 @@ class NanowireFet final : public DeviceModel {
   double natural_length() const { return lambda_; }
   /// Effective body doping N_eff [m^-3] (same halo weighting as bulk).
   double neff() const { return neff_; }
-  /// Wires per layout width (pitch = 3 diameters; fractional allowed so
-  /// currents stay continuous in spec.width).
-  double wire_count() const { return wires_; }
-  /// Total electrical width: wire_count() * 2 pi R [m].
+  /// Total electrical width: wires per layout width (pitch = 3
+  /// diameters; fractional allowed so currents stay continuous in
+  /// spec.width) * 2 pi R [m].
   double electrical_width() const { return weff_; }
   /// Long-channel threshold (no SCE/DIBL) [V].
   double vth_long() const;
@@ -91,7 +90,6 @@ class NanowireFet final : public DeviceModel {
   double ni_ = 0.0;
   double vbi_ = 0.0;
   double mu_ = 0.0;
-  double wires_ = 0.0;
   double weff_ = 0.0;
   double vth0_ = 0.0;      ///< charge-based intrinsic-wire threshold [V]
   double vth_dop_ = 0.0;   ///< body-doping shift [V]

@@ -46,8 +46,6 @@ struct MosfetGeometry {
   double leff() const { return lpoly - 2.0 * lov; }
   /// x position of the source-side metallurgical junction (< 0).
   double source_edge() const { return -0.5 * leff(); }
-  /// x position of the drain-side metallurgical junction (> 0).
-  double drain_edge() const { return 0.5 * leff(); }
   /// Total simulated lateral extent.
   double device_length() const { return leff() + 2.0 * lov + 2.0 * lsd; }
 

@@ -21,7 +21,6 @@ class TextTable {
   /// before each line.
   std::string render(int indent = 0) const;
 
-  std::size_t row_count() const { return rows_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 

@@ -56,10 +56,6 @@ Grid1d::Grid1d(std::vector<double> ticks, double merge_tolerance)
   finalize(merge_tolerance);
 }
 
-void Grid1d::add_segment(const GradedSegment& segment) {
-  add_ticks(graded_ticks(segment));
-}
-
 void Grid1d::add_ticks(const std::vector<double>& ticks) {
   if (finalized_) {
     throw std::logic_error("Grid1d: cannot add ticks after finalize");

@@ -38,8 +38,7 @@ class Grid1d {
   /// Build from raw ticks (sorted + deduplicated with tolerance).
   explicit Grid1d(std::vector<double> ticks, double merge_tolerance = 0.0);
 
-  /// Append the ticks of a segment (merged on finalize()).
-  void add_segment(const GradedSegment& segment);
+  /// Append ticks (merged on finalize()).
   void add_ticks(const std::vector<double>& ticks);
 
   /// Ensure a specific coordinate appears as a tick.

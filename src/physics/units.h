@@ -14,8 +14,6 @@ inline constexpr double nm(double v) { return v * 1e-9; }
 inline constexpr double um(double v) { return v * 1e-6; }
 /// Metres -> nanometres.
 inline constexpr double to_nm(double metres) { return metres * 1e9; }
-/// Metres -> micrometres.
-inline constexpr double to_um(double metres) { return metres * 1e6; }
 
 // ---- doping concentration -----------------------------------------------
 
@@ -72,8 +70,6 @@ inline constexpr double ps(double v) { return v * 1e-12; }
 inline constexpr double to_ps(double s) { return s * 1e12; }
 /// Seconds -> nanoseconds.
 inline constexpr double to_ns(double s) { return s * 1e9; }
-/// Seconds -> microseconds.
-inline constexpr double to_us(double s) { return s * 1e6; }
 
 // ---- energy -----------------------------------------------------------------
 
